@@ -987,21 +987,27 @@ let parallel () =
           failwith
             (Printf.sprintf
                "parallel profiling diverged from sequential at %d domains" jobs);
+        (* More domains than the host offers time-slice one core: the
+           row records the time but claims no speedup. *)
+        let oversubscribed = jobs > Par.Pool.recommended () in
         let speedup = seq_ms /. ms in
-        Printf.printf "%-8d %12.2f %8.2fx %12s\n" jobs ms speedup "yes";
-        Obs.Metrics.Gauge.set
-          (Obs.Registry.gauge
-             ~help:"profile-phase speedup over a one-domain run"
-             "bench_parallel_profile_speedup"
-             [ ("domains", string_of_int jobs) ])
-          speedup;
+        if oversubscribed then
+          Printf.printf "%-8d %12.2f %9s %12s\n" jobs ms "oversub." "yes"
+        else begin
+          Printf.printf "%-8d %12.2f %8.2fx %12s\n" jobs ms speedup "yes";
+          Obs.Metrics.Gauge.set
+            (Obs.Registry.gauge
+               ~help:"profile-phase speedup over a one-domain run"
+               "bench_parallel_profile_speedup"
+               [ ("domains", string_of_int jobs) ])
+            speedup
+        end;
         Obs.Json.Obj
-          [
-            ("domains", Obs.Json.Int jobs);
-            ("profile_ms", Obs.Json.Float ms);
-            ("speedup_vs_1", Obs.Json.Float speedup);
-            ("bytes_equal", Obs.Json.Bool true);
-          ])
+          (("domains", Obs.Json.Int jobs)
+           :: ("profile_ms", Obs.Json.Float ms)
+           :: (if oversubscribed then [ ("oversubscribed", Obs.Json.Bool true) ]
+               else [ ("speedup_vs_1", Obs.Json.Float speedup) ])
+          @ [ ("bytes_equal", Obs.Json.Bool true) ]))
       domains
   in
   (* The prepared-stream cache under a batched fan-out: first batch
@@ -1894,6 +1900,31 @@ let gate ~baseline_path =
       exit 1
     | Ok json -> json
   in
+  (* The committed report beside the baseline must carry every section
+     the baseline gates; a report regenerated before a section existed
+     would otherwise go stale unnoticed. *)
+  let report_path =
+    Filename.concat (Filename.dirname baseline_path) "BENCH_report.json"
+  in
+  let stale_sections =
+    let sections =
+      match baseline_json with
+      | Obs.Json.Obj fields ->
+        List.filter (fun k -> k <> "_comment") (List.map fst fields)
+      | _ -> []
+    in
+    let report =
+      match In_channel.with_open_text report_path In_channel.input_all with
+      | text -> Result.to_option (Obs.Json.of_string text)
+      | exception Sys_error _ -> None
+    in
+    List.filter
+      (fun k ->
+        match report with
+        | Some r -> Obs.Json.member k r = None
+        | None -> true)
+      sections
+  in
   let baseline_rows =
     match Obs.Json.member "energy" baseline_json with
     | Some (Obs.Json.List rows) -> rows
@@ -1940,8 +1971,15 @@ let gate ~baseline_path =
         | fields -> Some (Obs.Json.Obj fields))
   in
   section (Printf.sprintf "regression gate vs %s" baseline_path);
-  let failures = ref 0 in
-  let total = ref 0 in
+  let failures = ref (List.length stale_sections) in
+  let total = ref (List.length stale_sections) in
+  List.iter
+    (fun k ->
+      Printf.printf
+        "  STALE section %S is in the baseline but missing from %s \
+         (regenerate the report)\n"
+        k report_path)
+    stale_sections;
   List.iter
     (fun (name, bv) ->
       incr total;

@@ -37,12 +37,19 @@ let read_block r =
   done;
   Zigzag.inverse zz
 
+(* The cost of [write_block], walked straight off [Zigzag.scan_order]
+   with no reordered copy and no pair list. *)
 let bit_cost levels =
-  let zz = Zigzag.forward levels in
-  let pairs = nonzero_pairs zz in
-  List.fold_left
-    (fun acc (run, level) ->
+  if Array.length levels <> 64 then invalid_arg "Zigzag: need 64 levels";
+  let bits = ref 0 and nnz = ref 0 and run = ref 0 in
+  for k = 0 to 63 do
+    let level = levels.(Zigzag.scan_order.(k)) in
+    if level = 0 then incr run
+    else begin
       let z = if level > 0 then (2 * level) - 1 else -2 * level in
-      acc + Golomb.ue_bit_length run + Golomb.ue_bit_length z)
-    (Golomb.ue_bit_length (List.length pairs))
-    pairs
+      bits := !bits + Golomb.ue_bit_length !run + Golomb.ue_bit_length z;
+      incr nnz;
+      run := 0
+    end
+  done;
+  Golomb.ue_bit_length !nnz + !bits

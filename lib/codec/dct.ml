@@ -12,11 +12,19 @@ let cosine =
           *. cos (((2. *. float_of_int x) +. 1.) *. float_of_int u *. Float.pi
                   /. (2. *. float_of_int n))))
 
+(* The same matrix flattened row-major for the forward pass, and its
+   transpose for the inverse: [forward_matrix.(u * n + x) =
+   cosine.(u).(x)], [inverse_matrix.(u * n + x) = cosine.(x).(u)]. *)
+let forward_matrix = Array.init (n * n) (fun i -> cosine.(i / n).(i mod n))
+
+let inverse_matrix = Array.init (n * n) (fun i -> cosine.(i mod n).(i / n))
+
 let check block =
   if Array.length block <> n * n then invalid_arg "Dct: block must have 64 samples"
 
-(* Separable transform: rows then columns. *)
-let transform matrix_row block =
+(* Separable transform: rows then columns. Each sum starts from [0.]
+   and accumulates in index order. *)
+let transform m block =
   check block;
   let tmp = Array.make (n * n) 0. in
   (* Rows. *)
@@ -24,7 +32,7 @@ let transform matrix_row block =
     for u = 0 to n - 1 do
       let acc = ref 0. in
       for x = 0 to n - 1 do
-        acc := !acc +. (matrix_row u x *. block.((y * n) + x))
+        acc := !acc +. (m.((u * n) + x) *. block.((y * n) + x))
       done;
       tmp.((y * n) + u) <- !acc
     done
@@ -35,7 +43,7 @@ let transform matrix_row block =
     for v = 0 to n - 1 do
       let acc = ref 0. in
       for y = 0 to n - 1 do
-        acc := !acc +. (matrix_row v y *. tmp.((y * n) + u))
+        acc := !acc +. (m.((v * n) + y) *. tmp.((y * n) + u))
       done;
       out.((v * n) + u) <- !acc
     done
@@ -51,17 +59,17 @@ let obs_seconds =
     ~buckets:[| 1e-7; 5e-7; 1e-6; 5e-6; 1e-5; 1e-4; 1e-3 |]
     "codec_dct_seconds" []
 
-let timed block transform_f =
+let timed m block =
   if Obs.enabled () then begin
     let t0 = Obs.Clock.now_ns () in
-    let out = transform_f block in
+    let out = transform m block in
     Obs.Metrics.Counter.incr obs_ops;
     Obs.Metrics.Histogram.observe obs_seconds
       (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0));
     out
   end
-  else transform_f block
+  else transform m block
 
-let forward block = timed block (transform (fun u x -> cosine.(u).(x)))
+let forward block = timed forward_matrix block
 
-let inverse block = timed block (transform (fun u x -> cosine.(x).(u)))
+let inverse block = timed inverse_matrix block

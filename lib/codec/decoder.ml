@@ -224,6 +224,11 @@ let decode_frame ~info ~reference payload =
 
 let decode_body r =
   let info = read_header r in
+  (* Every frame carries at least its marker and qp bytes, so a count
+     the remaining bits cannot hold is rejected before it sizes the
+     frame array. *)
+  if info.info_frame_count > Bitio.Reader.bits_remaining r / 16 then
+    fail "implausible frame count";
   let frames =
     Array.make info.info_frame_count (Image.Raster.create ~width:1 ~height:1)
   in

@@ -3,7 +3,22 @@
     Full-search over a square window on 8x8 luma blocks with
     sum-of-absolute-differences matching; ties prefer the shorter
     vector so static content codes as (0, 0). Chroma reuses the luma
-    vector halved (4:2:0 geometry). *)
+    vector halved (4:2:0 geometry).
+
+    {b Interior and edge paths.} Every kernel reads and writes plane
+    samples directly, row by row, when the block's whole footprint lies
+    inside the plane — for half-pel vectors that footprint includes
+    the +1 interpolation taps. A block whose footprint touches or
+    crosses an edge takes the edge-clamped path through {!Plane.get}
+    instead. The position alone picks the path; both evaluate the same
+    expression per sample, so results are identical either way.
+
+    {b Partial SAD.} {!search} and {!refine_halfpel} pass the running
+    best SAD as a bound and stop summing a candidate after the first
+    row whose partial sum is {e strictly} greater. Such a candidate
+    could neither beat nor tie the best, so the raster scan order and
+    the [(sad, norm)] tie-break choose exactly the vector a full
+    search would. *)
 
 type vector = { dx : int; dy : int }
 

@@ -58,21 +58,22 @@ type ycbcr = { y : t; cb : t; cr : t }
 
 let chroma_dim d = (d + 1) / 2
 
-(* Integer BT.601 full-range conversion. *)
-let rgb_to_ycbcr r g b =
-  let y = ((19595 * r) + (38470 * g) + (7471 * b) + 32768) lsr 16 in
-  let cb = 128 + (((-11056 * r) - (21712 * g) + (32768 * b)) asr 16) in
-  let cr = 128 + (((32768 * r) - (27440 * g) - (5328 * b)) asr 16) in
-  (y, cb, cr)
+(* Integer BT.601 full-range conversion, one component per function so
+   the per-pixel loops below allocate nothing. *)
+let luma r g b = ((19595 * r) + (38470 * g) + (7471 * b) + 32768) lsr 16
+
+let chroma_b r g b = 128 + (((-11056 * r) - (21712 * g) + (32768 * b)) asr 16)
+
+let chroma_r r g b = 128 + (((32768 * r) - (27440 * g) - (5328 * b)) asr 16)
 
 let clamp255 v = if v < 0 then 0 else if v > 255 then 255 else v
 
-let ycbcr_to_rgb y cb cr =
-  let cb = cb - 128 and cr = cr - 128 in
-  let r = y + ((91881 * cr) asr 16) in
-  let g = y - ((22554 * cb) asr 16) - ((46802 * cr) asr 16) in
-  let b = y + ((116130 * cb) asr 16) in
-  (clamp255 r, clamp255 g, clamp255 b)
+let red y cr = clamp255 (y + ((91881 * (cr - 128)) asr 16))
+
+let green y cb cr =
+  clamp255 (y - ((22554 * (cb - 128)) asr 16) - ((46802 * (cr - 128)) asr 16))
+
+let blue y cb = clamp255 (y + ((116130 * (cb - 128)) asr 16))
 
 let of_raster img =
   let w = Image.Raster.width img and h = Image.Raster.height img in
@@ -86,12 +87,14 @@ let of_raster img =
   and cnt = Array.make (cw * ch) 0 in
   for y = 0 to h - 1 do
     for x = 0 to w - 1 do
-      let { Image.Pixel.r; g; b } = Image.Raster.get img ~x ~y in
-      let ly, cb, cr = rgb_to_ycbcr r g b in
-      yp.samples.((y * w) + x) <- ly;
+      let i = (y * w) + x in
+      let r = Image.Raster.byte img (3 * i)
+      and g = Image.Raster.byte img ((3 * i) + 1)
+      and b = Image.Raster.byte img ((3 * i) + 2) in
+      yp.samples.(i) <- luma r g b;
       let ci = ((y / 2) * cw) + (x / 2) in
-      cb_acc.(ci) <- cb_acc.(ci) + cb;
-      cr_acc.(ci) <- cr_acc.(ci) + cr;
+      cb_acc.(ci) <- cb_acc.(ci) + chroma_b r g b;
+      cr_acc.(ci) <- cr_acc.(ci) + chroma_r r g b;
       cnt.(ci) <- cnt.(ci) + 1
     done
   done;
@@ -103,12 +106,19 @@ let of_raster img =
 
 let to_raster { y = yp; cb = cbp; cr = crp } =
   let w = yp.width and h = yp.height in
-  Image.Raster.init ~width:w ~height:h (fun ~x ~y ->
+  let img = Image.Raster.create ~width:w ~height:h in
+  for y = 0 to h - 1 do
+    for x = 0 to w - 1 do
       let ly = get yp ~x ~y in
       let cb = get cbp ~x:(x / 2) ~y:(y / 2) in
       let cr = get crp ~x:(x / 2) ~y:(y / 2) in
-      let r, g, b = ycbcr_to_rgb ly cb cr in
-      { Image.Pixel.r; g; b })
+      let o = 3 * ((y * w) + x) in
+      Image.Raster.set_byte img o (red ly cr);
+      Image.Raster.set_byte img (o + 1) (green ly cb cr);
+      Image.Raster.set_byte img (o + 2) (blue ly cb)
+    done
+  done;
+  img
 
 let mean_absolute_difference a b =
   if a.width <> b.width || a.height <> b.height then

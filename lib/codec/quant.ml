@@ -48,24 +48,37 @@ let obs_seconds =
     ~buckets:[| 1e-7; 5e-7; 1e-6; 5e-6; 1e-5; 1e-4; 1e-3 |]
     "codec_quant_seconds" []
 
-let timed f =
+(* [f] is a top-level function, so the untimed call builds no
+   closure. *)
+let timed f steps x =
   if Obs.enabled () then begin
     let t0 = Obs.Clock.now_ns () in
-    let out = f () in
+    let out = f steps x in
     Obs.Metrics.Counter.incr obs_ops;
     Obs.Metrics.Histogram.observe obs_seconds
       (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0));
     out
   end
-  else f ()
+  else f steps x
+
+let quantise_steps s coeffs =
+  let out = Array.make 64 0 in
+  for i = 0 to 63 do
+    out.(i) <- int_of_float (Float.round (coeffs.(i) /. s.(i)))
+  done;
+  out
+
+let dequantise_steps s levels =
+  let out = Array.make 64 0. in
+  for i = 0 to 63 do
+    out.(i) <- float_of_int levels.(i) *. s.(i)
+  done;
+  out
 
 let quantise t kind coeffs =
   if Array.length coeffs <> 64 then invalid_arg "Quant.quantise: need 64 coefficients";
-  let s = steps t kind in
-  timed (fun () ->
-      Array.init 64 (fun i -> int_of_float (Float.round (coeffs.(i) /. s.(i)))))
+  timed quantise_steps (steps t kind) coeffs
 
 let dequantise t kind levels =
   if Array.length levels <> 64 then invalid_arg "Quant.dequantise: need 64 levels";
-  let s = steps t kind in
-  timed (fun () -> Array.init 64 (fun i -> float_of_int levels.(i) *. s.(i)))
+  timed dequantise_steps (steps t kind) levels

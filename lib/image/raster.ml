@@ -54,6 +54,10 @@ let init ~width ~height f =
   done;
   img
 
+let byte img i = Char.code (Bytes.get img.data i)
+
+let set_byte img i v = Bytes.set img.data i (Char.chr v)
+
 let unsafe_get_index img i =
   let o = i * 3 in
   {

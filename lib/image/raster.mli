@@ -30,6 +30,16 @@ val set : t -> x:int -> y:int -> Pixel.t -> unit
 (** [set img ~x ~y p] writes a pixel. Raises [Invalid_argument] when out
     of bounds. *)
 
+val byte : t -> int -> int
+(** [byte img i] is byte [i] of the packed buffer: channel [i mod 3]
+    (red, green, blue) of pixel [i / 3] in row-major order. Raises
+    [Invalid_argument] unless [0 <= i < 3 * pixel_count img]. *)
+
+val set_byte : t -> int -> int -> unit
+(** [set_byte img i v] writes byte [i] (see {!byte}). Raises
+    [Invalid_argument] when [i] is out of range or [v] is outside
+    [0, 255]. *)
+
 val in_bounds : t -> x:int -> y:int -> bool
 
 val copy : t -> t

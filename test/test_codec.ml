@@ -375,6 +375,149 @@ let test_motion_extract_store_roundtrip () =
   let block' = Codec.Motion.extract_block q ~x:8 ~y:16 in
   check bool "block preserved" true (block = block')
 
+(* The motion kernels index plane samples directly when a block's
+   footprint is inside the plane. The references below are the
+   per-sample, edge-clamped definitions; the properties check that the
+   kernels agree with them everywhere, edges and off-plane vectors
+   included. *)
+
+module Clamped = struct
+  let get = Codec.Plane.get
+
+  let sad cur refp ~x ~y (v : Codec.Motion.vector) =
+    let acc = ref 0 in
+    for by = 0 to 7 do
+      for bx = 0 to 7 do
+        acc :=
+          !acc
+          + abs
+              (get cur ~x:(x + bx) ~y:(y + by)
+              - get refp ~x:(x + bx + v.dx) ~y:(y + by + v.dy))
+      done
+    done;
+    !acc
+
+  let search ~range ~current ~reference ~x ~y =
+    let norm (v : Codec.Motion.vector) = abs v.dx + abs v.dy in
+    let best = ref Codec.Motion.zero
+    and best_sad = ref (sad current reference ~x ~y Codec.Motion.zero) in
+    for dy = -range to range do
+      for dx = -range to range do
+        let v = { Codec.Motion.dx; dy } in
+        let s = sad current reference ~x ~y v in
+        if s < !best_sad || (s = !best_sad && norm v < norm !best) then begin
+          best := v;
+          best_sad := s
+        end
+      done
+    done;
+    (!best, !best_sad)
+
+  let halfpel_sample p ~hx ~hy =
+    let ix = hx asr 1 and iy = hy asr 1 in
+    let s dx dy = get p ~x:(ix + dx) ~y:(iy + dy) in
+    match (hx land 1, hy land 1) with
+    | 0, 0 -> s 0 0
+    | 1, 0 -> (s 0 0 + s 1 0 + 1) / 2
+    | 0, 1 -> (s 0 0 + s 0 1 + 1) / 2
+    | _ -> (s 0 0 + s 1 0 + s 0 1 + s 1 1 + 2) / 4
+
+  let predicted_halfpel p ~x ~y (v : Codec.Motion.vector) =
+    Array.init 64 (fun i ->
+        float_of_int
+          (halfpel_sample p
+             ~hx:((2 * (x + (i mod 8))) + v.dx)
+             ~hy:((2 * (y + (i / 8))) + v.dy)))
+
+  let sad_halfpel cur refp ~x ~y v =
+    let pred = predicted_halfpel refp ~x ~y v in
+    let acc = ref 0 in
+    for i = 0 to 63 do
+      acc :=
+        !acc
+        + abs (get cur ~x:(x + (i mod 8)) ~y:(y + (i / 8)) - int_of_float pred.(i))
+    done;
+    !acc
+
+  let refine_halfpel ~current ~reference ~x ~y integer =
+    let centre = Codec.Motion.to_halfpel integer in
+    let best = ref centre
+    and best_sad = ref (sad_halfpel current reference ~x ~y centre) in
+    for dy = -1 to 1 do
+      for dx = -1 to 1 do
+        if dx <> 0 || dy <> 0 then begin
+          let v = { Codec.Motion.dx = centre.dx + dx; dy = centre.dy + dy } in
+          let s = sad_halfpel current reference ~x ~y v in
+          if s < !best_sad then begin
+            best := v;
+            best_sad := s
+          end
+        end
+      done
+    done;
+    (!best, !best_sad)
+
+  let predicted p ~x ~y (v : Codec.Motion.vector) =
+    Array.init 64 (fun i ->
+        float_of_int (get p ~x:(x + (i mod 8) + v.dx) ~y:(y + (i / 8) + v.dy)))
+
+  let store p ~x ~y samples =
+    for i = 0 to 63 do
+      let px = x + (i mod 8) and py = y + (i / 8) in
+      if px >= 0 && px < p.Codec.Plane.width && py >= 0 && py < p.Codec.Plane.height
+      then Codec.Plane.set p ~x:px ~y:py (int_of_float (Float.round samples.(i)))
+    done
+end
+
+(* A random plane (1..40 on a side, samples slightly past [0, 255] as
+   residuals can be), a block position that may overhang any edge, and
+   a vector that is either small or larger than the plane. *)
+let kernel_case =
+  QCheck2.Gen.(
+    let* width = 1 -- 40 and* height = 1 -- 40 and* seed = 0 -- 100_000 in
+    let* x = -4 -- (width + 4) and* y = -4 -- (height + 4) in
+    let span = (2 * max width height) + 12 in
+    let* dx = oneof [ -3 -- 3; -span -- span ]
+    and* dy = oneof [ -3 -- 3; -span -- span ]
+    and* range = 0 -- 7 in
+    return (width, height, seed, x, y, { Codec.Motion.dx; dy }, range))
+
+let random_plane ~width ~height rng =
+  let p = Codec.Plane.create ~width ~height in
+  Array.iteri
+    (fun i _ -> p.Codec.Plane.samples.(i) <- Image.Prng.int rng 296 - 20)
+    p.Codec.Plane.samples;
+  p
+
+let prop_motion_kernels_match_clamped =
+  QCheck2.Test.make ~count:1000
+    ~name:"motion kernels equal the edge-clamped definitions"
+    kernel_case
+    (fun (width, height, seed, x, y, v, range) ->
+      let rng = Image.Prng.create ~seed in
+      let current = random_plane ~width ~height rng in
+      let reference = random_plane ~width ~height rng in
+      let integer = { Codec.Motion.dx = v.dx / 2; dy = v.dy / 2 } in
+      let stored = Codec.Plane.copy reference
+      and stored' = Codec.Plane.copy reference in
+      let samples = Array.init 64 (fun _ -> Image.Prng.float rng 300. -. 20.) in
+      Codec.Motion.store_block stored ~x ~y samples;
+      Clamped.store stored' ~x ~y samples;
+      Codec.Motion.sad current reference ~x ~y v = Clamped.sad current reference ~x ~y v
+      && Codec.Motion.search ~range ~current ~reference ~x ~y ()
+         = Clamped.search ~range ~current ~reference ~x ~y
+      && Codec.Motion.sad_halfpel current reference ~x ~y v
+         = Clamped.sad_halfpel current reference ~x ~y v
+      && Codec.Motion.refine_halfpel ~current ~reference ~x ~y integer
+         = Clamped.refine_halfpel ~current ~reference ~x ~y integer
+      && Codec.Motion.extract_block reference ~x ~y
+         = Clamped.predicted reference ~x ~y Codec.Motion.zero
+      && Codec.Motion.extract_predicted reference ~x ~y v
+         = Clamped.predicted reference ~x ~y v
+      && Codec.Motion.extract_predicted_halfpel reference ~x ~y v
+         = Clamped.predicted_halfpel reference ~x ~y v
+      && Codec.Plane.equal stored stored')
+
 (* --- Encoder / Decoder ------------------------------------------------ *)
 
 let test_clip ?(width = 48) ?(height = 32) ?(frames = 8) ?(seed = 21) () =
@@ -494,6 +637,33 @@ let test_decoder_rejects_truncation () =
   let data = encoded.Codec.Encoder.data in
   let truncated = String.sub data 0 (String.length data / 2) in
   check bool "truncated rejected" true (Result.is_error (Codec.Decoder.decode truncated))
+
+(* A bare header (no frame data) claiming [frame_count] frames. *)
+let header_only ~frame_count =
+  let w = Codec.Bitio.Writer.create () in
+  String.iter
+    (fun c -> Codec.Bitio.Writer.put_byte_aligned w (Char.code c))
+    Codec.Stream.magic;
+  Codec.Bitio.Writer.put_byte_aligned w Codec.Stream.version;
+  List.iter (Codec.Golomb.write_ue w) [ 8; 8; 12_000; frame_count; 12; 8; 4 ];
+  Codec.Bitio.Writer.contents w
+
+let test_decoder_rejects_implausible_count () =
+  (* Such counts once sized the frame array before any frame was read:
+     4e9 raised Out_of_memory, 1e8 allocated ~800 MB first. *)
+  List.iter
+    (fun (frame_count, bytes) ->
+      let data = header_only ~frame_count in
+      check int (Printf.sprintf "%d-frame header bytes" frame_count) bytes
+        (String.length data);
+      match Codec.Decoder.decode data with
+      | Error msg -> check Alcotest.string "rejected" "implausible frame count" msg
+      | Ok _ -> Alcotest.fail "decoded an empty stream claiming frames")
+    [ (4_000_000_000, 21); (100_000_000, 20) ];
+  (* A count the payload can hold still decodes. *)
+  let e = Codec.Encoder.encode_clip (test_clip ~frames:2 ()) in
+  check int "real stream" 2
+    (Array.length (Codec.Decoder.decode_exn e.Codec.Encoder.data).Codec.Decoder.frames)
 
 let test_decoder_mutation_fuzz () =
   (* Flipping arbitrary bytes in a valid stream must never escape as an
@@ -738,6 +908,67 @@ let test_rate_control_validation () =
     (Invalid_argument "Rate_control.for_target_bytes: target must be positive")
     (fun () -> ignore (Codec.Rate_control.for_target_bytes ~target_bytes:0 clip))
 
+(* --- Golden fingerprint -------------------------------------------------- *)
+
+(* One MD5 per frame size over the bitstream and every decoded frame of
+   the ten paper workloads, swept over search range, quantiser and GOP
+   shape (all-intra vs one I-frame then P frames). The digests were
+   taken before the kernels were rewritten for speed; any change to a
+   bit of output, in either direction of the codec, moves them. *)
+
+let golden_sizes = [ (96, 72); (50, 38); (33, 17) ]
+
+let golden_digest ~width ~height =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (profile : Video.Profile.t) ->
+      let full = Video.Clip_gen.render ~width ~height ~fps:12. profile in
+      (* Every other frame, so consecutive frames carry real motion. *)
+      let clip =
+        Video.Clip.make ~name:full.Video.Clip.name ~width ~height ~fps:12.
+          ~frame_count:4 (fun i -> full.Video.Clip.render (2 * i))
+      in
+      List.iter
+        (fun gop ->
+          List.iter
+            (fun search_range ->
+              List.iter
+                (fun qp ->
+                  let e =
+                    Codec.Encoder.encode_clip
+                      ~params:{ Codec.Stream.qp; gop; search_range }
+                      clip
+                  in
+                  Buffer.add_string buf e.Codec.Encoder.data;
+                  let d = Codec.Decoder.decode_exn e.Codec.Encoder.data in
+                  Array.iter
+                    (Image.Raster.iter (fun ~x:_ ~y:_ (p : Image.Pixel.t) ->
+                         Buffer.add_char buf (Char.chr p.Image.Pixel.r);
+                         Buffer.add_char buf (Char.chr p.Image.Pixel.g);
+                         Buffer.add_char buf (Char.chr p.Image.Pixel.b)))
+                    d.Codec.Decoder.frames)
+                [ 1; 8; 31 ])
+            [ 0; 4; 7 ])
+        [ 1; 12 ])
+    Video.Workloads.all;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_digests =
+  [
+    ((96, 72), "6be6e4eb74cd44702b88bb251dcceee5");
+    ((50, 38), "8132ed0d96aa47dc215b15a315e0c514");
+    ((33, 17), "ef480b41fd523973acedd99e4fadfd2d");
+  ]
+
+let test_golden_fingerprint () =
+  List.iter
+    (fun ((width, height) as size) ->
+      check Alcotest.string
+        (Printf.sprintf "%dx%d digest" width height)
+        (List.assoc size golden_digests)
+        (golden_digest ~width ~height))
+    golden_sizes
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -746,6 +977,7 @@ let qtests =
       prop_golomb_se_roundtrip;
       prop_zigzag_roundtrip;
       prop_coeff_roundtrip;
+      prop_motion_kernels_match_clamped;
     ]
 
 let () =
@@ -859,6 +1091,10 @@ let () =
           Alcotest.test_case "truncation rejected" `Quick test_decoder_rejects_truncation;
           Alcotest.test_case "bad magic rejected" `Quick test_decoder_rejects_bad_magic;
           Alcotest.test_case "mutation fuzz" `Quick test_decoder_mutation_fuzz;
+          Alcotest.test_case "implausible frame count" `Quick
+            test_decoder_rejects_implausible_count;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "fingerprint" `Quick test_golden_fingerprint ] );
       ("properties", qtests);
     ]
