@@ -65,6 +65,8 @@ fleet-smoke:
 # (burst loss, corruption, reorder, jitter, bandwidth collapse)
 # without crashing. Exit codes are asserted, output is discarded —
 # the chaos test suite (test/test_fault.ml) checks the behaviour.
+# Bernoulli loss reaches a session only as a fault model, so its run
+# also leaves a journal for the offline audit.
 chaos:
 	dune build
 	dune exec bin/playback.exe -- -c theincredibles-tlr2 \
@@ -73,6 +75,10 @@ chaos:
 	  --fault-profile examples/chaos.fault > /dev/null
 	dune exec bin/playback.exe -- -c theincredibles-tlr2 \
 	  --loss-model gilbert --loss 0.08 --burst 3 > /dev/null
+	dune exec bin/playback.exe -- -c theincredibles-tlr2 \
+	  --loss-model bernoulli --loss 0.05 \
+	  --journal _build/chaos-bernoulli.journal > /dev/null
+	dune exec bin/lint.exe -- verify _build/chaos-bernoulli.journal > /dev/null
 	dune exec bin/plan.exe -- -c theincredibles-tlr2 -t 2 \
 	  --fault-profile examples/burst.fault > /dev/null
 	dune exec bin/annotate.exe -- -c theincredibles-tlr2 \

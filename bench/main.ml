@@ -684,8 +684,8 @@ let loss () =
       List.iter
         (fun rate ->
           let lost =
-            Streaming.Transport.bernoulli_loss ~rate ~seed:99
-              ~frames:clip.Video.Clip.frame_count
+            Streaming.Fault.loss_mask (Streaming.Fault.bernoulli ~rate) ~seed:99
+              ~n:clip.Video.Clip.frame_count
           in
           lost.(0) <- false (* keep the session bootstrappable *);
           match Streaming.Transport.decode_with_concealment packetized ~lost with
@@ -746,8 +746,8 @@ let gop_plan () =
     | Error msg -> failwith msg
     | Ok packetized ->
       let lost =
-        Streaming.Transport.bernoulli_loss ~rate:0.05 ~seed:7
-          ~frames:clip.Video.Clip.frame_count
+        Streaming.Fault.loss_mask (Streaming.Fault.bernoulli ~rate:0.05) ~seed:7
+          ~n:clip.Video.Clip.frame_count
       in
       lost.(0) <- false;
       (match Streaming.Transport.decode_with_concealment packetized ~lost with
@@ -791,7 +791,10 @@ let fec () =
     (fun rate ->
       let survived_plain = ref 0 and survived_fec = ref 0 in
       for seed = 1 to trials do
-        let present = Streaming.Fec.transmit protected_payload ~rate ~seed in
+        let present =
+          Streaming.Fault.apply (Streaming.Fault.bernoulli ~rate) ~seed
+            protected_payload.Streaming.Fec.packets
+        in
         (* Unprotected: every data packet must arrive. *)
         let data_ok = ref true in
         for i = 0 to protected_payload.Streaming.Fec.data_packets - 1 do
@@ -1170,7 +1173,7 @@ let session () =
       let clip = Video.Clip_gen.render ~width:96 ~height:72 ~fps:12. profile in
       let config =
         { (Streaming.Session.default_config ~device) with
-          Streaming.Session.loss_rate = 0.01 }
+          Streaming.Session.fault = Some (Streaming.Fault.bernoulli ~rate:0.01) }
       in
       match Streaming.Session.run config clip with
       | Error e -> Printf.printf "%-22s failed: %s\n" profile.Video.Profile.name e
@@ -1318,7 +1321,7 @@ let energy () =
         match
           Streaming.Session.run
             { (Streaming.Session.default_config ~device) with
-              Streaming.Session.loss_rate = 0.01 }
+              Streaming.Session.fault = Some (Streaming.Fault.bernoulli ~rate:0.01) }
             clip
         with
         | Ok r -> r

@@ -108,7 +108,7 @@ let run clip_name device_name device_file quality_percent per_frame output width
     (Annotation.Track.merge_runs track).Annotation.Track.entries;
   let resilience = Common.resolve_resilience resilience_file in
   (match
-     Common.resolve_fault ~loss_model:None ~loss:0. ~burst:1. ~fault_profile
+     Common.resolve_fault ~loss_model:None ~loss:None ~burst:None ~fault_profile
    with
   | None -> ()
   | Some fault -> simulate_side_channel ~fault ~resilience encoded);

@@ -82,17 +82,24 @@ let loss_model_arg =
            $(b,gilbert) (Gilbert-Elliott burst loss). Mean rate comes from \
            $(b,--loss), burst length from $(b,--burst).")
 
-let loss_rate_arg =
+let loss_arg =
   Arg.(
-    value & opt float 0.05
+    value
+    & opt (some float) None
     & info [ "loss" ] ~docv:"RATE"
-        ~doc:"Mean loss rate in [0, 1] for $(b,--loss-model).")
+        ~doc:
+          "Mean loss rate in [0, 1] for $(b,--loss-model) (default 0.05). \
+           Given without $(b,--loss-model) or $(b,--fault-profile), it is an \
+           error.")
 
 let burst_arg =
   Arg.(
-    value & opt float 4.
+    value
+    & opt (some float) None
     & info [ "burst" ] ~docv:"PACKETS"
-        ~doc:"Mean burst length for $(b,--loss-model) gilbert.")
+        ~doc:
+          "Mean burst length for $(b,--loss-model) gilbert (default 4). Given \
+           without $(b,--loss-model) or $(b,--fault-profile), it is an error.")
 
 let fault_profile_arg =
   Arg.(
@@ -104,27 +111,33 @@ let fault_profile_arg =
            reorder, jitter, bandwidth collapse — see examples/*.fault). \
            Overrides $(b,--loss-model).")
 
-(* The fault model the flags describe, if any. *)
+(* The fault model the flags describe, if any. [--loss] and [--burst]
+   only parameterise a loss model: given alone they would silently
+   describe a lossless run, so they are an error. *)
 let resolve_fault ~loss_model ~loss ~burst ~fault_profile =
-  match fault_profile with
-  | Some path -> (
+  let die msg =
+    prerr_endline ("error: " ^ msg);
+    exit 1
+  in
+  match (fault_profile, loss_model) with
+  | Some path, _ -> (
     match Streaming.Fault.load ~path with
     | Ok f -> Some f
-    | Error msg ->
-      prerr_endline ("error: " ^ path ^ ": " ^ msg);
-      exit 1)
-  | None -> (
-    match loss_model with
-    | None -> None
-    | Some model -> (
-      try
-        match model with
-        | `Bernoulli -> Some (Streaming.Fault.bernoulli ~rate:loss)
-        | `Gilbert ->
-          Some (Streaming.Fault.gilbert ~mean_loss:loss ~burst_length:burst ())
-      with Invalid_argument msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 1))
+    | Error msg -> die (path ^ ": " ^ msg))
+  | None, None ->
+    if loss <> None || burst <> None then
+      die "--loss and --burst need --loss-model (or --fault-profile)";
+    None
+  | None, Some model -> (
+    let loss = Option.value loss ~default:0.05 in
+    try
+      match model with
+      | `Bernoulli -> Some (Streaming.Fault.bernoulli ~rate:loss)
+      | `Gilbert ->
+        Some
+          (Streaming.Fault.gilbert ~mean_loss:loss
+             ~burst_length:(Option.value burst ~default:4.) ())
+    with Invalid_argument msg -> die msg)
 
 let resilience_arg =
   Arg.(

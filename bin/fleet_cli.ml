@@ -188,7 +188,7 @@ let cmd =
       $ load_arg $ sessions_arg $ seed_arg $ Common.device_arg
       $ Common.device_file_arg $ Common.quality_arg $ fleet_width_arg
       $ fleet_height_arg $ fleet_fps_arg $ Common.loss_model_arg
-      $ Common.loss_rate_arg $ Common.burst_arg $ Common.fault_profile_arg
+      $ Common.loss_arg $ Common.burst_arg $ Common.fault_profile_arg
       $ journal_out_arg $ monitor_arg $ slo_arg $ verbose_arg $ Common.jobs_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -86,7 +86,7 @@ let cmd =
     Term.(
       const run $ Common.clip_arg $ Common.device_arg $ Common.device_file_arg
       $ target_arg $ capacity_arg $ Common.width_arg $ Common.height_arg
-      $ Common.fps_arg $ Common.loss_model_arg $ Common.loss_rate_arg
+      $ Common.fps_arg $ Common.loss_model_arg $ Common.loss_arg
       $ Common.burst_arg $ Common.fault_profile_arg $ Common.resilience_arg
       $ Common.obs_arg $ Common.trace_out_arg $ Common.energy_profile_arg
       $ Common.journal_arg $ Common.log_out_arg

@@ -165,7 +165,7 @@ let cmd =
       const run $ Common.clip_arg $ Common.device_arg $ Common.device_file_arg
       $ Common.quality_arg $ camera_arg $ dump_arg $ ramp_arg $ Common.width_arg
       $ Common.height_arg $ Common.fps_arg $ Common.loss_model_arg
-      $ Common.loss_rate_arg $ Common.burst_arg $ Common.fault_profile_arg
+      $ Common.loss_arg $ Common.burst_arg $ Common.fault_profile_arg
       $ Common.resilience_arg $ Common.obs_arg
       $ Common.trace_out_arg $ Common.energy_profile_arg $ Common.journal_arg
       $ Common.log_out_arg $ Common.monitor_arg

@@ -79,7 +79,7 @@ let () =
   let clip = Video.Clip_gen.render ~width:96 ~height:72 ~fps:10. Video.Workloads.catwoman in
   let config =
     { (Streaming.Session.default_config ~device) with
-      Streaming.Session.loss_rate = 0.05 }
+      Streaming.Session.fault = Some (Streaming.Fault.bernoulli ~rate:0.05) }
   in
   match Streaming.Session.run config clip with
   | Error e -> failwith e

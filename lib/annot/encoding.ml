@@ -119,28 +119,6 @@ let encode track =
   Obs.Metrics.Counter.incr obs_track_bytes ~by:(Buffer.length buf);
   Buffer.contents buf
 
-let encode_v1 track =
-  let track = Track.merge_runs track in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr 1);
-  put_varint buf (quality_permille track.Track.quality);
-  put_varint buf (int_of_float ((track.Track.fps *. 1000.) +. 0.5));
-  put_varint buf track.Track.total_frames;
-  put_string buf track.Track.clip_name;
-  put_string buf track.Track.device_name;
-  put_varint buf (Array.length track.Track.entries);
-  Array.iter
-    (fun (e : Track.entry) ->
-      put_varint buf e.frame_count;
-      put_u8 buf ~field:"register" e.register;
-      put_varint buf (int_of_float ((e.compensation *. gain_fixed_point) +. 0.5));
-      put_u8 buf ~field:"effective_max" e.effective_max)
-    track.Track.entries;
-  Obs.Metrics.Counter.incr obs_tracks;
-  Obs.Metrics.Counter.incr obs_track_bytes ~by:(Buffer.length buf);
-  Buffer.contents buf
-
 let encoded_size track = String.length (encode track)
 
 (* --- reading ---------------------------------------------------------- *)
@@ -205,17 +183,16 @@ type header = {
   h_clip_name : string;
   h_device_name : string;
   h_count : int;
-  h_version : int;
 }
 
-(* Reads the common header; for v2 also checks the header CRC. The
-   cursor is left at the first entry byte. *)
+(* Reads the header and checks its CRC. The cursor is left at the
+   first record byte. *)
 let get_header c =
   need c 4;
   if String.sub c.data 0 4 <> magic then raise (Parse_error "bad magic");
   c.pos <- 4;
   let v = get_byte c in
-  if v <> 1 && v <> version then
+  if v <> version then
     raise (Parse_error (Printf.sprintf "unsupported version %d" v));
   let h_quality = quality_of_permille (get_varint c) in
   let h_fps = float_of_int (get_varint c) /. 1000. in
@@ -223,14 +200,10 @@ let get_header c =
   let h_clip_name = get_string c in
   let h_device_name = get_string c in
   let h_count = get_varint c in
-  if v = version then begin
-    let covered = c.pos in
-    let stored = get_u32 c in
-    if stored <> crc32_sub c.data ~pos:0 ~len:covered then
-      raise (Parse_error "header CRC mismatch")
-  end;
-  { h_quality; h_fps; h_total_frames; h_clip_name; h_device_name; h_count;
-    h_version = v }
+  let covered = c.pos in
+  if get_u32 c <> crc32_sub c.data ~pos:0 ~len:covered then
+    raise (Parse_error "header CRC mismatch");
+  { h_quality; h_fps; h_total_frames; h_clip_name; h_device_name; h_count }
 
 (* Rejects a header whose declared record count cannot match the bytes
    that follow, *before* anything walks (or allocates for) the
@@ -240,34 +213,15 @@ let get_header c =
    counts. *)
 let check_count_fits h c =
   let remaining = String.length c.data - c.pos in
-  if h.h_version = 1 then begin
-    (* v1 entries are variable-length but at least 4 bytes each. *)
-    if h.h_count > remaining / 4 then
-      raise (Parse_error "record count disagrees with payload length")
-  end
-  else if remaining mod record_size <> 0 || h.h_count <> remaining / record_size
+  if remaining mod record_size <> 0 || h.h_count <> remaining / record_size
   then raise (Parse_error "record section length mismatch")
 
 let dummy_entry =
   { Track.first_frame = 0; frame_count = 1; register = 0; compensation = 1.;
     effective_max = 0 }
 
-let get_entries_v1 c count =
-  let entries = Array.make count dummy_entry in
-  let next = ref 0 in
-  for i = 0 to count - 1 do
-    let frame_count = get_varint c in
-    let register = get_byte c in
-    let compensation = float_of_int (get_varint c) /. gain_fixed_point in
-    let effective_max = get_byte c in
-    entries.(i) <-
-      { Track.first_frame = !next; frame_count; register; compensation; effective_max };
-    next := !next + frame_count
-  done;
-  entries
-
-(* Parses one v2 record body (CRC already verified). *)
-let get_entry_v2 c =
+(* Parses one record body (CRC already verified). *)
+let get_entry c =
   let first_frame = get_u24 c in
   let frame_count = get_u24 c in
   let register = get_byte c in
@@ -275,11 +229,11 @@ let get_entry_v2 c =
   let effective_max = get_byte c in
   { Track.first_frame; frame_count; register; compensation; effective_max }
 
-let get_entries_v2 c count =
+let get_entries c count =
   let entries = Array.make count dummy_entry in
   for i = 0 to count - 1 do
     let body_pos = c.pos in
-    let entry = get_entry_v2 c in
+    let entry = get_entry c in
     let stored = get_u32 c in
     if stored <> crc32_sub c.data ~pos:body_pos ~len:(record_size - 4) then begin
       Obs.Metrics.Counter.incr obs_corrupt_records;
@@ -294,10 +248,7 @@ let decode data =
   try
     let h = get_header c in
     check_count_fits h c;
-    let entries =
-      if h.h_version = 1 then get_entries_v1 c h.h_count
-      else get_entries_v2 c h.h_count
-    in
+    let entries = get_entries c h.h_count in
     if c.pos <> String.length data then raise (Parse_error "trailing bytes");
     (try
        Ok
@@ -340,68 +291,47 @@ let decode_partial ?byte_ok data =
     let h = get_header c in
     if not (span_ok byte_ok ~pos:0 ~len:c.pos) then
       raise (Parse_error "header bytes lost in transit");
-    if h.h_version = 1 then begin
-      (* v1 has no per-record framing: it is all-or-nothing. *)
-      if not (span_ok byte_ok ~pos:0 ~len:(String.length data)) then
-        raise (Parse_error "v1 payload incomplete");
-      match decode data with
-      | Error msg -> Error msg
-      | Ok track ->
-        Ok
-          {
-            clip_name = track.Track.clip_name;
-            device_name = track.Track.device_name;
-            quality = track.Track.quality;
-            fps = track.Track.fps;
-            total_frames = track.Track.total_frames;
-            entries = Array.map Option.some track.Track.entries;
-            corrupt_records = 0;
-            missing_records = 0;
-          }
-    end
-    else begin
-      check_count_fits h c;
-      let corrupt = ref 0 and missing = ref 0 in
-      let next = ref 0 in
-      let entries = Array.make h.h_count None in
-      for i = 0 to h.h_count - 1 do
-        let pos = c.pos in
-        if not (span_ok byte_ok ~pos ~len:record_size) then begin
-          c.pos <- pos + record_size;
-          incr missing;
-          Obs.Metrics.Counter.incr obs_missing_records
+    check_count_fits h c;
+    let corrupt = ref 0 and missing = ref 0 in
+    let next = ref 0 in
+    let entries = Array.make h.h_count None in
+    for i = 0 to h.h_count - 1 do
+      let pos = c.pos in
+      if not (span_ok byte_ok ~pos ~len:record_size) then begin
+        c.pos <- pos + record_size;
+        incr missing;
+        Obs.Metrics.Counter.incr obs_missing_records
+      end
+      else begin
+        let entry = get_entry c in
+        let stored = get_u32 c in
+        let valid =
+          stored = crc32_sub data ~pos ~len:(record_size - 4)
+          && entry.Track.frame_count > 0
+          && entry.Track.compensation >= 1.
+          && entry.Track.first_frame >= !next
+          && entry.Track.first_frame + entry.Track.frame_count
+             <= h.h_total_frames
+        in
+        if valid then begin
+          next := entry.Track.first_frame + entry.Track.frame_count;
+          entries.(i) <- Some entry
         end
         else begin
-          let entry = get_entry_v2 c in
-          let stored = get_u32 c in
-          let valid =
-            stored = crc32_sub data ~pos ~len:(record_size - 4)
-            && entry.Track.frame_count > 0
-            && entry.Track.compensation >= 1.
-            && entry.Track.first_frame >= !next
-            && entry.Track.first_frame + entry.Track.frame_count
-               <= h.h_total_frames
-          in
-          if valid then begin
-            next := entry.Track.first_frame + entry.Track.frame_count;
-            entries.(i) <- Some entry
-          end
-          else begin
-            incr corrupt;
-            Obs.Metrics.Counter.incr obs_corrupt_records
-          end
+          incr corrupt;
+          Obs.Metrics.Counter.incr obs_corrupt_records
         end
-      done;
-      Ok
-        {
-          clip_name = h.h_clip_name;
-          device_name = h.h_device_name;
-          quality = h.h_quality;
-          fps = h.h_fps;
-          total_frames = h.h_total_frames;
-          entries;
-          corrupt_records = !corrupt;
-          missing_records = !missing;
-        }
-    end
+      end
+    done;
+    Ok
+      {
+        clip_name = h.h_clip_name;
+        device_name = h.h_device_name;
+        quality = h.h_quality;
+        fps = h.h_fps;
+        total_frames = h.h_total_frames;
+        entries;
+        corrupt_records = !corrupt;
+        missing_records = !missing;
+      }
   with Parse_error msg -> Error msg

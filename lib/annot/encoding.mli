@@ -4,11 +4,11 @@
     minimal, in the order of hundreds of bytes for our video clips
     which are on the order of a few megabytes."
 
-    Version 2 layout (varints are LEB128; u24/u32 little-endian):
+    Layout (varints are LEB128; u24/u32 little-endian):
 
     {v
     magic   "ANPW"            4 bytes
-    version u8                currently 2
+    version u8                2; any other version is rejected
     quality varint            allowed loss in permille
     fps     varint            fps * 1000
     frames  varint            total frame count
@@ -24,27 +24,19 @@
     Records are fixed-size and self-describing (they carry their own
     [first_frame]), so a client that loses or corrupts part of the
     payload can still place every surviving record — see
-    {!decode_partial}. Version 1 (varint-packed entries, no CRCs, no
-    explicit [first_frame]) is still read by {!decode}. *)
+    {!decode_partial}. *)
 
 val encode : Track.t -> string
-(** [encode track] serialises after {!Track.merge_runs} in the current
-    (v2) format. Raises [Invalid_argument] naming the field when a
+(** [encode track] serialises after {!Track.merge_runs}. Raises [Invalid_argument] naming the field when a
     value does not fit its fixed-width slot — [first_frame] /
     [frame_count] past 2^24 - 1 frames (a ~16.7M-frame clip) or a
     compensation gain overflowing the 12.12 fixed point — rather than
     wrapping into bytes that would still CRC as valid. *)
 
-val encode_v1 : Track.t -> string
-(** Legacy v1 writer, kept so decoder compatibility stays testable and
-    old captures can be regenerated. Varint-packed, so long clips
-    fit; u8 fields reject out-of-range values like {!encode}. *)
-
 val decode : string -> (Track.t, string) result
 (** [decode bytes] parses and re-validates; any corruption (including
-    any CRC mismatch in a v2 payload) yields [Error] with a
-    human-readable reason, never an exception. Reads versions 1
-    and 2. *)
+    any CRC mismatch and any version other than {!version}) yields
+    [Error] with a human-readable reason, never an exception. *)
 
 type partial = {
   clip_name : string;
@@ -61,14 +53,13 @@ type partial = {
 
 val decode_partial : ?byte_ok:bool array -> string -> (partial, string) result
 (** [decode_partial ?byte_ok bytes] salvages what it can from a
-    damaged v2 payload. [byte_ok.(i) = false] marks byte [i] as lost
+    damaged payload. [byte_ok.(i) = false] marks byte [i] as lost
     in transit (e.g. an unrecovered FEC group zero-filled by
     {!Streaming.Fec}); defaults to all-true. The header must survive
     intact (else [Error]); each record is then classified
     independently: missing when it overlaps lost bytes, corrupt when
     its CRC or sanity checks fail (bad frame span, overlap with an
-    earlier record, compensation below 1), intact otherwise. A v1
-    payload is all-or-nothing: fully intact or [Error]. Raises
+    earlier record, compensation below 1), intact otherwise. Raises
     [Invalid_argument] when [byte_ok] does not match [bytes] in
     length. *)
 
@@ -86,6 +77,6 @@ val crc32_sub : string -> pos:int -> len:int -> int
     at their true offsets. *)
 
 val record_size : int
-(** Size in bytes of one fixed v2 record (currently 15). *)
+(** Size in bytes of one fixed record (currently 15). *)
 
 val version : int

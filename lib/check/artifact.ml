@@ -107,7 +107,7 @@ let get_string ~file c what =
   c.pos <- c.pos + n;
   s
 
-(* Per-record semantic checks, shared between v1 and v2. [expected] is
+(* Per-record semantic checks. [expected] is
    the frame the record must start at, [None] once an earlier corrupt
    record made the running position unknowable. *)
 let check_entry ~file ~add ~levels ~total_frames ~index ~offset ~expected
@@ -151,11 +151,12 @@ let check_annotation ?(find_device = Display.Device.find) ~file data =
          (Abort (err ~file "V101" "bad magic: not an annotation stream"));
      c.pos <- 4;
      let version = get_byte ~file c "version" in
-     if version <> 1 && version <> 2 then
+     if version <> Annotation.Encoding.version then
        raise
          (Abort
             (err ~file "V102"
-               (Printf.sprintf "unsupported version %d (know 1 and 2)" version)));
+               (Printf.sprintf "unsupported version %d (know %d)" version
+                  Annotation.Encoding.version)));
      let permille = get_varint ~file c "quality" in
      if permille > 1000 then
        add
@@ -183,15 +184,12 @@ let check_annotation ?(find_device = Display.Device.find) ~file data =
      let _clip = get_string ~file c "clip name" in
      let device_name = get_string ~file c "device name" in
      let count = get_varint ~file c "record count" in
-     if version = Annotation.Encoding.version then begin
-       let covered = c.pos in
-       let stored = get_u32 ~file c "header CRC" in
-       if stored <> Annotation.Encoding.crc32_sub data ~pos:0 ~len:covered then begin
-         add
-           (err ~file "V104"
-              "header CRC mismatch: header fields cannot be trusted");
-         raise Exit
-       end
+     let covered = c.pos in
+     let stored = get_u32 ~file c "header CRC" in
+     if stored <> Annotation.Encoding.crc32_sub data ~pos:0 ~len:covered then begin
+       add
+         (err ~file "V104" "header CRC mismatch: header fields cannot be trusted");
+       raise Exit
      end;
      let levels =
        Option.map
@@ -200,98 +198,58 @@ let check_annotation ?(find_device = Display.Device.find) ~file data =
      in
      let remaining = String.length data - c.pos in
      let rsize = Annotation.Encoding.record_size in
-     if version = Annotation.Encoding.version then begin
-       if remaining mod rsize <> 0 || count <> remaining / rsize then begin
+     if remaining mod rsize <> 0 || count <> remaining / rsize then begin
+       add
+         (err ~file "V107"
+            (Printf.sprintf
+               "declared record count %d disagrees with %d payload byte(s) \
+                (%d byte records); refusing to walk records"
+               count remaining rsize));
+       raise Exit
+     end;
+     let expected = ref (Some 0) in
+     let unreliable = ref false in
+     for i = 0 to count - 1 do
+       let offset = c.pos in
+       let stored_crc =
+         let b k = Char.code data.[offset + rsize - 4 + k] in
+         b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
+       in
+       if stored_crc <> Annotation.Encoding.crc32_sub data ~pos:offset ~len:(rsize - 4)
+       then begin
          add
-           (err ~file "V107"
-              (Printf.sprintf
-                 "declared record count %d disagrees with %d payload byte(s) \
-                  (%d byte records); refusing to walk records"
-                 count remaining rsize));
-         raise Exit
-       end;
-       let expected = ref (Some 0) in
-       let unreliable = ref false in
-       for i = 0 to count - 1 do
-         let offset = c.pos in
-         let stored_crc =
-           let b k = Char.code data.[offset + rsize - 4 + k] in
-           b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-         in
-         if stored_crc <> Annotation.Encoding.crc32_sub data ~pos:offset ~len:(rsize - 4)
-         then begin
-           add
-             (err ~file "V108"
-                (Printf.sprintf "record %d (byte %d): record CRC mismatch" i
-                   offset));
-           unreliable := true;
-           expected := None;
-           c.pos <- offset + rsize
-         end
-         else begin
-           let first_frame = get_u24 ~file c "first_frame" in
-           let frame_count = get_u24 ~file c "frame_count" in
-           let register = get_byte ~file c "register" in
-           let comp_fixed = get_u24 ~file c "compensation" in
-           let _effective = get_byte ~file c "effective max" in
-           c.pos <- c.pos + 4 (* the CRC, already verified *);
-           check_entry ~file ~add ~levels ~total_frames ~index:i ~offset
-             ~expected:!expected ~first_frame ~frame_count ~register
-             ~comp_fixed;
-           expected := Some (first_frame + frame_count)
-         end
-       done;
-       match !expected with
-       | Some covered
-         when (not !unreliable)
-              && covered <> total_frames
-              && List.for_all
-                   (fun (d : Diagnostic.t) -> not (Diagnostic.is_error d))
-                   !diags ->
-         add
-           (err ~file "V114"
-              (Printf.sprintf "records cover %d of %d frames" covered
-                 total_frames))
-       | _ -> ()
-     end
-     else begin
-       (* v1: variable-length entries, no CRCs — structural and
-          semantic checks only. *)
-       if count > remaining / 4 then begin
-         add
-           (err ~file "V107"
-              (Printf.sprintf
-                 "declared record count %d cannot fit in %d payload byte(s); \
-                  refusing to walk records"
-                 count remaining));
-         raise Exit
-       end;
-       let next = ref 0 in
-       for i = 0 to count - 1 do
-         let offset = c.pos in
-         let frame_count = get_varint ~file c "frame_count" in
+           (err ~file "V108"
+              (Printf.sprintf "record %d (byte %d): record CRC mismatch" i
+                 offset));
+         unreliable := true;
+         expected := None;
+         c.pos <- offset + rsize
+       end
+       else begin
+         let first_frame = get_u24 ~file c "first_frame" in
+         let frame_count = get_u24 ~file c "frame_count" in
          let register = get_byte ~file c "register" in
-         let comp_fixed = get_varint ~file c "compensation" in
+         let comp_fixed = get_u24 ~file c "compensation" in
          let _effective = get_byte ~file c "effective max" in
+         c.pos <- c.pos + 4 (* the CRC, already verified *);
          check_entry ~file ~add ~levels ~total_frames ~index:i ~offset
-           ~expected:(Some !next) ~first_frame:!next ~frame_count ~register
+           ~expected:!expected ~first_frame ~frame_count ~register
            ~comp_fixed;
-         next := !next + frame_count
-       done;
-       if !next <> total_frames
-          && List.for_all
-               (fun (d : Diagnostic.t) -> not (Diagnostic.is_error d))
-               !diags
-       then
-         add
-           (err ~file "V114"
-              (Printf.sprintf "records cover %d of %d frames" !next total_frames));
-       if c.pos <> String.length data then
-         add
-           (err ~file "V113"
-              (Printf.sprintf "%d trailing byte(s) after the last record"
-                 (String.length data - c.pos)))
-     end
+         expected := Some (first_frame + frame_count)
+       end
+     done;
+     match !expected with
+     | Some covered
+       when (not !unreliable)
+            && covered <> total_frames
+            && List.for_all
+                 (fun (d : Diagnostic.t) -> not (Diagnostic.is_error d))
+                 !diags ->
+       add
+         (err ~file "V114"
+            (Printf.sprintf "records cover %d of %d frames" covered
+               total_frames))
+     | _ -> ()
    with
   | Abort d -> add d
   | Exit -> ());

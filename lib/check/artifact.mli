@@ -7,7 +7,8 @@
     does exactly that for the three artifact kinds the pipeline
     ships:
 
-    - encoded annotation tracks (v1 and v2 wire format) — framing,
+    - encoded annotation tracks ({!Annotation.Encoding} wire format,
+      any other version is [V102]) — framing,
       header and record CRCs, varint bounds, scene-index monotonicity
       and coverage, backlight register against the target panel's
       range, canonical quality grid;
@@ -48,8 +49,8 @@ val check_annotation :
     annotation stream. [find_device] (default {!Display.Device.find})
     resolves the header's device name for the backlight-range check;
     an unknown device skips that check silently. [file] labels the
-    diagnostics. A pristine {!Annotation.Encoding.encode} (or [encode_v1])
-    output yields []. *)
+    diagnostics. A pristine {!Annotation.Encoding.encode} output yields
+    []. *)
 
 val check_slo :
   ?known:known_metrics -> file:string -> string -> Diagnostic.t list

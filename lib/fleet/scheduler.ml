@@ -161,45 +161,20 @@ let run_shard ~(config : config) ~session_config ~(clips : Video.Clip.t array)
   record ~at_us:0
     (Obs.Journal.Fleet_shard_start
        { shard; shards = config.shards; sessions = Array.length assigned });
-  (* The shard's server front: the prepared-stream cache and the PR 8
-     bulkhead guard the expensive annotate/encode path; sessions then
-     share the warm artifacts through [Session.prepare_input]. *)
-  let server = Streaming.Server.create () in
-  Array.iter (Streaming.Server.add_clip server) clips;
-  let bulkhead =
-    Resilience.Bulkhead.create
-      ~config:
-        {
-          Resilience.Bulkhead.capacity = config.capacity;
-          queue_limit = config.queue_limit;
-        }
-      ~name:(Printf.sprintf "fleet-shard-%d" shard)
-      ()
-  in
-  let negotiated =
-    {
-      Streaming.Negotiation.device = session_config.Streaming.Session.device;
-      quality = session_config.Streaming.Session.quality;
-      mapping = session_config.Streaming.Session.mapping;
-    }
-  in
+  (* The shard's prepared-stream cache: the first session of a clip
+     builds its server-side artifacts, every later one shares them. *)
   let warm : (int, Streaming.Session.prepared_input) Hashtbl.t =
     Hashtbl.create 16
   in
+  let cache_hits = ref 0 and cache_misses = ref 0 in
   let prepared_for clip_idx =
     match Hashtbl.find_opt warm clip_idx with
-    | Some p -> p
+    | Some p ->
+      incr cache_hits;
+      p
     | None ->
-      let clip = clips.(clip_idx) in
-      let track =
-        match
-          Streaming.Server.prepare ~bulkhead server
-            ~name:clip.Video.Clip.name ~session:negotiated
-        with
-        | Ok prep -> Some prep.Streaming.Server.track
-        | Error _ -> None
-      in
-      let p = Streaming.Session.prepare_input ?track session_config clip in
+      incr cache_misses;
+      let p = Streaming.Session.prepare_input session_config clips.(clip_idx) in
       Hashtbl.add warm clip_idx p;
       p
   in
@@ -379,7 +354,6 @@ let run_shard ~(config : config) ~session_config ~(clips : Video.Clip.t array)
       drain ()
   in
   drain ();
-  let cache_hits, cache_misses = Streaming.Server.cache_stats server in
   {
     shard;
     assigned = Array.length assigned;
@@ -390,8 +364,8 @@ let run_shard ~(config : config) ~session_config ~(clips : Video.Clip.t array)
     ticks = !ticks;
     peak_in_flight = !peak_in_flight;
     sim_end_s = s_of_us !sim_end_us;
-    cache_hits;
-    cache_misses;
+    cache_hits = !cache_hits;
+    cache_misses = !cache_misses;
     savings_sum = !savings_sum;
     events = Obs.Journal.events journal;
     samples = List.rev !samples;

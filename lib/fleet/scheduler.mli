@@ -10,10 +10,11 @@
     frame-by-frame the way a fleet of devices would — without threads
     and without wall-clock time anywhere in the loop.
 
-    Each shard fronts its own prepared-stream cache through
-    {!Streaming.Server.prepare} behind the bulkhead wiring, applies
-    admission control at its boundary (admit below [capacity], queue
-    up to [queue_limit], then shed), and journals every decision
+    Each shard keeps one prepared-stream cache
+    ({!Streaming.Session.prepare_input} per clip, shared by every
+    session of that clip it admits), applies admission control at its
+    boundary (admit below [capacity], queue up to [queue_limit], then
+    shed), and journals every decision
     ([Fleet_shard_start] / [Fleet_arrival] / [Fleet_admission] /
     [Fleet_session_end]) into a per-shard {!Obs.Journal}. Because
     shards share no state, running them across a {!Par.Pool} changes
@@ -51,8 +52,9 @@ type shard_report = {
   ticks : int;  (** session-machine steps executed *)
   peak_in_flight : int;
   sim_end_s : float;
-  cache_hits : int;
+  cache_hits : int;  (** admitted sessions served warm artifacts *)
   cache_misses : int;
+      (** admitted sessions that built them: one per distinct clip *)
   savings_sum : float;
   events : Obs.Journal.event list;
   samples : sample list;

@@ -1,12 +1,12 @@
-(** Deterministic fault injection for the streaming substrate.
+(** Deterministic fault injection for the streaming substrate: the one
+    channel model of the wireless hop of Fig 1.
 
-    The wireless hop of Fig 1 is modelled elsewhere as i.i.d. Bernoulli
-    loss, but real 802.11 links misbehave in richer ways: losses arrive
-    in bursts (interference, fading), delivered bytes flip, packets
-    arrive out of order or late, and throughput collapses mid-stream
-    when the user walks away from the access point. This module bundles
-    those failure modes into one composable, seeded description that
-    can be applied anywhere {!Transport.bernoulli_loss} is used today.
+    Real 802.11 links drop packets (i.i.d. or in bursts, from
+    interference and fading), flip delivered bytes, deliver out of
+    order or late, and collapse in throughput mid-stream when the user
+    walks away from the access point. This module bundles those failure
+    modes into one composable, seeded description; {!none} is the
+    lossless channel.
 
     Everything is driven by {!Image.Prng}: the same fault description
     and seed always produce the same packet fates, so chaos experiments
@@ -48,7 +48,8 @@ val none : t
 (** No faults at all: every packet delivered intact and on time. *)
 
 val bernoulli : rate:float -> t
-(** i.i.d. loss, matching {!Transport.bernoulli_loss} semantics. *)
+(** i.i.d. loss with probability [rate]. Raises [Invalid_argument]
+    when [rate] is outside [\[0, 1\]]. *)
 
 val gilbert :
   ?loss_good:float -> ?loss_bad:float -> mean_loss:float ->
@@ -64,8 +65,8 @@ val gilbert :
 
 val loss_mask : t -> seed:int -> n:int -> bool array
 (** [loss_mask t ~seed ~n] marks which of [n] deliveries are lost
-    under [t.loss] alone (no corruption or reorder) — a drop-in for
-    {!Transport.bernoulli_loss} on the video path. *)
+    under [t.loss] alone (no corruption or reorder) — the video
+    frame loss mask. *)
 
 val apply : ?t_s:float -> t -> seed:int -> string array -> string option array
 (** [apply t ~seed packets] pushes a packet train through the channel:

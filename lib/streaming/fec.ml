@@ -23,10 +23,6 @@ let obs_packets =
   let data = family "data" and parity = family "parity" in
   fun kind -> if kind = `Data then data else parity
 
-let obs_lost =
-  Obs.counter ~help:"FEC packets dropped by the simulated lossy hop"
-    "streaming_fec_lost_total" []
-
 let obs_recoveries =
   Obs.counter ~help:"Data packets reconstructed from parity"
     "streaming_fec_recoveries_total" []
@@ -184,15 +180,3 @@ let recover_detail t ~present =
     failed_groups = !failed;
     repaired_packets = !repaired;
   }
-
-let transmit t ~rate ~seed =
-  if rate < 0. || rate > 1. then invalid_arg "Fec.transmit: bad rate";
-  let rng = Image.Prng.create ~seed in
-  Array.map
-    (fun packet ->
-      if Image.Prng.float rng 1. < rate then begin
-        Obs.Metrics.Counter.incr obs_lost;
-        None
-      end
-      else Some packet)
-    t.packets

@@ -52,7 +52,3 @@ val recover_detail : protected_payload -> present:string option array -> recover
     [failed_groups] instead of failing the whole payload, so the
     caller can salvage every intact span ({!Annotation.Encoding.decode_partial}).
     Raises [Invalid_argument] on a [present] length mismatch. *)
-
-val transmit :
-  protected_payload -> rate:float -> seed:int -> string option array
-(** Bernoulli packet loss over the packet train, for simulations. *)

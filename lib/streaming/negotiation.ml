@@ -36,6 +36,16 @@ let negotiate ?(prefer = Server_side) hello =
     in
     Ok { device = hello.device; quality; mapping = prefer }
 
+let annotate ?scene_params s profiled =
+  match s.mapping with
+  | Server_side ->
+    Annotation.Annotator.annotate_profiled ?scene_params ~device:s.device
+      ~quality:s.quality profiled
+  | Client_side ->
+    (* Device-neutral: the client maps gains to registers with
+       Annotation.Neutral.map_to_device after decoding. *)
+    Annotation.Neutral.annotate ?scene_params ~quality:s.quality profiled
+
 let pp_session ppf s =
   Format.fprintf ppf "<session %s q=%a %s>" s.device.Display.Device.name
     Annotation.Quality_level.pp s.quality

@@ -34,4 +34,16 @@ val negotiate :
     (the server pre-computes only the advertised grid, "same for all
     types of PDA clients"). Defaults to server-side mapping. *)
 
+val annotate :
+  ?scene_params:Annotation.Scene_detect.params ->
+  session ->
+  Annotation.Annotator.profiled ->
+  Annotation.Track.t
+(** [annotate session profiled] annotates a profiled clip for the
+    session's mapping site: final registers for the session's device
+    when [Server_side], device-neutral luminance factors when
+    [Client_side] (the client finishes them with
+    {!Annotation.Neutral.map_to_device}). The one place the server
+    pipeline branches on where the mapping runs. *)
+
 val pp_session : Format.formatter -> session -> unit

@@ -109,18 +109,8 @@ let cache_stats t = with_lock t.cache_lock (fun () -> (t.hits, t.misses))
 let cache_size t = with_lock t.cache_lock (fun () -> Hashtbl.length t.cache)
 
 let build ?scene_params ?pool stored ~session =
-  let profiled = profile_stored ?pool stored in
   let track =
-    match session.Negotiation.mapping with
-    | Negotiation.Server_side ->
-      Annotation.Annotator.annotate_profiled ?scene_params
-        ~device:session.Negotiation.device
-        ~quality:session.Negotiation.quality profiled
-    | Negotiation.Client_side ->
-      (* Device-neutral: the client maps gains to registers with
-         Annotation.Neutral.map_to_device after decoding. *)
-      Annotation.Neutral.annotate ?scene_params
-        ~quality:session.Negotiation.quality profiled
+    Negotiation.annotate ?scene_params session (profile_stored ?pool stored)
   in
   {
     session;
@@ -222,25 +212,6 @@ let prepare ?scene_params ?pool ?bulkhead t ~name ~session =
           in
           guarded ~insert ()))
     (find t name)
-
-(* Any prepared track for [clip] on [device], whatever quality or
-   mapping it was built at — the degradation ladder's [stale] rung.
-   Deterministic pick: the smallest matching key (keys order by
-   quality then mapping once clip and device are fixed), so equal
-   cache contents always serve the same stale stream. *)
-let stale_annotation t ~clip ~device =
-  with_lock t.cache_lock (fun () ->
-      (* lint: allow L003 candidates are sorted before the pick below *)
-      Hashtbl.fold
-        (fun key p acc ->
-          if key.k_clip = clip && key.k_device = device then
-            (key, p) :: acc
-          else acc)
-        t.cache [])
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> function
-  | [] -> None
-  | (_, p) :: _ -> Some p
 
 let prepare_many ?scene_params ?pool ?bulkhead t specs =
   let one (name, session) = prepare ?scene_params ?bulkhead t ~name ~session in

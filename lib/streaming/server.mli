@@ -88,14 +88,6 @@ val prepare_many :
 val cache_stats : t -> int * int
 (** [(hits, misses)] of the prepared-stream cache since [create]. *)
 
-val stale_annotation : t -> clip:string -> device:string -> prepared option
-(** Any cached prepared stream for [clip] on [device], whatever
-    quality or mapping it was built at — the degradation ladder's
-    [stale] rung ({!Resilience.Degrade.Stale_cache}). The pick is
-    deterministic (smallest cache key), so equal cache contents always
-    serve the same stale stream. [None] when nothing matching was ever
-    prepared. *)
-
 val cache_size : t -> int
 (** Number of distinct prepared streams currently cached. *)
 

@@ -1,18 +1,14 @@
-type degradation = Full_backlight | Neighbour_clamp
-
 type config = {
   device : Display.Device.t;
   quality : Annotation.Quality_level.t;
   mapping : Negotiation.mapping_site;
   link : Netsim.t;
-  loss_rate : float;
   gop : int;
   ramp_step : int option;
   cpu_busy_fraction : float;
   seed : int;
   fault : Fault.t option;
   nack_budget_s : float;
-  degradation : degradation;
   resilience : Resilience.Profile.t option;
   stale_track : Annotation.Track.t option;
 }
@@ -23,14 +19,12 @@ let default_config ~device =
     quality = Annotation.Quality_level.Loss_10;
     mapping = Negotiation.Server_side;
     link = Netsim.wlan_80211b;
-    loss_rate = 0.;
     gop = 12;
     ramp_step = None;
     cpu_busy_fraction = 0.6;
     seed = 1;
     fault = None;
     nack_budget_s = 0.04;
-    degradation = Full_backlight;
     resilience = None;
     stale_track = None;
   }
@@ -130,72 +124,6 @@ let obs_degraded_scenes =
 
 let span = Obs.Trace.with_span
 
-(* Rebuild a full annotation track from a partial decode: every
-   surviving record keeps its scene, every gap is filled with a safe
-   level. Full backlight (register 255, no compensation) risks no
-   quality; when the policy allows it and both intact neighbours of a
-   gap agree on their level, the gap is clamped to that level instead —
-   scene boundaries rarely move, so agreeing neighbours usually bracket
-   a scene that looked like them. Returns the patched track and the
-   number of degraded scenes (records lost or corrupt). *)
-let patch_partial policy (p : Annotation.Encoding.partial) =
-  let intact =
-    Array.to_list p.entries |> List.filter_map (fun e -> e)
-  in
-  let degraded =
-    Array.length p.entries - List.length intact
-  in
-  let out = ref [] in
-  let pos = ref 0 in
-  let prev = ref None in
-  let filler ~first ~count ~next_entry =
-    match (policy, !prev, next_entry) with
-    | ( Neighbour_clamp,
-        Some (a : Annotation.Track.entry),
-        Some (b : Annotation.Track.entry) )
-      when a.register = b.register && a.effective_max = b.effective_max ->
-      {
-        Annotation.Track.first_frame = first;
-        frame_count = count;
-        register = a.register;
-        compensation = Float.max a.compensation b.compensation;
-        effective_max = a.effective_max;
-      }
-    | _ ->
-      (* Quality-safe default: never dim on a guessed annotation. *)
-      {
-        Annotation.Track.first_frame = first;
-        frame_count = count;
-        register = 255;
-        compensation = 1.;
-        effective_max = 255;
-      }
-  in
-  let fill_gap until next_entry =
-    if until > !pos then begin
-      out := filler ~first:!pos ~count:(until - !pos) ~next_entry :: !out;
-      pos := until
-    end
-  in
-  List.iter
-    (fun (e : Annotation.Track.entry) ->
-      fill_gap e.first_frame (Some e);
-      out := e :: !out;
-      pos := e.first_frame + e.frame_count;
-      prev := Some e)
-    intact;
-  fill_gap p.total_frames None;
-  let track =
-    Annotation.Track.make ~clip_name:p.clip_name ~device_name:p.device_name
-      ~quality:p.quality ~fps:p.fps ~total_frames:p.total_frames
-      (Array.of_list (List.rev !out))
-  in
-  (track, degraded)
-
-let degradation_label = function
-  | Full_backlight -> "full_backlight"
-  | Neighbour_clamp -> "neighbour_clamp"
-
 let obs_watchdog_trips =
   Obs.counter
     ~help:"Stage-deadline watchdog trips that forced the degradation ladder"
@@ -225,33 +153,27 @@ let stale_usable ~stale (p : Annotation.Encoding.partial) =
     if !aligned then Some st.Annotation.Track.entries else None
   | _ -> None
 
-(* Ladder-aware patching: like [patch_partial], but every missing
-   record resolves at the shallowest enabled degradation rung — the
-   stale cached entry for its scene when one exists, the neighbour
-   clamp when both intact neighbours agree, full backlight otherwise —
-   and each non-fresh resolution is journaled as a Ladder_step. *)
-let patch_partial_ladder ladder ~stale ~t_s (p : Annotation.Encoding.partial) =
+(* Rebuild a full annotation track from a partial decode by walking
+   the degradation ladder: every surviving record keeps its scene, and
+   every missing one resolves at the shallowest enabled rung — the
+   stale track's entry for its scene, the level both intact neighbours
+   agree on, or full backlight (register 255, no compensation), which
+   risks no quality. A run of consecutive missing records fills as one
+   entry whose rung the run's head picks; every record's rung is noted
+   on the ladder, which journals the non-fresh ones. *)
+let patch_track ?stale ?(t_s = 0.) ladder (p : Annotation.Encoding.partial) =
   let module D = Resilience.Degrade in
   let stale_entries =
     if D.enabled ladder D.Stale_cache then stale_usable ~stale p else None
   in
-  let out = ref [] in
-  let pos = ref 0 in
-  let prev = ref None in
-  let degraded = ref 0 in
-  let last_fill_step = ref D.Full_backlight in
   let clamp_enabled = D.enabled ladder D.Neighbour_clamp in
-  let note i step = D.note ladder ~t_s ~scene:i step in
   let n = Array.length p.entries in
-  (* Next intact entry at or after record [i] — the gap filler's
-     right-hand neighbour. *)
-  let next_intact i =
-    let rec loop j =
-      if j >= n then None
-      else match p.entries.(j) with Some e -> Some e | None -> loop (j + 1)
-    in
-    loop i
+  let rec next_intact j =
+    if j >= n then None
+    else match p.entries.(j) with Some e -> Some e | None -> next_intact (j + 1)
   in
+  let out = ref [] and pos = ref 0 and prev = ref None in
+  let degraded = ref 0 and run_step = ref D.Full_backlight in
   let emit (e : Annotation.Track.entry) =
     out := e :: !out;
     pos := e.first_frame + e.frame_count;
@@ -259,63 +181,49 @@ let patch_partial_ladder ladder ~stale ~t_s (p : Annotation.Encoding.partial) =
   in
   Array.iteri
     (fun i entry ->
-      match entry with
-      | Some (e : Annotation.Track.entry) ->
-        note i D.Fresh;
+      match (entry, stale_entries) with
+      | Some e, _ ->
+        D.note ladder ~t_s ~scene:i D.Fresh;
         emit e
-      | None -> (
+      | None, Some st ->
         incr degraded;
-        match stale_entries with
-        | Some st ->
-          note i D.Stale_cache;
-          emit st.(i)
-        | None -> (
-          (* No per-scene stale entry: clamp between agreeing intact
-             neighbours, full backlight otherwise — the same fill rule
-             as [patch_partial], journaled rung by rung. The gap's
-             frame span is recovered from the neighbours. *)
-          let next = next_intact (i + 1) in
-          let until =
-            match next with
-            | Some e -> e.Annotation.Track.first_frame
-            | None -> p.total_frames
+        D.note ladder ~t_s ~scene:i D.Stale_cache;
+        emit st.(i)
+      | None, None ->
+        incr degraded;
+        let next = next_intact (i + 1) in
+        let until =
+          match next with
+          | Some e -> e.Annotation.Track.first_frame
+          | None -> p.total_frames
+        in
+        if until > !pos then begin
+          let fill ~register ~compensation ~effective_max =
+            {
+              Annotation.Track.first_frame = !pos;
+              frame_count = until - !pos;
+              register;
+              compensation;
+              effective_max;
+            }
           in
-          (* Consecutive missing records merge into one filler entry;
-             only the first of the run emits it. *)
-          let run_start = !pos in
-          if until > run_start then begin
-            let step, entry =
-              match (!prev, next) with
-              | Some (a : Annotation.Track.entry), Some b
-                when clamp_enabled && a.register = b.register
-                     && a.effective_max = b.effective_max ->
-                ( D.Neighbour_clamp,
-                  {
-                    Annotation.Track.first_frame = run_start;
-                    frame_count = until - run_start;
-                    register = a.register;
-                    compensation = Float.max a.compensation b.compensation;
-                    effective_max = a.effective_max;
-                  } )
-              | _ ->
-                ( D.Full_backlight,
-                  {
-                    Annotation.Track.first_frame = run_start;
-                    frame_count = until - run_start;
-                    register = 255;
-                    compensation = 1.;
-                    effective_max = 255;
-                  } )
-            in
-            note i step;
-            last_fill_step := step;
-            out := entry :: !out;
-            pos := until
-          end
-          else
-            (* A later record of an already-filled run: it resolved at
-               whatever rung the run head picked. *)
-            note i !last_fill_step)))
+          let step, entry =
+            match (!prev, next) with
+            | Some (a : Annotation.Track.entry), Some b
+              when clamp_enabled && a.register = b.register
+                   && a.effective_max = b.effective_max ->
+              ( D.Neighbour_clamp,
+                fill ~register:a.register
+                  ~compensation:(Float.max a.compensation b.compensation)
+                  ~effective_max:a.effective_max )
+            | _ ->
+              (D.Full_backlight, fill ~register:255 ~compensation:1. ~effective_max:255)
+          in
+          run_step := step;
+          out := entry :: !out;
+          pos := until
+        end;
+        D.note ladder ~t_s ~scene:i !run_step)
     p.entries;
   let track =
     Annotation.Track.make ~clip_name:p.clip_name ~device_name:p.device_name
@@ -337,20 +245,15 @@ let journal_clamp f =
 
 (* --- poll-able session machine ------------------------------------------ *)
 
-(* The warm-path inputs a prepared-stream cache can inject: everything
-   the server side of a session computes that does not depend on the
-   transmission seed. [run] never injects (it computes these inline,
-   under the historical spans), so its behaviour is byte-identical to
-   the pre-machine implementation; a fleet shard injects one shared
-   [prepared_input] into thousands of machines. *)
+(* The server-side artifacts of a session: everything computed before
+   the transmission seed matters, so a prepared-stream cache can share
+   one value between every session playing the same clip. *)
 type prepared_input = {
   track : Annotation.Track.t;
   annotation_payload : string;
   protected : Fec.protected_payload;
   encoded : Codec.Encoder.encoded;
   clean : Codec.Decoder.decoded option;
-      (** reference decode of [encoded] for the PSNR account; [None]
-          makes the machine decode it itself, like [run] always did *)
 }
 
 type transmitted = {
@@ -386,6 +289,7 @@ type stage =
 type machine = {
   m_config : config;
   m_clip : Video.Clip.t;
+  m_fault : Fault.t;
   m_frames : int;
   m_fps : float;
   m_dt_s : float;
@@ -396,14 +300,13 @@ type machine = {
 type progress = [ `Setup | `Frame of int | `Finalize | `Complete ]
 
 let create ?prepared config clip =
-  if config.loss_rate < 0. || config.loss_rate > 1. then
-    invalid_arg "Session.run: loss rate out of [0, 1]";
   let frames = clip.Video.Clip.frame_count in
   if frames = 0 then invalid_arg "Session.run: empty clip";
   let fps = clip.Video.Clip.fps in
   {
     m_config = config;
     m_clip = clip;
+    m_fault = Option.value config.fault ~default:Fault.none;
     m_frames = frames;
     m_fps = fps;
     m_dt_s = 1. /. fps;
@@ -424,44 +327,45 @@ let frames m = m.m_frames
 
 let dt_s m = m.m_dt_s
 
-(* Build the warm-path artifacts a prepared-stream cache injects into
-   [create ?prepared]: the server-side work (annotate, protect,
-   encode) plus the reference decode, computed once per clip instead
-   of once per session. Unspanned and un-journaled — cache fills are
-   the shard's work, not any one session's. [?track] lets a caller
-   that already ran the server's annotation pipeline (Server.prepare,
-   with its bulkhead and cache) reuse that track. *)
-let prepare_input ?track config clip =
-  let track =
-    match track with
-    | Some t -> t
-    | None -> (
-      let profiled = Annotation.Annotator.profile clip in
-      match config.mapping with
-      | Negotiation.Server_side ->
-        Annotation.Annotator.annotate_profiled ~device:config.device
-          ~quality:config.quality profiled
-      | Negotiation.Client_side ->
-        Annotation.Neutral.annotate ~quality:config.quality profiled)
+(* The server-side pipeline: profile, annotate for the mapping site,
+   encode and FEC-protect the track, encode the video, and decode it
+   once as the PSNR reference. [traced] runs the stages under the
+   session spans; a cache fill runs untraced, because it is the cache
+   owner's work, not any one session's. *)
+let prepare ~traced config clip =
+  let span name f = if traced then span name f else f () in
+  let profiled =
+    span "session.profile" (fun () -> Annotation.Annotator.profile clip)
   in
-  let annotation_payload = Annotation.Encoding.encode track in
-  let protected =
-    Fec.protect ~packet_size:24 ~group_size:3 annotation_payload
+  let track, annotation_payload, protected =
+    span "session.annotate" @@ fun () ->
+    let track =
+      Negotiation.annotate
+        {
+          Negotiation.device = config.device;
+          quality = config.quality;
+          mapping = config.mapping;
+        }
+        profiled
+    in
+    let annotation_payload = Annotation.Encoding.encode track in
+    ( track,
+      annotation_payload,
+      Fec.protect ~packet_size:24 ~group_size:3 annotation_payload )
   in
   let encoded =
+    span "session.encode" @@ fun () ->
     Codec.Encoder.encode_clip
       ~params:{ Codec.Stream.default_params with gop = config.gop }
       clip
   in
-  let clean =
-    match Codec.Decoder.decode encoded.Codec.Encoder.data with
-    | Ok c -> Some c
-    | Error _ -> None
-  in
+  let clean = Result.to_option (Codec.Decoder.decode encoded.Codec.Encoder.data) in
   { track; annotation_payload; protected; encoded; clean }
 
-(* Session start: journal + log, then the server-side stages (profile,
-   annotate, protect, encode) — or the injected warm artifacts. *)
+let prepare_input config clip = prepare ~traced:false config clip
+
+(* Session start: journal + log, then the server-side stages — or the
+   injected warm artifacts. *)
 let step_start m =
   let config = m.m_config and clip = m.m_clip in
   let frames = m.m_frames and fps = m.m_fps in
@@ -483,255 +387,174 @@ let step_start m =
             Obs.Json.String (Annotation.Quality_level.label config.quality) );
           ("frames", Obs.Json.Int frames);
         ] ));
-  let prep =
-    match m.m_injected with
+  m.m_stage <-
+    Prepared
+      (match m.m_injected with
+      | Some p -> p
+      | None -> prepare ~traced:true config clip)
+
+(* The wireless hop for the annotation side channel: the packets cross
+   the channel, the NACK loop re-sends what it can within its budget,
+   FEC repairs what it can, and every record that still failed walks
+   the degradation ladder. *)
+let step_transmit m (prep : prepared_input) =
+  let config = m.m_config and fault = m.m_fault in
+  let track = prep.track and protected = prep.protected in
+  (* Without a resilience profile there is no retry policy, breaker or
+     watchdog, and the ladder falls from fresh straight to full
+     backlight. *)
+  let profile =
+    match config.resilience with
     | Some p -> p
     | None ->
-      (* Server side: annotate, encode, protect. *)
-      let profiled =
-        span "session.profile" (fun () -> Annotation.Annotator.profile clip)
-      in
-      let track, annotation_payload, protected =
-        span "session.annotate" @@ fun () ->
-        let track =
-          match config.mapping with
-          | Negotiation.Server_side ->
-            Annotation.Annotator.annotate_profiled ~device:config.device
-              ~quality:config.quality profiled
-          | Negotiation.Client_side ->
-            Annotation.Neutral.annotate ~quality:config.quality profiled
-        in
-        let annotation_payload = Annotation.Encoding.encode track in
-        let protected =
-          Fec.protect ~packet_size:24 ~group_size:3 annotation_payload
-        in
-        (track, annotation_payload, protected)
-      in
-      let encoded =
-        span "session.encode" @@ fun () ->
-        Codec.Encoder.encode_clip
-          ~params:{ Codec.Stream.default_params with gop = config.gop }
-          clip
-      in
-      { track; annotation_payload; protected; encoded; clean = None }
+      {
+        Resilience.Profile.empty with
+        ladder = Resilience.Degrade.[ Fresh; Full_backlight ];
+      }
   in
-  m.m_stage <- Prepared prep
-
-(* The wireless hop. *)
-let step_transmit m (prep : prepared_input) =
-  let config = m.m_config in
-  let track = prep.track and protected_annotations = prep.protected in
   let annotations_survived, client_track, degraded_scenes, retransmissions,
       corrupt_records =
     span "session.transmit" @@ fun () ->
-    match config.fault with
-    | None -> (
-      (* Legacy Bernoulli path: all-or-nothing recovery, bit-identical
-         to the pre-fault-injection behaviour. *)
-      let annotation_arrival =
-        Fec.transmit protected_annotations ~rate:config.loss_rate
-          ~seed:config.seed
-      in
-      match Fec.recover protected_annotations ~present:annotation_arrival with
-      | Ok payload -> (
-        match Annotation.Encoding.decode payload with
-        | Ok wire_track -> (
-          ( true,
-            (match config.mapping with
-            | Negotiation.Server_side -> wire_track
-            | Negotiation.Client_side ->
-              Annotation.Neutral.map_to_device config.device wire_track),
-            0, 0, 0 ))
-        | Error _ -> (false, track, 0, 0, 0))
-      | Error _ -> (false, track, 0, 0, 0))
-    | Some fault -> (
-      (* Resilience control plane, active only when a profile is
-         configured: a retry policy for the NACK schedule, a breaker
-         gating its rounds, and the degradation ladder the patching
-         below walks. With no profile every path reduces to the
-         historical code bit for bit. *)
-      let profile = config.resilience in
-      let ladder =
-        Option.map
-          (fun (p : Resilience.Profile.t) ->
-            Resilience.Degrade.create
-              ?steps:
-                (match p.Resilience.Profile.ladder with
-                | [] -> None
-                | l -> Some l)
-              ())
-          profile
-      in
-      let breaker =
-        match profile with
-        | Some { Resilience.Profile.breaker = Some bc; _ } ->
-          Some (Resilience.Breaker.create ~config:bc ~name:"nack" ())
-        | _ -> None
-      in
-      let retry_policy =
-        Option.bind profile (fun p -> p.Resilience.Profile.retry)
-      in
-      let arrival =
-        Fault.apply fault ~seed:config.seed protected_annotations.Fec.packets
-      in
-      let arrival, nack =
-        if config.nack_budget_s > 0. then
-          Transport.nack_retransmit ?policy:retry_policy ?breaker ~fault
-            ~link:config.link ~budget_s:config.nack_budget_s
-            ~seed:(config.seed + 31)
-            ~packets:protected_annotations.Fec.packets arrival
-        else (arrival, Transport.no_nack)
-      in
-      let recovery = Fec.recover_detail protected_annotations ~present:arrival in
-      let resent = nack.Transport.packets_retransmitted in
-      let journal_t_s = nack.Transport.nack_time_s in
-      let policy_label = degradation_label config.degradation in
-      (* Stage-deadline watchdog: annotations that arrive after the
-         transmit deadline are as good as lost — trip the ladder
-         instead of pretending they were on time. *)
-      let watchdog_tripped =
-        match profile with
-        | Some { Resilience.Profile.stage_deadline_s = Some d; _ }
-          when nack.Transport.nack_time_s > d ->
-          Obs.Metrics.Counter.incr obs_watchdog_trips;
-          Obs.Journal.record ~t_s:journal_t_s
-            (Obs.Journal.Watchdog_trip
-               {
-                 stage = "transmit";
-                 budget_us = journal_clamp (d *. 1e6);
-                 over_us =
-                   journal_clamp ((nack.Transport.nack_time_s -. d) *. 1e6);
-               });
-          true
-        | _ -> false
-      in
-      let mapped t =
-        match config.mapping with
-        | Negotiation.Server_side -> t
-        | Negotiation.Client_side ->
-          Annotation.Neutral.map_to_device config.device t
-      in
-      (* The whole track fell back (header unusable, nothing intact,
-         or the watchdog tripped): with a ladder and a stale cached
-         track the session survives on yesterday's annotations;
-         otherwise everything plays at full backlight. *)
-      let whole_track_fallback ~degraded_count ~corrupt =
-        match (ladder, config.stale_track) with
-        | Some l, Some st
-          when Resilience.Degrade.enabled l Resilience.Degrade.Stale_cache ->
-          Resilience.Degrade.note l ~t_s:journal_t_s ~scene:(-1)
-            Resilience.Degrade.Stale_cache;
-          ( true,
-            mapped st,
-            Array.length st.Annotation.Track.entries,
-            resent,
-            corrupt )
-        | Some l, _ ->
-          Resilience.Degrade.note l ~t_s:journal_t_s ~scene:(-1)
-            Resilience.Degrade.Full_backlight;
-          (false, track, degraded_count, resent, corrupt)
-        | None, _ -> (false, track, degraded_count, resent, corrupt)
-      in
-      Obs.Journal.record ~t_s:journal_t_s
-        (Obs.Journal.Fec_outcome
-           {
-             failed_groups = List.length recovery.Fec.failed_groups;
-             repaired_packets = recovery.Fec.repaired_packets;
-           });
-      (* One Degradation event per annotation record that failed to
-         decode. Record [i] occupies a fixed-size span of the payload
-         right after the header, so the FEC byte map tells lost (bytes
-         never arrived) from corrupt (bytes arrived, checks failed)
-         apart. *)
-      let journal_degradations (partial : Annotation.Encoding.partial) =
-        if Obs.enabled () && Obs.Journal.installed () then begin
-          let entries = partial.Annotation.Encoding.entries in
-          let rs = Annotation.Encoding.record_size in
-          let header_len =
-            String.length recovery.Fec.payload - (Array.length entries * rs)
+    let ladder =
+      Resilience.Degrade.create
+        ?steps:
+          (match profile.Resilience.Profile.ladder with
+          | [] -> None
+          | l -> Some l)
+        ()
+    in
+    let breaker =
+      Option.map
+        (fun bc -> Resilience.Breaker.create ~config:bc ~name:"nack" ())
+        profile.Resilience.Profile.breaker
+    in
+    let arrival = Fault.apply fault ~seed:config.seed protected.Fec.packets in
+    let arrival, nack =
+      if config.nack_budget_s > 0. then
+        Transport.nack_retransmit ?policy:profile.Resilience.Profile.retry
+          ?breaker ~fault ~link:config.link ~budget_s:config.nack_budget_s
+          ~seed:(config.seed + 31) ~packets:protected.Fec.packets arrival
+      else (arrival, Transport.no_nack)
+    in
+    let recovery = Fec.recover_detail protected ~present:arrival in
+    let resent = nack.Transport.packets_retransmitted in
+    let journal_t_s = nack.Transport.nack_time_s in
+    (* Stage-deadline watchdog: annotations that arrive after the
+       transmit deadline are as good as lost — trip the ladder
+       instead of pretending they were on time. *)
+    let watchdog_tripped =
+      match profile.Resilience.Profile.stage_deadline_s with
+      | Some d when nack.Transport.nack_time_s > d ->
+        Obs.Metrics.Counter.incr obs_watchdog_trips;
+        Obs.Journal.record ~t_s:journal_t_s
+          (Obs.Journal.Watchdog_trip
+             {
+               stage = "transmit";
+               budget_us = journal_clamp (d *. 1e6);
+               over_us = journal_clamp ((nack.Transport.nack_time_s -. d) *. 1e6);
+             });
+        true
+      | _ -> false
+    in
+    let mapped t =
+      match config.mapping with
+      | Negotiation.Server_side -> t
+      | Negotiation.Client_side -> Annotation.Neutral.map_to_device config.device t
+    in
+    (* The whole track fell back (header unusable, nothing intact, or
+       the watchdog tripped): on the stale track when the ladder offers
+       that rung and one was given, at full backlight otherwise. *)
+    let whole_track_fallback ~degraded ~corrupt =
+      match config.stale_track with
+      | Some st when Resilience.Degrade.enabled ladder Resilience.Degrade.Stale_cache ->
+        Resilience.Degrade.note ladder ~t_s:journal_t_s ~scene:(-1)
+          Resilience.Degrade.Stale_cache;
+        (true, mapped st, Array.length st.Annotation.Track.entries, resent, corrupt)
+      | _ ->
+        Resilience.Degrade.note ladder ~t_s:journal_t_s ~scene:(-1)
+          Resilience.Degrade.Full_backlight;
+        (false, track, degraded, resent, corrupt)
+    in
+    Obs.Journal.record ~t_s:journal_t_s
+      (Obs.Journal.Fec_outcome
+         {
+           failed_groups = List.length recovery.Fec.failed_groups;
+           repaired_packets = recovery.Fec.repaired_packets;
+         });
+    (* A Degradation event names the ladder's floor as its policy: the
+       rung each scene actually took is journaled by its Ladder_step. *)
+    let policy = "full_backlight" in
+    (* One Degradation event per annotation record that failed to
+       decode. Record [i] occupies a fixed-size span of the payload
+       right after the header, so the FEC byte map tells lost (bytes
+       never arrived) from corrupt (bytes arrived, checks failed)
+       apart. *)
+    let journal_degradations (partial : Annotation.Encoding.partial) =
+      if Obs.enabled () && Obs.Journal.installed () then begin
+        let entries = partial.Annotation.Encoding.entries in
+        let rs = Annotation.Encoding.record_size in
+        let header_len =
+          String.length recovery.Fec.payload - (Array.length entries * rs)
+        in
+        let byte_ok = recovery.Fec.byte_ok in
+        Array.iteri
+          (fun i e ->
+            if e = None then begin
+              let first = header_len + (i * rs) in
+              let missing = ref false in
+              for b = first to first + rs - 1 do
+                if b < 0 || b >= Array.length byte_ok || not byte_ok.(b) then
+                  missing := true
+              done;
+              let trigger = if !missing then "lost" else "corrupt" in
+              Obs.Journal.record ~t_s:journal_t_s
+                (Obs.Journal.Degradation
+                   {
+                     index = i;
+                     trigger =
+                       (if !missing then Obs.Journal.Record_lost
+                        else Obs.Journal.Record_corrupt);
+                     policy;
+                   });
+              Obs.Log.warn ~scope:"session" (fun () ->
+                  ( Printf.sprintf "annotation record %d %s; degrading scene" i
+                      trigger,
+                    [
+                      ("record", Obs.Json.Int i);
+                      ("trigger", Obs.Json.String trigger);
+                      ("policy", Obs.Json.String policy);
+                    ] ))
+            end)
+          entries
+      end
+    in
+    let all_scenes = Array.length track.Annotation.Track.entries in
+    if watchdog_tripped then whole_track_fallback ~degraded:all_scenes ~corrupt:0
+    else
+      match
+        Annotation.Encoding.decode_partial ~byte_ok:recovery.Fec.byte_ok
+          recovery.Fec.payload
+      with
+      | Error _ ->
+        (* Header gone: nothing placeable survived. *)
+        Obs.Journal.record ~t_s:journal_t_s
+          (Obs.Journal.Degradation
+             { index = -1; trigger = Obs.Journal.Header_lost; policy });
+        Obs.Log.warn ~scope:"session" (fun () ->
+            ( "annotation header lost; whole clip plays at full backlight",
+              [ ("policy", Obs.Json.String policy) ] ));
+        whole_track_fallback ~degraded:all_scenes ~corrupt:0
+      | Ok partial ->
+        let entries = partial.Annotation.Encoding.entries in
+        let corrupt = partial.Annotation.Encoding.corrupt_records in
+        journal_degradations partial;
+        if Array.for_all Option.is_none entries then
+          whole_track_fallback ~degraded:(Array.length entries) ~corrupt
+        else
+          let patched, degraded =
+            patch_track ?stale:config.stale_track ~t_s:journal_t_s ladder partial
           in
-          let byte_ok = recovery.Fec.byte_ok in
-          Array.iteri
-            (fun i e ->
-              if e = None then begin
-                let first = header_len + (i * rs) in
-                let missing = ref false in
-                for b = first to first + rs - 1 do
-                  if b < 0 || b >= Array.length byte_ok || not byte_ok.(b) then
-                    missing := true
-                done;
-                Obs.Journal.record ~t_s:journal_t_s
-                  (Obs.Journal.Degradation
-                     {
-                       index = i;
-                       trigger =
-                         (if !missing then Obs.Journal.Record_lost
-                          else Obs.Journal.Record_corrupt);
-                       policy = policy_label;
-                     });
-                Obs.Log.warn ~scope:"session" (fun () ->
-                    ( Printf.sprintf "annotation record %d %s; degrading scene"
-                        i
-                        (if !missing then "lost" else "corrupt"),
-                      [
-                        ("record", Obs.Json.Int i);
-                        ( "trigger",
-                          Obs.Json.String
-                            (if !missing then "lost" else "corrupt") );
-                        ("policy", Obs.Json.String policy_label);
-                      ] ))
-              end)
-            entries
-        end
-      in
-      if watchdog_tripped then
-        whole_track_fallback
-          ~degraded_count:(Array.length track.Annotation.Track.entries)
-          ~corrupt:0
-      else
-        match
-          Annotation.Encoding.decode_partial ~byte_ok:recovery.Fec.byte_ok
-            recovery.Fec.payload
-        with
-        | Error _ ->
-          (* Header gone (or v1 payload damaged): nothing placeable
-             survived, every scene plays at full backlight — or on the
-             stale cached track when the ladder offers one. *)
-          Obs.Journal.record ~t_s:journal_t_s
-            (Obs.Journal.Degradation
-               {
-                 index = -1;
-                 trigger = Obs.Journal.Header_lost;
-                 policy = policy_label;
-               });
-          Obs.Log.warn ~scope:"session" (fun () ->
-              ( "annotation header lost; whole clip plays at full backlight",
-                [ ("policy", Obs.Json.String policy_label) ] ));
-          whole_track_fallback
-            ~degraded_count:(Array.length track.Annotation.Track.entries)
-            ~corrupt:0
-        | Ok partial ->
-          let intact =
-            Array.fold_left
-              (fun acc e -> if e = None then acc else acc + 1)
-              0 partial.Annotation.Encoding.entries
-          in
-          let corrupt = partial.Annotation.Encoding.corrupt_records in
-          journal_degradations partial;
-          if intact = 0 then
-            whole_track_fallback
-              ~degraded_count:(Array.length partial.Annotation.Encoding.entries)
-              ~corrupt
-          else begin
-            let patched, degraded =
-              match ladder with
-              | Some l ->
-                patch_partial_ladder l ~stale:config.stale_track
-                  ~t_s:journal_t_s partial
-              | None -> patch_partial config.degradation partial
-            in
-            (true, mapped patched, degraded, resent, corrupt)
-          end)
+          (true, mapped patched, degraded, resent, corrupt)
   in
   Obs.Metrics.Counter.incr (obs_annotation_outcomes annotations_survived);
   if degraded_scenes > 0 then
@@ -755,14 +578,7 @@ let step_decode m (prep : prepared_input) (trans : transmitted) =
   let encoded = prep.encoded in
   let setup =
     Result.bind (Transport.packetize encoded) (fun packetized ->
-        let lost =
-          match config.fault with
-          | None ->
-            Transport.bernoulli_loss ~rate:config.loss_rate
-              ~seed:(config.seed + 1) ~frames
-          | Some fault ->
-            Fault.loss_mask fault ~seed:(config.seed + 1) ~n:frames
-        in
+        let lost = Fault.loss_mask m.m_fault ~seed:(config.seed + 1) ~n:frames in
         (* The first frame is exempt from loss: with nothing decoded yet
            there is no picture to conceal with, so a real player would
            stall on ARQ until the stream starts. We model that as a
@@ -855,13 +671,10 @@ let step_frame m (prep : prepared_input) (trans : transmitted)
     end;
     let transfer = Netsim.transfer_time_s config.link bytes in
     let transfer =
-      match config.fault with
-      | None -> transfer
-      | Some f ->
-        (transfer
-        /. Fault.bandwidth_factor f
-             ~progress:(float_of_int i /. float_of_int frames))
-        +. Fault.delay_s f ~seed:(config.seed + 17) ~index:i
+      (transfer
+      /. Fault.bandwidth_factor m.m_fault
+           ~progress:(float_of_int i /. float_of_int frames))
+      +. Fault.delay_s m.m_fault ~seed:(config.seed + 17) ~index:i
     in
     Obs.Metrics.Histogram.observe obs_frame_latency transfer;
     Obs.Monitor.count Obs.Monitor.frames_series;
@@ -889,7 +702,7 @@ let step_frame m (prep : prepared_input) (trans : transmitted)
      else Finalizing (prep, trans, play))
 
 (* Energy accounting, profiler attribution, the session-end journal
-   entry and the report — the tail of the historical playback span. *)
+   entry and the report — the tail of the playback span. *)
 let step_finalize m (prep : prepared_input) (trans : transmitted)
     (play : playing) =
   let config = m.m_config and clip = m.m_clip in
@@ -1019,10 +832,8 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
   m.m_stage <- Finished (Ok report)
 
 (* Advance the machine by one stage — one simulated frame once playing.
-   Every observable effect (journal entries, logs, metrics, monitor
-   feeds, profiler attribution) fires in exactly the order the
-   run-to-completion implementation produced, so driving a machine to
-   [`Done] is indistinguishable from [run]. *)
+   [run] is exactly this loop, so driving a machine to [`Done] is
+   indistinguishable from it. *)
 let step m =
   (match m.m_stage with
   | Starting -> step_start m

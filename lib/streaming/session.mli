@@ -10,54 +10,38 @@
     radio always on). This is the API a downstream integrator calls;
     the pieces remain available individually. *)
 
-type degradation =
-  | Full_backlight
-      (** lost or corrupt scenes play at register 255, uncompensated —
-          quality is never risked on a guessed annotation *)
-  | Neighbour_clamp
-      (** like [Full_backlight], except a gap whose two intact
-          neighbour scenes agree on register and effective maximum is
-          clamped to that agreed level — still conservative (the level
-          was provably safe next door), recovering most of the savings
-          for short gaps inside a long scene *)
-
 type config = {
   device : Display.Device.t;
   quality : Annotation.Quality_level.t;
   mapping : Negotiation.mapping_site;
   link : Netsim.t;
-  loss_rate : float;  (** Bernoulli packet/frame loss on the wireless hop *)
   gop : int;
   ramp_step : int option;  (** slew-limit dimming when set *)
   cpu_busy_fraction : float;  (** decode duty cycle for the power model *)
   seed : int;
   fault : Fault.t option;
-      (** richer channel model for both hops; [None] keeps the legacy
-          Bernoulli behaviour driven by [loss_rate], bit-identical to
-          releases without fault injection *)
+      (** the channel on both hops — annotation packets, video frames,
+          per-frame delivery time; [None] is {!Fault.none}, a lossless
+          channel *)
   nack_budget_s : float;
       (** simulated-time budget for the annotation NACK/retransmit
-          loop ({!Transport.nack_retransmit}); [0.] disables it. Only
-          used when [fault] is set. *)
-  degradation : degradation;  (** policy for scenes whose record died *)
+          loop ({!Transport.nack_retransmit}); [0.] disables it *)
   resilience : Resilience.Profile.t option;
-      (** resilience control plane for the faulty path: retry policy
-          for the NACK schedule, a circuit breaker gating its rounds,
-          a stage-deadline watchdog, and the degradation ladder the
-          patching walks. [None] keeps every path bit-identical to the
-          profile-free behaviour. Only used when [fault] is set. *)
+      (** resilience control plane for the annotation hop: retry policy
+          for the NACK schedule, a circuit breaker gating its rounds, a
+          stage-deadline watchdog, and the degradation ladder every
+          lost or corrupt record walks. [None] is no retry policy, no
+          breaker, no watchdog and a ladder of fresh → full backlight *)
   stale_track : Annotation.Track.t option;
       (** a previously prepared annotation track for the same clip
-          (any quality — typically from {!Server}'s cache) that the
-          ladder's [stale] rung falls back to, per scene or for the
-          whole track *)
+          (any quality) that the ladder's [stale] rung falls back to,
+          per scene or for the whole track *)
 }
 
 val default_config : device:Display.Device.t -> config
-(** 10 % quality, server-side mapping, 802.11b link, no loss, GOP 12,
-    no ramp, 60 % duty cycle, no fault injection, 40 ms NACK budget,
-    full-backlight degradation, no resilience profile, no stale
-    track. *)
+(** 10 % quality, server-side mapping, 802.11b link, GOP 12, no ramp,
+    60 % duty cycle, lossless channel, 40 ms NACK budget, no resilience
+    profile, no stale track. *)
 
 type report = {
   config : config;
@@ -66,13 +50,11 @@ type report = {
   video_bytes : int;
   annotation_bytes : int;
   annotations_survived : bool;
-      (** whether any of the FEC-protected side channel was usable.
-          Without fault injection this is all-or-nothing recovery; with
-          a [fault] configured it is [true] as soon as one scene's
-          record survived — [degraded_scenes] says how many did not.
-          When [false] the client falls back to full backlight for the
-          whole clip (quality is never risked on guessed
-          annotations) *)
+      (** whether the client plays annotations: [true] as soon as one
+          scene's record survived the hop (or the ladder fell back to
+          the stale track) — [degraded_scenes] says how many did not.
+          When [false] the whole clip plays at full backlight (quality
+          is never risked on guessed annotations) *)
   video_mean_psnr : float;  (** after loss concealment, vs clean decode *)
   concealed_frames : int;
   backlight_savings : float;
@@ -85,7 +67,7 @@ type report = {
   baseline_energy_mj : float;
   degraded_scenes : int;
       (** scenes whose annotation record was lost or corrupt and that
-          therefore play at the degradation policy's safe level *)
+          therefore play at the level their ladder rung gave them *)
   retransmissions : int;
       (** annotation packets re-sent by the NACK loop, all rounds *)
   corrupt_records : int;
@@ -93,14 +75,22 @@ type report = {
           sanity checks) and were discarded *)
 }
 
-val patch_partial :
-  degradation -> Annotation.Encoding.partial -> Annotation.Track.t * int
-(** [patch_partial policy partial] rebuilds a full, valid annotation
-    track from a partial decode: surviving records keep their scenes,
-    gaps are filled per [policy] (full backlight, or the neighbours'
-    agreed level). Returns the patched track and the number of
-    degraded scenes. Exposed for tests and downstream clients that run
-    their own transport. *)
+val patch_track :
+  ?stale:Annotation.Track.t ->
+  ?t_s:float ->
+  Resilience.Degrade.t ->
+  Annotation.Encoding.partial ->
+  Annotation.Track.t * int
+(** [patch_track ladder partial] rebuilds a full, valid annotation
+    track from a partial decode by walking [ladder]: surviving records
+    keep their scenes; each lost or corrupt record resolves at the
+    shallowest enabled rung — [stale]'s entry for its scene when
+    [stale] has the same scene grid, the level both intact neighbours
+    agree on (register and effective maximum, the larger compensation)
+    under [clamp], full backlight (register 255, compensation 1)
+    otherwise. Consecutive missing records fill as one entry. Every
+    record's rung is noted on [ladder] at [t_s] (default 0). Returns
+    the patched track and the number of degraded scenes. *)
 
 (** {1 Poll-able session machine}
 
@@ -108,11 +98,8 @@ val patch_partial :
     allocates, each [step] advances exactly one stage — session start,
     transmit, decode/playback setup, then one simulated frame per call,
     then finalisation — and [result] reads the outcome once [step]
-    returns [`Done]. Every observable effect (journal entries, logs,
-    metrics, monitor feeds, profiler attribution) fires in exactly the
-    order the historical run-to-completion implementation produced
-    them, so a machine driven to completion is indistinguishable from
-    {!run} — which is now implemented as exactly that loop. The fleet
+    returns [`Done]. {!run} is exactly that loop, so a machine driven
+    to completion is indistinguishable from it. The fleet
     scheduler interleaves thousands of machines on the simulated clock
     by stepping each one as its next frame falls due. *)
 
@@ -127,7 +114,7 @@ type prepared_input = {
   encoded : Codec.Encoder.encoded;
   clean : Codec.Decoder.decoded option;
       (** reference decode of [encoded] for the PSNR account; [None]
-          makes the machine decode it itself, as {!run} always did *)
+          makes the machine decode it itself *)
 }
 (** The server-side artifacts a prepared-stream cache can inject into
     {!create}: everything computed before the transmission seed
@@ -140,20 +127,19 @@ type progress =
   | `Finalize  (** all frames played; energy accounting remains *)
   | `Complete  (** [result] is available *) ]
 
-val prepare_input :
-  ?track:Annotation.Track.t -> config -> Video.Clip.t -> prepared_input
+val prepare_input : config -> Video.Clip.t -> prepared_input
 (** [prepare_input config clip] runs the server-side pipeline
-    (annotate, encode, FEC-protect, reference-decode) once, outside
-    any session: un-spanned and un-journaled, because cache fills are
-    the cache owner's work, not any one session's. [?track] reuses an
-    annotation track that already came out of {!Server.prepare} (with
-    its bulkhead and cache wiring) instead of re-annotating. *)
+    (profile, annotate for the mapping site, FEC-protect, encode,
+    reference-decode) once, outside any session: un-spanned and
+    un-journaled, because cache fills are the cache owner's work, not
+    any one session's. A machine created without [?prepared] runs the
+    same pipeline in its first [step], under the [session.profile],
+    [session.annotate] and [session.encode] spans. *)
 
 val create : ?prepared:prepared_input -> config -> Video.Clip.t -> machine
-(** [create config clip] validates the configuration ([loss_rate]
-    within [0, 1], non-empty clip — same exceptions as {!run}) and
-    returns a machine at its start state. No simulation effects happen
-    until the first [step]. *)
+(** [create config clip] validates the configuration (non-empty clip —
+    same exception as {!run}) and returns a machine at its start
+    state. No simulation effects happen until the first [step]. *)
 
 val step : machine -> [ `Running | `Done ]
 (** Advance one stage (one simulated frame, once playing). Idempotent

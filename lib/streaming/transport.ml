@@ -33,11 +33,6 @@ let obs_drifted =
   Obs.counter ~help:"P frames decoded against a damaged prediction chain"
     "streaming_frames_drifted_total" []
 
-let bernoulli_loss ~rate ~seed ~frames =
-  if rate < 0. || rate > 1. then invalid_arg "Transport.bernoulli_loss: bad rate";
-  let rng = Image.Prng.create ~seed in
-  Array.init frames (fun _ -> Image.Prng.float rng 1. < rate)
-
 type received = {
   pictures : Image.Raster.t array;
   concealed : int;

@@ -19,11 +19,6 @@ type packetized = {
 val packetize : Codec.Encoder.encoded -> (packetized, string) result
 (** Splits a bitstream at its (byte-aligned) frame boundaries. *)
 
-val bernoulli_loss : rate:float -> seed:int -> frames:int -> bool array
-(** [bernoulli_loss ~rate ~seed ~frames] marks each frame lost with
-    probability [rate], deterministically from [seed]. Rate in
-    [0, 1]. *)
-
 type received = {
   pictures : Image.Raster.t array;
   concealed : int;  (** frames repeated because their data was lost *)

@@ -481,27 +481,6 @@ let test_encode_rejects_gain_overflow () =
           (int_of_float ((5000. *. 4096.) +. 0.5))))
     (fun () -> ignore (Annotation.Encoding.encode t))
 
-let test_encode_v1_handles_long_clips () =
-  (* v1 packs varints, so the same >2^24-frame track round-trips — the
-     fixed-slot limit is specific to v2 records. *)
-  let t = huge_track () in
-  match Annotation.Encoding.decode (Annotation.Encoding.encode_v1 t) with
-  | Error msg -> Alcotest.fail msg
-  | Ok t' ->
-    check int "entry count" 3 (Array.length t'.Annotation.Track.entries);
-    check bool "total frames" true
-      (t'.Annotation.Track.total_frames = t.Annotation.Track.total_frames);
-    Array.iteri
-      (fun i (e : Annotation.Track.entry) ->
-        let e' = t'.Annotation.Track.entries.(i) in
-        check int
-          (Printf.sprintf "entry %d first_frame" i)
-          e.Annotation.Track.first_frame e'.Annotation.Track.first_frame;
-        check int
-          (Printf.sprintf "entry %d register" i)
-          e.Annotation.Track.register e'.Annotation.Track.register)
-      t.Annotation.Track.entries
-
 let test_encoding_rejects_bad_version () =
   let valid = Bytes.of_string (Annotation.Encoding.encode (sample_track ())) in
   Bytes.set valid 4 '\xFF';
@@ -992,8 +971,6 @@ let () =
             test_encode_rejects_u24_overflow;
           Alcotest.test_case "rejects gain overflow" `Quick
             test_encode_rejects_gain_overflow;
-          Alcotest.test_case "v1 carries long clips" `Quick
-            test_encode_v1_handles_long_clips;
           Alcotest.test_case "mutation fuzz" `Quick test_encoding_mutation_fuzz;
         ] );
       ( "annotator",

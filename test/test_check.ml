@@ -413,8 +413,15 @@ let patched ?(fix_record = -1) ?(fix_header = false) f =
 let check = Artifact.check_annotation ~file:"t.bin"
 
 let test_pristine_v2 () = check_codes "pristine v2" [] (check blob)
-let test_pristine_v1 () =
-  check_codes "pristine v1" [] (check (Encoding.encode_v1 track))
+(* Wire v1 is retired: a v1 blob is an unknown version, both to the
+   checker and to [lint verify]'s file dispatch. *)
+let test_v1_unknown_version () =
+  check_codes "V102" [ "V102" ] (check (Wire_v1.blob ()));
+  let path = Filename.temp_file "track" ".bin" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (Wire_v1.blob ()));
+  let ds = Artifact.check_file path in
+  Sys.remove path;
+  check_codes "verify V102" [ "V102" ] ds
 
 let test_bad_magic () =
   check_codes "V101" [ "V101" ] (check ("XXXX" ^ String.sub blob 4 (String.length blob - 4)))
@@ -470,9 +477,6 @@ let test_backlight_range () =
     Artifact.check_annotation ~find_device:(fun _ -> Some tiny) ~file:"t.bin" blob
   in
   check_codes "V112" [ "V112" ] ds
-
-let test_trailing_bytes_v1 () =
-  check_codes "V113" [ "V113" ] (check (Encoding.encode_v1 track ^ "xx"))
 
 let test_coverage () =
   (* Drop the last record and adjust the count; header CRC fixed up,
@@ -690,7 +694,8 @@ let () =
       ( "annotation corpus",
         [
           Alcotest.test_case "pristine v2" `Quick test_pristine_v2;
-          Alcotest.test_case "pristine v1" `Quick test_pristine_v1;
+          Alcotest.test_case "v1 is an unknown version" `Quick
+            test_v1_unknown_version;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
           Alcotest.test_case "bad version" `Quick test_bad_version;
           Alcotest.test_case "header truncated" `Quick test_header_truncated;
@@ -701,7 +706,6 @@ let () =
           Alcotest.test_case "frame span" `Quick test_frame_span;
           Alcotest.test_case "compensation" `Quick test_compensation;
           Alcotest.test_case "backlight range" `Quick test_backlight_range;
-          Alcotest.test_case "trailing bytes v1" `Quick test_trailing_bytes_v1;
           Alcotest.test_case "coverage" `Quick test_coverage;
           Alcotest.test_case "off-grid quality" `Quick test_off_grid_quality;
           Alcotest.test_case "huge count" `Quick test_huge_count_flagged;

@@ -271,21 +271,15 @@ let test_crc32_vector () =
   (* The classic IEEE 802.3 check value. *)
   check int "crc32(123456789)" 0xCBF43926 (Annotation.Encoding.crc32 "123456789")
 
-let test_v1_compat () =
-  let t = sample_track () in
-  let v1 = Annotation.Encoding.encode_v1 t in
+let test_v1_rejected () =
+  let v1 = Wire_v1.blob () in
   check int "v1 marker" 1 (Char.code v1.[4]);
-  (match Annotation.Encoding.decode v1 with
-  | Error e -> Alcotest.fail e
-  | Ok t' ->
-    Alcotest.(check (array int))
-      "v1 registers survive"
-      (Annotation.Track.register_track t)
-      (Annotation.Track.register_track t'));
-  let v2 = Annotation.Encoding.encode t in
-  check int "v2 marker" 2 (Char.code v2.[4]);
-  check bool "v2 self-describing records cost more" true
-    (String.length v2 > String.length v1)
+  check bool "decode rejects v1" true
+    (Result.is_error (Annotation.Encoding.decode v1));
+  check bool "decode_partial rejects v1" true
+    (Result.is_error (Annotation.Encoding.decode_partial v1));
+  check int "current marker" 2
+    (Char.code (Annotation.Encoding.encode (sample_track ())).[4])
 
 let test_decode_partial_classification () =
   let t = sample_track () in
@@ -330,21 +324,7 @@ let test_decode_partial_classification () =
   check bool "strict decode rejects mutation" true
     (Result.is_error (Annotation.Encoding.decode (Bytes.to_string mutated)))
 
-let test_decode_partial_v1_all_or_nothing () =
-  let t = sample_track () in
-  let v1 = Annotation.Encoding.encode_v1 t in
-  (match Annotation.Encoding.decode_partial v1 with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-    check int "v1 fully intact" 5
-      (Array.fold_left (fun a e -> if e = None then a else a + 1) 0
-         p.Annotation.Encoding.entries));
-  let byte_ok = Array.make (String.length v1) true in
-  byte_ok.(String.length v1 - 1) <- false;
-  check bool "damaged v1 unusable" true
-    (Result.is_error (Annotation.Encoding.decode_partial ~byte_ok v1))
-
-(* --- patch_partial: the degradation policy ------------------------------ *)
+(* --- the degradation ladder on partial decodes -------------------------- *)
 
 let partial_of_track ?(drop = []) t =
   let t = Annotation.Track.merge_runs t in
@@ -362,13 +342,22 @@ let partial_of_track ?(drop = []) t =
     missing_records = List.length drop;
   }
 
+module D = Resilience.Degrade
+
+let full_ladder () = D.create ~steps:[ D.Fresh; D.Full_backlight ] ()
+
+let clamp_ladder () =
+  D.create ~steps:[ D.Fresh; D.Neighbour_clamp; D.Full_backlight ] ()
+
 let test_patch_full_backlight () =
   let t = sample_track () in
+  let ladder = full_ladder () in
   let patched, degraded =
-    Streaming.Session.patch_partial Streaming.Session.Full_backlight
-      (partial_of_track ~drop:[ 1; 3 ] t)
+    Streaming.Session.patch_track ladder (partial_of_track ~drop:[ 1; 3 ] t)
   in
   check int "two degraded" 2 degraded;
+  check bool "each record's rung noted" true
+    (D.taken ladder = [ (D.Fresh, 3); (D.Full_backlight, 2) ]);
   check int "frames covered" 100
     (Array.fold_left
        (fun a (e : Annotation.Track.entry) -> a + e.Annotation.Track.frame_count)
@@ -379,17 +368,29 @@ let test_patch_full_backlight () =
     if i >= 20 && i < 40 then check int "gap at full backlight" 255 regs.(i)
     else if i >= 60 && i < 80 then check int "gap at full backlight" 255 regs.(i)
     else check int "intact scenes keep dimming" orig.(i) regs.(i)
+  done;
+  (* The same drop with the clamp rung: gap 1 sits between two
+     120-register scenes and adopts their level; gap 3's neighbours
+     disagree, so it stays at full backlight. *)
+  let regs =
+    Annotation.Track.register_track
+      (fst
+         (Streaming.Session.patch_track (clamp_ladder ())
+            (partial_of_track ~drop:[ 1; 3 ] t)))
+  in
+  for i = 20 to 39 do
+    check int "agreeing neighbours clamp" 120 regs.(i)
+  done;
+  for i = 60 to 79 do
+    check int "disagreeing neighbours stay full" 255 regs.(i)
   done
 
 let test_patch_neighbour_clamp () =
   let t = sample_track () in
-  (* Scene 3 sits between scenes 2 and 4... but scenes 2 and 4 differ,
-     so even Neighbour_clamp refuses to guess for it. Scene 3's twin
-     case: drop only entry 3 whose neighbours (2, 4) disagree ->
-     full backlight; drop nothing else. *)
+  (* Drop only entry 3, whose neighbours (2, 4) disagree: even the
+     clamp rung refuses to guess. *)
   let patched, degraded =
-    Streaming.Session.patch_partial Streaming.Session.Neighbour_clamp
-      (partial_of_track ~drop:[ 3 ] t)
+    Streaming.Session.patch_track (clamp_ladder ()) (partial_of_track ~drop:[ 3 ] t)
   in
   check int "one degraded" 1 degraded;
   let regs = Annotation.Track.register_track patched in
@@ -410,31 +411,137 @@ let test_patch_neighbour_clamp () =
           compensation = 1.7; effective_max = 150 };
       |]
   in
+  let ladder = clamp_ladder () in
   let patched, degraded =
-    Streaming.Session.patch_partial Streaming.Session.Neighbour_clamp
-      (partial_of_track ~drop:[ 1 ] t2)
+    Streaming.Session.patch_track ladder (partial_of_track ~drop:[ 1 ] t2)
   in
   check int "one degraded" 1 degraded;
+  check bool "clamp rung noted" true
+    (D.taken ladder = [ (D.Fresh, 2); (D.Neighbour_clamp, 1) ]);
   let regs = Annotation.Track.register_track patched in
   for i = 20 to 39 do
     check int "agreeing neighbours clamp the gap" 120 regs.(i)
   done;
-  (* The same drop under Full_backlight stays at 255: clamping saves
+  (* The same drop without the clamp rung stays at 255: clamping saves
      strictly more energy, conservatively. *)
   let fb, _ =
-    Streaming.Session.patch_partial Streaming.Session.Full_backlight
-      (partial_of_track ~drop:[ 1 ] t2)
+    Streaming.Session.patch_track (full_ladder ()) (partial_of_track ~drop:[ 1 ] t2)
   in
   check int "full backlight for comparison" 255
     (Annotation.Track.register_track fb).(25);
   (* Leading and trailing gaps have only one neighbour: never guessed. *)
   let patched, _ =
-    Streaming.Session.patch_partial Streaming.Session.Neighbour_clamp
+    Streaming.Session.patch_track (clamp_ladder ())
       (partial_of_track ~drop:[ 0; 2 ] t2)
   in
   let regs = Annotation.Track.register_track patched in
   check int "leading gap safe" 255 regs.(0);
   check int "trailing gap safe" 255 regs.(59)
+
+(* Random tracks with a random subset of records lost or corrupt,
+   patched under either ladder. *)
+let prop_patch_track =
+  let gen =
+    QCheck2.Gen.(
+      let* n = 1 -- 10 in
+      let* spans = list_repeat n (triple (1 -- 12) (0 -- 3) bool) in
+      let* clamp = bool in
+      return (spans, clamp))
+  in
+  QCheck2.Test.make ~count:300
+    ~name:"ladder patch keeps intact records, tiles the clip, fills safely" gen
+    (fun (spans, clamp) ->
+      (* Levels come from a small palette so neighbours often agree;
+         the bool drops the record. *)
+      let palette = [| (120, 150); (200, 230); (90, 120); (255, 255) |] in
+      let entries, total =
+        List.fold_left
+          (fun (acc, first) (count, level, _) ->
+            let register, effective_max = palette.(level) in
+            ( {
+                Annotation.Track.first_frame = first;
+                frame_count = count;
+                register;
+                compensation = 255. /. float_of_int effective_max;
+                effective_max;
+              }
+              :: acc,
+              first + count ))
+          ([], 0) spans
+      in
+      let entries = Array.of_list (List.rev entries) in
+      let dropped = Array.of_list (List.map (fun (_, _, d) -> d) spans) in
+      let partial =
+        {
+          Annotation.Encoding.clip_name = "p";
+          device_name = "d";
+          quality = Annotation.Quality_level.Loss_10;
+          fps = 8.;
+          total_frames = total;
+          entries =
+            Array.mapi (fun i e -> if dropped.(i) then None else Some e) entries;
+          corrupt_records = 0;
+          missing_records = 0;
+        }
+      in
+      let ladder = if clamp then clamp_ladder () else full_ladder () in
+      let patched, degraded = Streaming.Session.patch_track ladder partial in
+      let out = patched.Annotation.Track.entries in
+      let missing =
+        Array.fold_left (fun a d -> if d then a + 1 else a) 0 dropped
+      in
+      let tiles =
+        fst
+          (Array.fold_left
+             (fun (ok, next) (e : Annotation.Track.entry) ->
+               (ok && e.first_frame = next, e.first_frame + e.frame_count))
+             (true, 0) out)
+        && Array.fold_left
+             (fun a (e : Annotation.Track.entry) -> a + e.frame_count)
+             0 out
+           = total
+      in
+      let intact_in_place =
+        Array.for_all
+          (fun e ->
+            match e with
+            | None -> true
+            | Some e -> Array.exists (fun o -> o = e) out)
+          partial.entries
+      in
+      (* A filled entry's intact neighbours: the intact records that
+         end where it starts and start where it ends. *)
+      let intact_ending_at f =
+        Array.find_opt
+          (function
+            | Some (e : Annotation.Track.entry) -> e.first_frame + e.frame_count = f
+            | None -> false)
+          partial.entries
+      and intact_starting_at f =
+        Array.find_opt
+          (function
+            | Some (e : Annotation.Track.entry) -> e.first_frame = f
+            | None -> false)
+          partial.entries
+      in
+      let fills_safe =
+        Array.for_all
+          (fun (o : Annotation.Track.entry) ->
+            Array.exists (fun e -> e = Some o) partial.entries
+            || (o.register = 255 && o.compensation = 1.)
+            ||
+            match
+              ( intact_ending_at o.first_frame,
+                intact_starting_at (o.first_frame + o.frame_count) )
+            with
+            | Some (Some a), Some (Some b) ->
+              clamp && a.register = b.register
+              && a.effective_max = b.effective_max
+              && o.register = a.register
+            | _ -> false)
+          out
+      in
+      tiles && intact_in_place && degraded = missing && fills_safe)
 
 (* --- NACK / retransmit loop --------------------------------------------- *)
 
@@ -649,16 +756,15 @@ let () =
       ( "encoding",
         [
           Alcotest.test_case "crc32 vector" `Quick test_crc32_vector;
-          Alcotest.test_case "v1 compatibility" `Quick test_v1_compat;
+          Alcotest.test_case "v1 rejected" `Quick test_v1_rejected;
           Alcotest.test_case "partial classification" `Quick
             test_decode_partial_classification;
-          Alcotest.test_case "v1 all-or-nothing" `Quick
-            test_decode_partial_v1_all_or_nothing;
         ] );
       ( "degradation",
         [
           Alcotest.test_case "full backlight fill" `Quick test_patch_full_backlight;
           Alcotest.test_case "neighbour clamp" `Quick test_patch_neighbour_clamp;
+          QCheck_alcotest.to_alcotest prop_patch_track;
         ] );
       ( "nack",
         [

@@ -317,6 +317,40 @@ let test_scheduler_journal_verifies () =
   in
   check int "no verifier errors" 0 (Check.Diagnostic.errors diagnostics)
 
+let test_scheduler_cache_counts () =
+  (* Each shard's one prepared-stream cache misses once per distinct
+     clip it admitted and serves every other admitted session warm.
+     The shard's journal says what it admitted: arrivals name the clip,
+     admissions the session. *)
+  let load =
+    { small_load with Fleet.Load.rate_per_s = 2_000.; sessions = 400 }
+  in
+  let config = { small_config with Fleet.Scheduler.capacity = 4; queue_limit = 2 } in
+  let r = Fleet.Scheduler.run config ~session_config ~clips:catalog ~load in
+  check bool "the flash crowd sheds" true (r.Fleet.Scheduler.shed > 0);
+  Array.iter
+    (fun (sr : Fleet.Scheduler.shard_report) ->
+      let clip_of = Hashtbl.create 64 in
+      let admitted =
+        List.filter_map
+          (fun (e : Obs.Journal.event) ->
+            match e.Obs.Journal.kind with
+            | Obs.Journal.Fleet_arrival { session; clip } ->
+              Hashtbl.replace clip_of session clip;
+              None
+            | Obs.Journal.Fleet_admission { session; decision = "admitted"; _ } ->
+              Some (Hashtbl.find clip_of session)
+            | _ -> None)
+          sr.Fleet.Scheduler.events
+      in
+      let distinct = List.length (List.sort_uniq compare admitted) in
+      let ctx what = Printf.sprintf "shard %d: %s" sr.Fleet.Scheduler.shard what in
+      check int (ctx "one miss per distinct admitted clip") distinct
+        sr.Fleet.Scheduler.cache_misses;
+      check int (ctx "hits + misses = admitted sessions") (List.length admitted)
+        (sr.Fleet.Scheduler.cache_hits + sr.Fleet.Scheduler.cache_misses))
+    r.Fleet.Scheduler.shard_reports
+
 let test_scheduler_validation () =
   Alcotest.check_raises "empty catalog"
     (Invalid_argument "Fleet.Scheduler.run: empty catalog") (fun () ->
@@ -357,6 +391,7 @@ let () =
           Alcotest.test_case "monitor rollup" `Quick test_scheduler_monitor_rollup;
           Alcotest.test_case "journal verifies" `Quick
             test_scheduler_journal_verifies;
+          Alcotest.test_case "cache counts" `Quick test_scheduler_cache_counts;
           Alcotest.test_case "validation" `Quick test_scheduler_validation;
         ] );
     ]

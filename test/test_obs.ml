@@ -386,7 +386,7 @@ let test_session_report_unchanged_by_obs () =
   in
   let config =
     { (Streaming.Session.default_config ~device:Display.Device.ipaq_h5555) with
-      Streaming.Session.loss_rate = 0.05 }
+      Streaming.Session.fault = Some (Streaming.Fault.bernoulli ~rate:0.05) }
   in
   let report_string () =
     match Streaming.Session.run config clip with

@@ -399,9 +399,10 @@ let test_ladder_descent_journal_identity () =
     (steps >= min 1 report.Streaming.Session.degraded_scenes)
 
 let test_unconfigured_is_instrumentation_neutral () =
-  (* With no resilience profile the faulty path must not notice the
-     control plane exists: the report is byte-identical with and
-     without a journal recording the run. *)
+  (* With no resilience profile the report is byte-identical with and
+     without a journal recording the run, and the control plane is
+     down to its default ladder: no breaker, bulkhead or watchdog
+     decisions, and every ladder step lands on full backlight. *)
   let config =
     {
       (Streaming.Session.default_config ~device) with
@@ -423,12 +424,13 @@ let test_unconfigured_is_instrumentation_neutral () =
         | Error e -> Alcotest.fail e)
   in
   Alcotest.(check string) "identical reports" plain journaled;
-  Alcotest.(check bool) "and no resilience events recorded" false
+  Alcotest.(check bool) "and only full-backlight ladder steps recorded" false
     (List.exists
        (fun (e : Journal.event) ->
          match e.Journal.kind with
-         | Journal.Ladder_step _ | Journal.Breaker_transition _
-         | Journal.Bulkhead_decision _ | Journal.Watchdog_trip _ ->
+         | Journal.Ladder_step { step; _ } -> step <> "full"
+         | Journal.Breaker_transition _ | Journal.Bulkhead_decision _
+         | Journal.Watchdog_trip _ ->
            true
          | _ -> false)
        (Journal.events j))

@@ -683,17 +683,26 @@ let test_session_clean_run () =
 
 let test_session_lossy_run () =
   let clip = moving_clip () in
-  let config =
-    { (Streaming.Session.default_config ~device) with
-      Streaming.Session.loss_rate = 0.05 }
-  in
-  match Streaming.Session.run config clip with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-    check bool "some frames concealed" true (r.Streaming.Session.concealed_frames > 0);
-    check bool "psnr degraded but finite" true
-      (r.Streaming.Session.video_mean_psnr > 20.
-       && r.Streaming.Session.video_mean_psnr < 99.)
+  (* 5 % frame loss over a short clip can spare every frame of one
+     seed, so a few seeds play: every one stays watchable, and the
+     loss shows up as concealment in at least one. *)
+  let concealed = ref 0 in
+  for seed = 1 to 4 do
+    let config =
+      { (Streaming.Session.default_config ~device) with
+        Streaming.Session.fault = Some (Streaming.Fault.bernoulli ~rate:0.05);
+        seed }
+    in
+    match Streaming.Session.run config clip with
+    | Error e -> Alcotest.fail e
+    | Ok r ->
+      concealed := !concealed + r.Streaming.Session.concealed_frames;
+      if r.Streaming.Session.concealed_frames > 0 then
+        check bool "psnr degraded but finite" true
+          (r.Streaming.Session.video_mean_psnr > 20.
+           && r.Streaming.Session.video_mean_psnr < 99.)
+  done;
+  check bool "some frames concealed" true (!concealed > 0)
 
 let test_session_annotation_loss_falls_back () =
   let clip = moving_clip () in
@@ -704,7 +713,8 @@ let test_session_annotation_loss_falls_back () =
     else begin
       let config =
         { (Streaming.Session.default_config ~device) with
-          Streaming.Session.loss_rate = 0.6; seed }
+          Streaming.Session.fault = Some (Streaming.Fault.bernoulli ~rate:0.6);
+          seed }
       in
       match Streaming.Session.run config clip with
       | Ok r when not r.Streaming.Session.annotations_survived -> r
@@ -882,17 +892,19 @@ let test_transport_first_frame_loss_fails () =
     (Result.is_error (Streaming.Transport.decode_with_concealment packetized ~lost))
 
 let test_transport_bernoulli_deterministic () =
-  let a = Streaming.Transport.bernoulli_loss ~rate:0.3 ~seed:5 ~frames:100 in
-  let b = Streaming.Transport.bernoulli_loss ~rate:0.3 ~seed:5 ~frames:100 in
+  let mask rate n = Streaming.Fault.(loss_mask (bernoulli ~rate)) ~seed:5 ~n in
+  let a = mask 0.3 100 and b = mask 0.3 100 in
   check bool "same seed, same mask" true (a = b);
-  let none = Streaming.Transport.bernoulli_loss ~rate:0. ~seed:5 ~frames:50 in
+  let none = mask 0. 50 in
   check bool "zero rate loses nothing" true (Array.for_all not none)
 
 let test_transport_random_loss_never_crashes () =
   let packetized, _ = packetized_clip () in
   let n = Array.length packetized.Streaming.Transport.payloads in
   for seed = 0 to 20 do
-    let lost = Streaming.Transport.bernoulli_loss ~rate:0.3 ~seed ~frames:n in
+    let lost =
+      Streaming.Fault.loss_mask (Streaming.Fault.bernoulli ~rate:0.3) ~seed ~n
+    in
     lost.(0) <- false;
     match Streaming.Transport.decode_with_concealment packetized ~lost with
     | Ok _ -> ()
@@ -1154,7 +1166,7 @@ let test_session_machine_equals_run () =
   let config =
     {
       (Streaming.Session.default_config ~device) with
-      Streaming.Session.loss_rate = 0.03;
+      Streaming.Session.fault = Some (Streaming.Fault.bernoulli ~rate:0.03);
     }
   in
   let run_report, run_journal, _ =
