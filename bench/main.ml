@@ -1213,8 +1213,67 @@ let micro () =
     let rng = Image.Prng.create ~seed:3 in
     Array.init 64 (fun _ -> float_of_int (Image.Prng.int rng 256))
   in
+  (* Decode-path inputs: a run of typical Exp-Golomb codes, one coded
+     block of six levels, the same levels dequantised (and a DC-only
+     block) for the sparse inverse DCT, and a whole 48-frame stream. *)
+  let ue_codes =
+    let w = Codec.Bitio.Writer.create () in
+    for i = 0 to 63 do
+      Codec.Golomb.write_ue w (if i mod 8 = 0 then 300 else i mod 5)
+    done;
+    Codec.Bitio.Writer.contents w
+  in
+  let six_levels =
+    let levels = Array.make 64 0 in
+    List.iteri
+      (fun k level -> levels.(Codec.Zigzag.scan_order.(k * 2)) <- level)
+      [ 12; -3; 2; 1; -1; 1 ];
+    levels
+  in
+  let six_coded =
+    let w = Codec.Bitio.Writer.create () in
+    Codec.Coeff.write_block w six_levels;
+    Codec.Bitio.Writer.contents w
+  in
+  let q = Codec.Quant.make ~qp:8 in
+  let dequantised levels =
+    let coeffs = Array.make 64 0. in
+    let rows = Codec.Quant.dequantise q Codec.Quant.Luma levels coeffs in
+    (rows, coeffs)
+  in
+  let dc_rows, dc_coeffs =
+    dequantised (Array.init 64 (fun i -> if i = 0 then 12 else 0))
+  in
+  let six_rows, six_coeffs = dequantised six_levels in
+  let levels_buf = Array.make 64 0 in
+  let tmp = Array.make 64 0. and out = Array.make 64 0. in
+  let stream =
+    let full =
+      Video.Clip_gen.render ~width:32 ~height:24 ~fps:12. Video.Workloads.officexp
+    in
+    let clip =
+      Video.Clip.make ~name:"decode-bench" ~width:32 ~height:24 ~fps:12.
+        ~frame_count:48 (fun i -> full.Video.Clip.render (i mod full.Video.Clip.frame_count))
+    in
+    (Codec.Encoder.encode_clip clip).Codec.Encoder.data
+  in
   let tests =
     [
+      Test.make ~name:"bitio/read_ue (64 codes)"
+        (Staged.stage (fun () ->
+             let r = Codec.Bitio.Reader.of_string ue_codes in
+             for _ = 1 to 64 do
+               ignore (Codec.Golomb.read_ue r)
+             done));
+      Test.make ~name:"coeff/read_block (6 levels)"
+        (Staged.stage (fun () ->
+             Codec.Coeff.read_block (Codec.Bitio.Reader.of_string six_coded) levels_buf));
+      Test.make ~name:"dct/inverse (DC only)"
+        (Staged.stage (fun () -> Codec.Dct.inverse_into ~rows:dc_rows dc_coeffs ~tmp out));
+      Test.make ~name:"dct/inverse (6 coefficients)"
+        (Staged.stage (fun () -> Codec.Dct.inverse_into ~rows:six_rows six_coeffs ~tmp out));
+      Test.make ~name:"decoder/decode (32x24, 48 frames)"
+        (Staged.stage (fun () -> ignore (Codec.Decoder.decode stream)));
       Test.make ~name:"histogram/of_raster (160x120)"
         (Staged.stage (fun () -> ignore (Image.Histogram.of_raster frame)));
       Test.make ~name:"ops/contrast_enhance (160x120)"

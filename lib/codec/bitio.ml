@@ -41,34 +41,72 @@ module Writer = struct
 end
 
 module Reader = struct
-  type t = { data : string; mutable bit_pos : int }
+  type t = { data : string; total_bits : int; mutable bit_pos : int }
 
   exception Out_of_bits
 
-  let of_string data = { data; bit_pos = 0 }
+  let of_string data = { data; total_bits = String.length data * 8; bit_pos = 0 }
 
-  let total_bits r = String.length r.data * 8
+  let byte_at r pos = Char.code (String.get r.data (pos lsr 3))
 
   let get_bit r =
-    if r.bit_pos >= total_bits r then raise Out_of_bits;
-    let byte = Char.code r.data.[r.bit_pos lsr 3] in
-    let bit = (byte lsr (7 - (r.bit_pos land 7))) land 1 = 1 in
-    r.bit_pos <- r.bit_pos + 1;
-    bit
+    let pos = r.bit_pos in
+    if pos >= r.total_bits then raise Out_of_bits;
+    r.bit_pos <- pos + 1;
+    (byte_at r pos lsr (7 - (pos land 7))) land 1 = 1
 
+  (* Each step takes the rest of the current byte, or as much of it as
+     is still wanted: at most nine steps for 62 bits. *)
   let get_bits r n =
     if n < 0 || n > 62 then invalid_arg "Bitio.get_bits: bits out of [0, 62]";
-    let acc = ref 0 in
-    for _ = 1 to n do
-      acc := (!acc lsl 1) lor (if get_bit r then 1 else 0)
+    if r.bit_pos + n > r.total_bits then raise Out_of_bits;
+    let acc = ref 0 and pos = ref r.bit_pos and wanted = ref n in
+    while !wanted > 0 do
+      let left = 8 - (!pos land 7) in
+      let take = if !wanted < left then !wanted else left in
+      let bits = (byte_at r !pos lsr (left - take)) land ((1 lsl take) - 1) in
+      acc := (!acc lsl take) lor bits;
+      pos := !pos + take;
+      wanted := !wanted - take
     done;
+    r.bit_pos <- !pos;
     !acc
+
+  (* Leading zeros of a byte in [1, 255]. *)
+  let leading_zeros b =
+    let z = ref 0 in
+    while (b lsl !z) land 0x80 = 0 do
+      incr z
+    done;
+    !z
+
+  (* Whole bytes of zeros are counted in one step each; the byte that
+     holds the one bit ends the run. *)
+  let count_zeros r =
+    let pos = ref r.bit_pos and zeros = ref 0 and found = ref false in
+    while not !found do
+      if !pos >= r.total_bits then raise Out_of_bits;
+      let off = !pos land 7 in
+      let rest = (byte_at r !pos lsl off) land 0xff in
+      if rest = 0 then begin
+        zeros := !zeros + (8 - off);
+        pos := !pos + (8 - off)
+      end
+      else begin
+        let z = leading_zeros rest in
+        zeros := !zeros + z;
+        pos := !pos + z + 1;
+        found := true
+      end
+    done;
+    r.bit_pos <- !pos;
+    !zeros
 
   let align r =
     let rem = r.bit_pos land 7 in
     if rem <> 0 then begin
       let skip = 8 - rem in
-      if r.bit_pos + skip > total_bits r then raise Out_of_bits;
+      if r.bit_pos + skip > r.total_bits then raise Out_of_bits;
       r.bit_pos <- r.bit_pos + skip
     end
 
@@ -76,7 +114,7 @@ module Reader = struct
     align r;
     get_bits r 8
 
-  let bits_remaining r = total_bits r - r.bit_pos
+  let bits_remaining r = r.total_bits - r.bit_pos
 
   let position_bits r = r.bit_pos
 end

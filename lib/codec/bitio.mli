@@ -41,7 +41,14 @@ module Reader : sig
 
   val get_bits : t -> int -> int
   (** [get_bits r n] reads [n] bits (0-62) as a non-negative integer,
-      most significant first. *)
+      most significant first. Raises [Out_of_bits] when fewer than [n]
+      bits remain; the position is then unspecified. *)
+
+  val count_zeros : t -> int
+  (** [count_zeros r] reads zero bits up to and including the next one
+      bit and returns how many zeros it read: the prefix of an
+      Exp-Golomb code. Raises [Out_of_bits] when the stream ends
+      first. *)
 
   val align : t -> unit
   (** Skips to the next byte boundary. *)

@@ -21,21 +21,22 @@ let write_block w levels =
       Golomb.write_se w level)
     pairs
 
-let read_block r =
+(* Levels land straight at their row-major index: no zig-zag copy. *)
+let read_block r levels =
   let nnz = Golomb.read_ue r in
+  if nnz < 0 then invalid_arg "Coeff.read_block: negative coefficient count";
   if nnz > 64 then invalid_arg "Coeff.read_block: too many coefficients";
-  let zz = Array.make 64 0 in
+  Array.fill levels 0 64 0;
   let pos = ref 0 in
   for _ = 1 to nnz do
     let run = Golomb.read_ue r in
     let level = Golomb.read_se r in
-    let k = !pos + run in
-    if k > 63 then invalid_arg "Coeff.read_block: run past end of block";
+    if run > 63 - !pos then invalid_arg "Coeff.read_block: run past end of block";
     if level = 0 then invalid_arg "Coeff.read_block: zero level";
-    zz.(k) <- level;
+    let k = !pos + run in
+    levels.(Zigzag.scan_order.(k)) <- level;
     pos := k + 1
-  done;
-  Zigzag.inverse zz
+  done
 
 (* The cost of [write_block], walked straight off [Zigzag.scan_order]
    with no reordered copy and no pair list. *)

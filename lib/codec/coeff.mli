@@ -8,8 +8,9 @@
 val write_block : Bitio.Writer.t -> int array -> unit
 (** [write_block w levels] encodes 64 row-major quantised levels. *)
 
-val read_block : Bitio.Reader.t -> int array
-(** Decodes 64 row-major levels. Raises [Bitio.Reader.Out_of_bits] or
+val read_block : Bitio.Reader.t -> int array -> unit
+(** [read_block r levels] decodes 64 row-major levels into the caller's
+    array, overwriting all of it. Raises [Bitio.Reader.Out_of_bits] or
     [Invalid_argument] on corrupt data. *)
 
 val bit_cost : int array -> int

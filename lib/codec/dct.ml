@@ -50,6 +50,37 @@ let transform m block =
   done;
   out
 
+(* The inverse of [transform inverse_matrix] that skips the rows of
+   [coeffs] whose bit in [rows] is clear. Such a row is all ±0, so each
+   of its terms is ±0; a sum that starts from [0.] is never -0, and
+   adding ±0 to it changes no bit. Skipping those terms, in both
+   passes, therefore leaves every sum exactly as the dense transform
+   computes it. The column pass runs row-outer so that each output
+   still accumulates its terms in row order. [out] may be [coeffs]:
+   the row pass reads all of [coeffs] before the column pass writes. *)
+let inverse_rows ~rows coeffs ~tmp out =
+  let m = inverse_matrix in
+  for y = 0 to n - 1 do
+    if rows land (1 lsl y) <> 0 then
+      for u = 0 to n - 1 do
+        let acc = ref 0. in
+        for x = 0 to n - 1 do
+          acc := !acc +. (m.((u * n) + x) *. coeffs.((y * n) + x))
+        done;
+        tmp.((y * n) + u) <- !acc
+      done
+  done;
+  Array.fill out 0 (n * n) 0.;
+  for y = 0 to n - 1 do
+    if rows land (1 lsl y) <> 0 then
+      for v = 0 to n - 1 do
+        let c = m.((v * n) + y) in
+        for u = 0 to n - 1 do
+          out.((v * n) + u) <- out.((v * n) + u) +. (c *. tmp.((y * n) + u))
+        done
+      done
+  done
+
 let obs_ops =
   Obs.counter ~help:"8x8 DCT transforms performed (forward + inverse)"
     "codec_dct_ops_total" []
@@ -59,17 +90,30 @@ let obs_seconds =
     ~buckets:[| 1e-7; 5e-7; 1e-6; 5e-6; 1e-5; 1e-4; 1e-3 |]
     "codec_dct_seconds" []
 
-let timed m block =
+let observe t0 =
+  Obs.Metrics.Counter.incr obs_ops;
+  Obs.Metrics.Histogram.observe obs_seconds
+    (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0))
+
+let forward block =
   if Obs.enabled () then begin
     let t0 = Obs.Clock.now_ns () in
-    let out = transform m block in
-    Obs.Metrics.Counter.incr obs_ops;
-    Obs.Metrics.Histogram.observe obs_seconds
-      (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0));
+    let out = transform forward_matrix block in
+    observe t0;
     out
   end
-  else transform m block
+  else transform forward_matrix block
 
-let forward block = timed forward_matrix block
+let inverse_into ~rows coeffs ~tmp out =
+  check coeffs;
+  if Obs.enabled () then begin
+    let t0 = Obs.Clock.now_ns () in
+    inverse_rows ~rows coeffs ~tmp out;
+    observe t0
+  end
+  else inverse_rows ~rows coeffs ~tmp out
 
-let inverse block = timed inverse_matrix block
+let inverse coeffs =
+  let out = Array.make (n * n) 0. in
+  inverse_into ~rows:0xff coeffs ~tmp:(Array.make (n * n) 0.) out;
+  out

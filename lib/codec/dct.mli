@@ -14,3 +14,10 @@ val forward : float array -> float array
 
 val inverse : float array -> float array
 (** [inverse coeffs] reconstructs the spatial block. *)
+
+val inverse_into : rows:int -> float array -> tmp:float array -> float array -> unit
+(** [inverse_into ~rows coeffs ~tmp out] is {!inverse} written into
+    [out], with [tmp] (64 elements) as the intermediate. Bit [y] of
+    [rows] is clear only if row [y] of [coeffs] is all zero; such rows
+    are skipped, which changes no bit of the result. [out] may be
+    [coeffs]. *)

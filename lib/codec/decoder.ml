@@ -74,17 +74,21 @@ let parse_header data =
   | exception Corrupt msg -> Error msg
   | exception Bitio.Reader.Out_of_bits -> Error "truncated header"
 
-let decode_plane_intra r q kind (plane : Plane.t) =
+(* Reads one block's levels and reconstructs it over [prediction]. *)
+let decode_block r s q kind ~prediction plane ~x ~y =
+  Coeff.read_block r s.Block_codec.levels;
+  Block_codec.reconstruct s q kind ~prediction s.Block_codec.levels plane ~x ~y
+
+let decode_plane_intra r s q kind (plane : Plane.t) =
   let bw = plane.Plane.width / 8 and bh = plane.Plane.height / 8 in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
-      let levels = Coeff.read_block r in
-      Motion.store_block plane ~x:(bx * 8) ~y:(by * 8)
-        (Block_codec.reconstruct_intra q kind levels)
+      decode_block r s q kind ~prediction:s.Block_codec.mid_grey plane ~x:(bx * 8)
+        ~y:(by * 8)
     done
   done
 
-let decode_luma_p r q ~(reference : Plane.t) (plane : Plane.t) =
+let decode_luma_p r s q ~(reference : Plane.t) (plane : Plane.t) =
   let bw = plane.Plane.width / 8 and bh = plane.Plane.height / 8 in
   let modes = Array.make (bw * bh) Intra in
   for by = 0 to bh - 1 do
@@ -96,38 +100,31 @@ let decode_luma_p r q ~(reference : Plane.t) (plane : Plane.t) =
         let dy = Golomb.read_se r in
         (* Vectors are coded in half-pel units. *)
         let vec = { Motion.dx; dy } in
-        let levels = Coeff.read_block r in
-        let prediction = Motion.extract_predicted_halfpel reference ~x ~y vec in
+        Motion.extract_predicted_halfpel_into reference ~x ~y vec s.Block_codec.prediction;
         modes.((by * bw) + bx) <- Inter vec;
-        Motion.store_block plane ~x ~y
-          (Block_codec.reconstruct_inter q Quant.Luma ~prediction levels)
-      | 1 ->
-        let levels = Coeff.read_block r in
-        Motion.store_block plane ~x ~y
-          (Block_codec.reconstruct_intra q Quant.Luma levels)
+        decode_block r s q Quant.Luma ~prediction:s.Block_codec.prediction plane ~x ~y
+      | 1 -> decode_block r s q Quant.Luma ~prediction:s.Block_codec.mid_grey plane ~x ~y
       | m -> fail (Printf.sprintf "bad block mode %d" m)
     done
   done;
   modes
 
-let decode_chroma_p r q ~luma_modes ~luma_bw ~luma_bh ~(reference : Plane.t)
+let decode_chroma_p r s q ~luma_modes ~luma_bw ~luma_bh ~(reference : Plane.t)
     (plane : Plane.t) =
   let bw = plane.Plane.width / 8 and bh = plane.Plane.height / 8 in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
       let lx = min (2 * bx) (luma_bw - 1) and ly = min (2 * by) (luma_bh - 1) in
-      let levels = Coeff.read_block r in
-      match luma_modes.((ly * luma_bw) + lx) with
-      | Inter vec ->
-        let prediction =
-          Motion.extract_predicted reference ~x ~y (Motion.chroma_vector vec)
-        in
-        Motion.store_block plane ~x ~y
-          (Block_codec.reconstruct_inter q Quant.Chroma ~prediction levels)
-      | Intra ->
-        Motion.store_block plane ~x ~y
-          (Block_codec.reconstruct_intra q Quant.Chroma levels)
+      let prediction =
+        match luma_modes.((ly * luma_bw) + lx) with
+        | Inter vec ->
+          Motion.extract_predicted_into reference ~x ~y (Motion.chroma_vector vec)
+            s.Block_codec.prediction;
+          s.Block_codec.prediction
+        | Intra -> s.Block_codec.mid_grey
+      in
+      decode_block r s q Quant.Chroma ~prediction plane ~x ~y
     done
   done
 
@@ -142,16 +139,12 @@ let fresh_planes info =
   }
 
 let raster_of_planes info planes =
-  let cw = (info.info_width + 1) / 2 and ch = (info.info_height + 1) / 2 in
-  Plane.to_raster
-    {
-      Plane.y = Plane.crop planes.Plane.y ~width:info.info_width ~height:info.info_height;
-      cb = Plane.crop planes.Plane.cb ~width:cw ~height:ch;
-      cr = Plane.crop planes.Plane.cr ~width:cw ~height:ch;
-    }
+  Plane.to_raster_cropped planes ~width:info.info_width ~height:info.info_height
 
-(* Decodes one frame from the reader's current (aligned) position. *)
-let decode_frame_body r info ~reference =
+(* Decodes one frame from the reader's current (aligned) position into
+   [planes]. Every block of the padded planes is rewritten, so nothing
+   of their previous contents survives. *)
+let decode_frame_body r s ~planes ~reference =
   Bitio.Reader.align r;
   let obs_t0 = if Obs.enabled () then Obs.Clock.now_ns () else 0L in
   let obs_start_bits = Bitio.Reader.position_bits r in
@@ -159,19 +152,18 @@ let decode_frame_body r info ~reference =
   let qp = Bitio.Reader.get_byte_aligned r in
   if qp < 1 || qp > 31 then fail "bad frame qp";
   let q = Quant.make ~qp in
-  let planes = fresh_planes info in
   (match (Char.chr marker, reference) with
   | 'I', _ ->
-    decode_plane_intra r q Quant.Luma planes.Plane.y;
-    decode_plane_intra r q Quant.Chroma planes.Plane.cb;
-    decode_plane_intra r q Quant.Chroma planes.Plane.cr
+    decode_plane_intra r s q Quant.Luma planes.Plane.y;
+    decode_plane_intra r s q Quant.Chroma planes.Plane.cb;
+    decode_plane_intra r s q Quant.Chroma planes.Plane.cr
   | 'P', Some prev ->
     let luma_bw = planes.Plane.y.Plane.width / 8
     and luma_bh = planes.Plane.y.Plane.height / 8 in
-    let modes = decode_luma_p r q ~reference:prev.Plane.y planes.Plane.y in
-    decode_chroma_p r q ~luma_modes:modes ~luma_bw ~luma_bh
+    let modes = decode_luma_p r s q ~reference:prev.Plane.y planes.Plane.y in
+    decode_chroma_p r s q ~luma_modes:modes ~luma_bw ~luma_bh
       ~reference:prev.Plane.cb planes.Plane.cb;
-    decode_chroma_p r q ~luma_modes:modes ~luma_bw ~luma_bh
+    decode_chroma_p r s q ~luma_modes:modes ~luma_bw ~luma_bh
       ~reference:prev.Plane.cr planes.Plane.cr
   | 'P', None -> fail "P frame without reference"
   | _ -> fail "bad frame marker"
@@ -191,16 +183,7 @@ let decode_frame_body r info ~reference =
 let reference_of_raster raster = Plane.of_raster raster
 
 let raster_of_reference ~width ~height planes =
-  raster_of_planes
-    {
-      info_width = width;
-      info_height = height;
-      info_fps = 1.;
-      info_frame_count = 0;
-      info_params = Stream.default_params;
-      header_bytes = 0;
-    }
-    planes
+  Plane.to_raster_cropped planes ~width ~height
 
 let decode_frame ~info ~reference payload =
   let r = Bitio.Reader.of_string payload in
@@ -216,7 +199,9 @@ let decode_frame ~info ~reference payload =
         })
       reference
   in
-  match decode_frame_body r info ~reference with
+  match
+    decode_frame_body r (Block_codec.scratch ()) ~planes:(fresh_planes info) ~reference
+  with
   | planes -> Ok (raster_of_planes info planes, planes)
   | exception Corrupt msg -> Error msg
   | exception Bitio.Reader.Out_of_bits -> Error "truncated frame"
@@ -232,9 +217,13 @@ let decode_body r =
   let frames =
     Array.make info.info_frame_count (Image.Raster.create ~width:1 ~height:1)
   in
-  let reference = ref None in
+  let s = Block_codec.scratch () in
+  (* Each frame is reconstructed into the planes of the reference
+     before last, which nothing reads any more. *)
+  let reference = ref None and spare = ref (fresh_planes info) in
   for i = 0 to info.info_frame_count - 1 do
-    let planes = decode_frame_body r info ~reference:!reference in
+    let planes = decode_frame_body r s ~planes:!spare ~reference:!reference in
+    spare := (match !reference with Some prev -> prev | None -> fresh_planes info);
     reference := Some planes;
     frames.(i) <- raster_of_planes info planes
   done;

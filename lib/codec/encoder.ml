@@ -46,7 +46,7 @@ let write_header w ~width ~height ~fps ~frame_count (p : Stream.params) =
 
 (* Codes one luma plane of a P frame and reconstructs it in place into
    [recon]; returns the per-block mode grid. *)
-let code_luma_p w q ~search_range ~(current : Plane.t) ~(reference : Plane.t)
+let code_luma_p w s q ~search_range ~(current : Plane.t) ~(reference : Plane.t)
     ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
   let modes = Array.make (bw * bh) Intra in
@@ -101,20 +101,19 @@ let code_luma_p w q ~search_range ~(current : Plane.t) ~(reference : Plane.t)
         Golomb.write_se w vec.Motion.dx;
         Golomb.write_se w vec.Motion.dy;
         Coeff.write_block w inter_levels;
-        Motion.store_block recon ~x ~y
-          (Block_codec.reconstruct_inter q Quant.Luma ~prediction inter_levels)
+        Block_codec.reconstruct s q Quant.Luma ~prediction inter_levels recon ~x ~y
       end
       else begin
         Golomb.write_ue w 1;
         Coeff.write_block w intra_levels;
-        Motion.store_block recon ~x ~y
-          (Block_codec.reconstruct_intra q Quant.Luma intra_levels)
+        Block_codec.reconstruct s q Quant.Luma ~prediction:s.Block_codec.mid_grey
+          intra_levels recon ~x ~y
       end
     done
   done;
   modes
 
-let code_plane_intra w q kind ~(current : Plane.t) ~(recon : Plane.t) =
+let code_plane_intra w s q kind ~(current : Plane.t) ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
@@ -122,14 +121,15 @@ let code_plane_intra w q kind ~(current : Plane.t) ~(recon : Plane.t) =
       let samples = Motion.extract_block current ~x ~y in
       let levels = Block_codec.code_intra q kind samples in
       Coeff.write_block w levels;
-      Motion.store_block recon ~x ~y (Block_codec.reconstruct_intra q kind levels)
+      Block_codec.reconstruct s q kind ~prediction:s.Block_codec.mid_grey levels recon
+        ~x ~y
     done
   done
 
 (* Chroma of a P frame: mode and vector derived from the co-located
    luma block (top-left of the 16x16 luma area), so only the residual
    is written. *)
-let code_chroma_p w q ~luma_modes ~luma_bw ~luma_bh ~(current : Plane.t)
+let code_chroma_p w s q ~luma_modes ~luma_bw ~luma_bh ~(current : Plane.t)
     ~(reference : Plane.t) ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
   for by = 0 to bh - 1 do
@@ -143,13 +143,12 @@ let code_chroma_p w q ~luma_modes ~luma_bw ~luma_bh ~(current : Plane.t)
         let prediction = Motion.extract_predicted reference ~x ~y cvec in
         let levels = Block_codec.code_inter q Quant.Chroma ~samples ~prediction in
         Coeff.write_block w levels;
-        Motion.store_block recon ~x ~y
-          (Block_codec.reconstruct_inter q Quant.Chroma ~prediction levels)
+        Block_codec.reconstruct s q Quant.Chroma ~prediction levels recon ~x ~y
       | Intra ->
         let levels = Block_codec.code_intra q Quant.Chroma samples in
         Coeff.write_block w levels;
-        Motion.store_block recon ~x ~y
-          (Block_codec.reconstruct_intra q Quant.Chroma levels)
+        Block_codec.reconstruct s q Quant.Chroma ~prediction:s.Block_codec.mid_grey
+          levels recon ~x ~y
     done
   done
 
@@ -172,7 +171,10 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     ~fps:clip.Video.Clip.fps ~frame_count params;
   let frame_sizes_bits = Array.make frame_count 0 in
   let frame_types = Array.make frame_count Stream.I_frame in
-  let reference = ref None in
+  let s = Block_codec.scratch () in
+  (* Each frame is reconstructed into the planes of the reference
+     before last; coding rewrites every block of them. *)
+  let reference = ref None and spare = ref None in
   for i = 0 to frame_count - 1 do
     let obs_t0 = if Obs.enabled () then Obs.Clock.now_ns () else 0L in
     let frame = pad_ycbcr (Plane.of_raster (clip.Video.Clip.render i)) in
@@ -195,23 +197,17 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     Bitio.Writer.put_byte_aligned w (if is_i then Char.code 'I' else Char.code 'P');
     Bitio.Writer.put_byte_aligned w qp;
     let recon =
-      {
-        Plane.y =
-          Plane.create ~width:frame.Plane.y.Plane.width
-            ~height:frame.Plane.y.Plane.height;
-        cb =
-          Plane.create ~width:frame.Plane.cb.Plane.width
-            ~height:frame.Plane.cb.Plane.height;
-        cr =
-          Plane.create ~width:frame.Plane.cr.Plane.width
-            ~height:frame.Plane.cr.Plane.height;
-      }
+      match !spare with
+      | Some planes -> planes
+      | None ->
+        let blank (p : Plane.t) = Plane.create ~width:p.Plane.width ~height:p.Plane.height in
+        { Plane.y = blank frame.Plane.y; cb = blank frame.Plane.cb; cr = blank frame.Plane.cr }
     in
     (if is_i then begin
        frame_types.(i) <- Stream.I_frame;
-       code_plane_intra w q Quant.Luma ~current:frame.Plane.y ~recon:recon.Plane.y;
-       code_plane_intra w q Quant.Chroma ~current:frame.Plane.cb ~recon:recon.Plane.cb;
-       code_plane_intra w q Quant.Chroma ~current:frame.Plane.cr ~recon:recon.Plane.cr
+       code_plane_intra w s q Quant.Luma ~current:frame.Plane.y ~recon:recon.Plane.y;
+       code_plane_intra w s q Quant.Chroma ~current:frame.Plane.cb ~recon:recon.Plane.cb;
+       code_plane_intra w s q Quant.Chroma ~current:frame.Plane.cr ~recon:recon.Plane.cr
      end
      else begin
        frame_types.(i) <- Stream.P_frame;
@@ -221,17 +217,18 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
        let luma_bw = frame.Plane.y.Plane.width / 8
        and luma_bh = frame.Plane.y.Plane.height / 8 in
        let modes =
-         code_luma_p w q ~search_range:params.Stream.search_range
+         code_luma_p w s q ~search_range:params.Stream.search_range
            ~current:frame.Plane.y ~reference:prev.Plane.y ~recon:recon.Plane.y
        in
-       code_chroma_p w q ~luma_modes:modes ~luma_bw ~luma_bh
+       code_chroma_p w s q ~luma_modes:modes ~luma_bw ~luma_bh
          ~current:frame.Plane.cb ~reference:prev.Plane.cb ~recon:recon.Plane.cb;
-       code_chroma_p w q ~luma_modes:modes ~luma_bw ~luma_bh
+       code_chroma_p w s q ~luma_modes:modes ~luma_bw ~luma_bh
          ~current:frame.Plane.cr ~reference:prev.Plane.cr ~recon:recon.Plane.cr
      end);
     Plane.clamp recon.Plane.y;
     Plane.clamp recon.Plane.cb;
     Plane.clamp recon.Plane.cr;
+    spare := !reference;
     reference := Some recon;
     frame_sizes_bits.(i) <- Bitio.Writer.bit_length w - start_bits;
     if Obs.enabled () then begin

@@ -11,13 +11,15 @@ let write_ue w n =
   Bitio.Writer.put_bits w ~value:0 ~bits:(len - 1);
   Bitio.Writer.put_bits w ~value:v ~bits:len
 
+(* [write_ue] emits at most 61 zeros ([put_bits] caps a value at 62
+   bits), and a 62-zero prefix would put its one bit in the sign of an
+   OCaml int. *)
+let max_prefix = 61
+
 let read_ue r =
-  let rec count_zeros acc =
-    if Bitio.Reader.get_bit r then acc else count_zeros (acc + 1)
-  in
-  let zeros = count_zeros 0 in
-  let rest = Bitio.Reader.get_bits r zeros in
-  ((1 lsl zeros) lor rest) - 1
+  let zeros = Bitio.Reader.count_zeros r in
+  if zeros > max_prefix then invalid_arg "Golomb.read_ue: prefix longer than 61 zeros";
+  ((1 lsl zeros) lor Bitio.Reader.get_bits r zeros) - 1
 
 let zigzag_of_int n = if n > 0 then (2 * n) - 1 else -2 * n
 

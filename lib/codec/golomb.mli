@@ -9,6 +9,9 @@ val write_ue : Bitio.Writer.t -> int -> unit
 (** Raises [Invalid_argument] on negative input. *)
 
 val read_ue : Bitio.Reader.t -> int
+(** Raises [Bitio.Reader.Out_of_bits] on a truncated code and
+    [Invalid_argument] on a prefix of more than 61 zeros, which
+    {!write_ue} never emits. *)
 
 val write_se : Bitio.Writer.t -> int -> unit
 

@@ -62,8 +62,7 @@ let search ?(range = 7) ~current ~reference ~x ~y () =
   done;
   (!best, !best_sad)
 
-let extract_block (p : Plane.t) ~x ~y =
-  let out = Array.make (block * block) 0. in
+let extract_block_into (p : Plane.t) ~x ~y out =
   if inside p ~x ~y ~w:block ~h:block then begin
     let s = p.Plane.samples and w = p.Plane.width in
     for by = 0 to block - 1 do
@@ -79,8 +78,15 @@ let extract_block (p : Plane.t) ~x ~y =
         out.((by * block) + bx) <-
           float_of_int (Plane.get p ~x:(x + bx) ~y:(y + by))
       done
-    done;
+    done
+
+let extract_block p ~x ~y =
+  let out = Array.make (block * block) 0. in
+  extract_block_into p ~x ~y out;
   out
+
+let extract_predicted_into p ~x ~y v out =
+  extract_block_into p ~x:(x + v.dx) ~y:(y + v.dy) out
 
 let extract_predicted p ~x ~y v = extract_block p ~x:(x + v.dx) ~y:(y + v.dy)
 
@@ -131,8 +137,7 @@ let halfpel_interior s ~w o ~fx ~fy =
    bits [v.dx land 1], [v.dy land 1] for every [(x, y)], because
    [2 * x] is even. The +1 taps widen the footprint by one sample on
    each axis with a fractional bit. *)
-let extract_predicted_halfpel (p : Plane.t) ~x ~y v =
-  let out = Array.make (block * block) 0. in
+let extract_predicted_halfpel_into (p : Plane.t) ~x ~y v out =
   let ix = x + (v.dx asr 1) and iy = y + (v.dy asr 1) in
   let fx = v.dx land 1 and fy = v.dy land 1 in
   if inside p ~x:ix ~y:iy ~w:(block + fx) ~h:(block + fy) then begin
@@ -153,7 +158,11 @@ let extract_predicted_halfpel (p : Plane.t) ~x ~y v =
             (halfpel_sample p ~hx:((2 * (x + bx)) + v.dx)
                ~hy:((2 * (y + by)) + v.dy))
       done
-    done;
+    done
+
+let extract_predicted_halfpel p ~x ~y v =
+  let out = Array.make (block * block) 0. in
+  extract_predicted_halfpel_into p ~x ~y v out;
   out
 
 (* Half-pel SAD with the same row-wise early exit as [sad_bounded]. *)

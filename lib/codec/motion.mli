@@ -42,6 +42,9 @@ val extract_block : Plane.t -> x:int -> y:int -> float array
 val extract_predicted : Plane.t -> x:int -> y:int -> vector -> float array
 (** Reference block displaced by a vector, as floats. *)
 
+val extract_predicted_into : Plane.t -> x:int -> y:int -> vector -> float array -> unit
+(** {!extract_predicted} into the caller's 64-element array. *)
+
 val store_block : Plane.t -> x:int -> y:int -> float array -> unit
 (** Rounds, then writes the 8x8 block; samples falling outside the
     plane are dropped (blocks may overhang padded edges). *)
@@ -63,6 +66,10 @@ val to_halfpel : vector -> vector
 val extract_predicted_halfpel : Plane.t -> x:int -> y:int -> vector -> float array
 (** Reference block displaced by a *half-pel* vector, bilinearly
     interpolated, as floats. *)
+
+val extract_predicted_halfpel_into :
+  Plane.t -> x:int -> y:int -> vector -> float array -> unit
+(** {!extract_predicted_halfpel} into the caller's 64-element array. *)
 
 val sad_halfpel : Plane.t -> Plane.t -> x:int -> y:int -> vector -> int
 (** SAD against the interpolated prediction for a half-pel vector. *)

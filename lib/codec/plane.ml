@@ -38,20 +38,6 @@ let pad_to_multiple p m =
     out
   end
 
-let crop p ~width ~height =
-  if width > p.width || height > p.height || width <= 0 || height <= 0 then
-    invalid_arg "Plane.crop: bad dimensions";
-  if width = p.width && height = p.height then p
-  else begin
-    let out = create ~width ~height in
-    for y = 0 to height - 1 do
-      for x = 0 to width - 1 do
-        out.samples.((y * width) + x) <- p.samples.((y * p.width) + x)
-      done
-    done;
-    out
-  end
-
 let equal a b = a.width = b.width && a.height = b.height && a.samples = b.samples
 
 type ycbcr = { y : t; cb : t; cr : t }
@@ -104,21 +90,32 @@ let of_raster img =
   done;
   { y = yp; cb = cbp; cr = crp }
 
-let to_raster { y = yp; cb = cbp; cr = crp } =
-  let w = yp.width and h = yp.height in
-  let img = Image.Raster.create ~width:w ~height:h in
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      let ly = get yp ~x ~y in
-      let cb = get cbp ~x:(x / 2) ~y:(y / 2) in
-      let cr = get crp ~x:(x / 2) ~y:(y / 2) in
-      let o = 3 * ((y * w) + x) in
+(* Every chroma site [(x / 2, y / 2)] of the crop lies inside chroma
+   planes of at least [chroma_dim width] x [chroma_dim height], so the
+   samples are read directly and nothing is ever clamped. *)
+let to_raster_cropped { y = yp; cb = cbp; cr = crp } ~width ~height =
+  let covers (p : t) w h = w <= p.width && h <= p.height in
+  if width <= 0 || height <= 0
+     || not (covers yp width height)
+     || not (covers cbp (chroma_dim width) (chroma_dim height))
+     || not (covers crp (chroma_dim width) (chroma_dim height))
+  then invalid_arg "Plane.to_raster: planes do not cover the picture";
+  let img = Image.Raster.create ~width ~height in
+  let ys = yp.samples and cbs = cbp.samples and crs = crp.samples in
+  for y = 0 to height - 1 do
+    let yo = y * yp.width and cbo = y / 2 * cbp.width and cro = y / 2 * crp.width in
+    for x = 0 to width - 1 do
+      let ly = ys.(yo + x) and cb = cbs.(cbo + (x / 2)) and cr = crs.(cro + (x / 2)) in
+      let o = 3 * ((y * width) + x) in
       Image.Raster.set_byte img o (red ly cr);
       Image.Raster.set_byte img (o + 1) (green ly cb cr);
       Image.Raster.set_byte img (o + 2) (blue ly cb)
     done
   done;
   img
+
+let to_raster planes =
+  to_raster_cropped planes ~width:planes.y.width ~height:planes.y.height
 
 let mean_absolute_difference a b =
   if a.width <> b.width || a.height <> b.height then

@@ -27,9 +27,6 @@ val pad_to_multiple : t -> int -> t
     multiples of [m] by edge replication; returns [p] itself if it is
     already aligned. *)
 
-val crop : t -> width:int -> height:int -> t
-(** [crop p ~width ~height] keeps the top-left region. *)
-
 val equal : t -> t -> bool
 
 type ycbcr = { y : t; cb : t; cr : t }
@@ -40,7 +37,15 @@ val of_raster : Image.Raster.t -> ycbcr
 (** BT.601 conversion with 2x2 chroma averaging. *)
 
 val to_raster : ycbcr -> Image.Raster.t
-(** Inverse conversion with chroma upsampling (nearest-neighbour). *)
+(** Inverse conversion with chroma upsampling (nearest-neighbour).
+    Raises [Invalid_argument] unless each chroma plane is at least half
+    the luma size, rounded up, as {!of_raster} makes them. *)
+
+val to_raster_cropped : ycbcr -> width:int -> height:int -> Image.Raster.t
+(** [to_raster_cropped planes ~width ~height] is the top-left
+    [width]x[height] part of [to_raster planes], read straight from the
+    (possibly padded) planes with no cropped copies. Raises
+    [Invalid_argument] unless the planes cover it. *)
 
 val mean_absolute_difference : t -> t -> float
 (** Over the common dimensions, which must match. *)

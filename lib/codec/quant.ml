@@ -31,9 +31,21 @@ let scale_table qp base =
   (* qp 8 reproduces the base table; the scale is linear in qp. *)
   Array.map (fun s -> Float.max 1. (float_of_int s *. float_of_int qp /. 8.)) base
 
+(* Every quantiser is built once, at module initialisation. The table
+   is never written afterwards, so sharing it across domains is safe
+   and [make] allocates nothing. *)
+let table =
+  Array.init 31 (fun i ->
+      let qp = i + 1 in
+      {
+        qp;
+        luma_steps = scale_table qp luma_base;
+        chroma_steps = scale_table qp chroma_base;
+      })
+
 let make ~qp =
   if qp < 1 || qp > 31 then invalid_arg "Quant.make: qp out of [1, 31]";
-  { qp; luma_steps = scale_table qp luma_base; chroma_steps = scale_table qp chroma_base }
+  table.(qp - 1)
 
 let qp t = t.qp
 
@@ -48,18 +60,10 @@ let obs_seconds =
     ~buckets:[| 1e-7; 5e-7; 1e-6; 5e-6; 1e-5; 1e-4; 1e-3 |]
     "codec_quant_seconds" []
 
-(* [f] is a top-level function, so the untimed call builds no
-   closure. *)
-let timed f steps x =
-  if Obs.enabled () then begin
-    let t0 = Obs.Clock.now_ns () in
-    let out = f steps x in
-    Obs.Metrics.Counter.incr obs_ops;
-    Obs.Metrics.Histogram.observe obs_seconds
-      (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0));
-    out
-  end
-  else f steps x
+let observe t0 =
+  Obs.Metrics.Counter.incr obs_ops;
+  Obs.Metrics.Histogram.observe obs_seconds
+    (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0))
 
 let quantise_steps s coeffs =
   let out = Array.make 64 0 in
@@ -68,17 +72,33 @@ let quantise_steps s coeffs =
   done;
   out
 
-let dequantise_steps s levels =
-  let out = Array.make 64 0. in
+(* Also returns the rows that hold a non-zero level, bit [y] for row
+   [y]: found on the integers, where zero is exact. *)
+let dequantise_steps s levels out =
+  let rows = ref 0 in
   for i = 0 to 63 do
-    out.(i) <- float_of_int levels.(i) *. s.(i)
+    let level = levels.(i) in
+    if level <> 0 then rows := !rows lor (1 lsl (i lsr 3));
+    out.(i) <- float_of_int level *. s.(i)
   done;
-  out
+  !rows
 
 let quantise t kind coeffs =
   if Array.length coeffs <> 64 then invalid_arg "Quant.quantise: need 64 coefficients";
-  timed quantise_steps (steps t kind) coeffs
+  if Obs.enabled () then begin
+    let t0 = Obs.Clock.now_ns () in
+    let out = quantise_steps (steps t kind) coeffs in
+    observe t0;
+    out
+  end
+  else quantise_steps (steps t kind) coeffs
 
-let dequantise t kind levels =
+let dequantise t kind levels out =
   if Array.length levels <> 64 then invalid_arg "Quant.dequantise: need 64 levels";
-  timed dequantise_steps (steps t kind) levels
+  if Obs.enabled () then begin
+    let t0 = Obs.Clock.now_ns () in
+    let rows = dequantise_steps (steps t kind) levels out in
+    observe t0;
+    rows
+  end
+  else dequantise_steps (steps t kind) levels out

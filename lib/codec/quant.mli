@@ -8,7 +8,9 @@ type t
 (** A quantiser: a pair of effective step matrices. *)
 
 val make : qp:int -> t
-(** Raises [Invalid_argument] for [qp] outside [1, 31]. *)
+(** One of 31 quantisers built at module initialisation and never
+    written afterwards; [make] allocates nothing. Raises
+    [Invalid_argument] for [qp] outside [1, 31]. *)
 
 val qp : t -> int
 
@@ -18,5 +20,8 @@ val quantise : t -> plane_kind -> float array -> int array
 (** [quantise q kind coeffs] divides 64 DCT coefficients by the step
     matrix and rounds to nearest. *)
 
-val dequantise : t -> plane_kind -> int array -> float array
-(** Multiplies back by the step matrix. *)
+val dequantise : t -> plane_kind -> int array -> float array -> int
+(** [dequantise q kind levels out] multiplies back by the step matrix
+    into [out] (64 elements). It returns the rows of [levels] that hold
+    a non-zero level, bit [y] for row [y]; every other row of [out] is
+    zero. *)

@@ -9,6 +9,3 @@ val scan_order : int array
 
 val forward : int array -> int array
 (** Reorders 64 row-major levels into zig-zag order. *)
-
-val inverse : int array -> int array
-(** Restores row-major order; [inverse (forward a) = a]. *)

@@ -2,28 +2,20 @@ let check_dims name a b =
   if Raster.width a <> Raster.width b || Raster.height a <> Raster.height b
   then invalid_arg (name ^ ": dimension mismatch")
 
-let fold2 f acc a b =
-  let w = Raster.width a and h = Raster.height a in
-  let acc = ref acc in
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      acc := f !acc (Raster.get a ~x ~y) (Raster.get b ~x ~y)
-    done
+(* Sums [f] over corresponding bytes of the packed buffers, one per
+   channel sample, with no pixel record per sample. *)
+let sum_bytes f a b =
+  let acc = ref 0 in
+  for i = 0 to (3 * Raster.pixel_count a) - 1 do
+    acc := !acc + f (Raster.byte a i - Raster.byte b i)
   done;
   !acc
 
+let square d = d * d
+
 let mse a b =
   check_dims "Metrics.mse" a b;
-  let sum =
-    fold2
-      (fun acc pa pb ->
-        let dr = pa.Pixel.r - pb.Pixel.r
-        and dg = pa.Pixel.g - pb.Pixel.g
-        and db = pa.Pixel.b - pb.Pixel.b in
-        acc + (dr * dr) + (dg * dg) + (db * db))
-      0 a b
-  in
-  float_of_int sum /. float_of_int (3 * Raster.pixel_count a)
+  float_of_int (sum_bytes square a b) /. float_of_int (3 * Raster.pixel_count a)
 
 let psnr a b =
   let e = mse a b in
@@ -31,16 +23,7 @@ let psnr a b =
 
 let mean_absolute_error a b =
   check_dims "Metrics.mean_absolute_error" a b;
-  let sum =
-    fold2
-      (fun acc pa pb ->
-        acc
-        + abs (pa.Pixel.r - pb.Pixel.r)
-        + abs (pa.Pixel.g - pb.Pixel.g)
-        + abs (pa.Pixel.b - pb.Pixel.b))
-      0 a b
-  in
-  float_of_int sum /. float_of_int (3 * Raster.pixel_count a)
+  float_of_int (sum_bytes abs a b) /. float_of_int (3 * Raster.pixel_count a)
 
 let ssim a b =
   check_dims "Metrics.ssim" a b;
@@ -86,12 +69,8 @@ let ssim a b =
 
 let max_absolute_error a b =
   check_dims "Metrics.max_absolute_error" a b;
-  fold2
-    (fun acc pa pb ->
-      let m =
-        max
-          (abs (pa.Pixel.r - pb.Pixel.r))
-          (max (abs (pa.Pixel.g - pb.Pixel.g)) (abs (pa.Pixel.b - pb.Pixel.b)))
-      in
-      max acc m)
-    0 a b
+  let m = ref 0 in
+  for i = 0 to (3 * Raster.pixel_count a) - 1 do
+    m := max !m (abs (Raster.byte a i - Raster.byte b i))
+  done;
+  !m

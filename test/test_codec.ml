@@ -99,6 +99,123 @@ let prop_golomb_se_roundtrip =
   QCheck2.Test.make ~name:"exp-golomb se round-trip"
     QCheck2.Gen.(-100_000 -- 100_000) (fun n -> roundtrip_se n = n)
 
+(* A 62-zero prefix once read as [1 lsl 62 = min_int]: the bit string
+   0x62, 1, 0x61, 1 decoded to -4611686018427387904, and a block count
+   coded that way gave a silently all-zero block. *)
+let wrapping_ue () =
+  let w = Codec.Bitio.Writer.create () in
+  Codec.Bitio.Writer.put_bits w ~value:0 ~bits:62;
+  Codec.Bitio.Writer.put_bit w true;
+  Codec.Bitio.Writer.put_bits w ~value:0 ~bits:61;
+  Codec.Bitio.Writer.put_bit w true;
+  w
+
+let test_golomb_long_prefix_rejected () =
+  let data = Codec.Bitio.Writer.contents (wrapping_ue ()) in
+  check int "16 bytes" 16 (String.length data);
+  check bool "raises" true
+    (match Codec.Golomb.read_ue (Codec.Bitio.Reader.of_string data) with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* The bit-at-a-time reader and Exp-Golomb decoder the byte-wise ones
+   replaced, kept as the reference they must agree with. Its [read_ue]
+   carries the 61-zero limit. *)
+module Ref_reader = struct
+  type t = { data : string; mutable bit_pos : int }
+
+  let total_bits r = String.length r.data * 8
+
+  let get_bit r =
+    if r.bit_pos >= total_bits r then raise Codec.Bitio.Reader.Out_of_bits;
+    let byte = Char.code r.data.[r.bit_pos lsr 3] in
+    let bit = (byte lsr (7 - (r.bit_pos land 7))) land 1 = 1 in
+    r.bit_pos <- r.bit_pos + 1;
+    bit
+
+  let get_bits r n =
+    if n < 0 || n > 62 then invalid_arg "get_bits";
+    let acc = ref 0 in
+    for _ = 1 to n do
+      acc := (!acc lsl 1) lor (if get_bit r then 1 else 0)
+    done;
+    !acc
+
+  let align r =
+    let rem = r.bit_pos land 7 in
+    if rem <> 0 then begin
+      let skip = 8 - rem in
+      if r.bit_pos + skip > total_bits r then raise Codec.Bitio.Reader.Out_of_bits;
+      r.bit_pos <- r.bit_pos + skip
+    end
+
+  let read_ue r =
+    let rec count_zeros acc = if get_bit r then acc else count_zeros (acc + 1) in
+    let zeros = count_zeros 0 in
+    if zeros > 61 then invalid_arg "read_ue";
+    ((1 lsl zeros) lor get_bits r zeros) - 1
+
+  let read_se r =
+    let z = read_ue r in
+    if z land 1 = 1 then (z + 1) / 2 else -(z / 2)
+end
+
+type read_op = Bit | Bits of int | Ue | Se | Align | Byte_aligned
+
+(* Byte strings rich in zero bytes, so long Exp-Golomb prefixes and
+   reads that run off the end are common. *)
+let reader_case =
+  QCheck2.Gen.(
+    pair
+      (string_size
+         ~gen:(oneof [ char_range '\000' '\255'; return '\000'; char_range '\000' '\003' ])
+         (0 -- 24))
+      (list_size (1 -- 40)
+         (oneof
+            [
+              return Bit; map (fun n -> Bits n) (0 -- 62); return Ue; return Se;
+              return Align; return Byte_aligned;
+            ])))
+
+let prop_reader_matches_reference =
+  QCheck2.Test.make ~count:5000
+    ~name:"byte-wise reader agrees with the bit-at-a-time reference"
+    reader_case
+    (fun (data, ops) ->
+      let r = Codec.Bitio.Reader.of_string data
+      and rr = { Ref_reader.data; bit_pos = 0 } in
+      let run f = match f () with v -> Some v | exception _ -> None in
+      let step op =
+        match op with
+        | Bit ->
+          ( run (fun () -> Bool.to_int (Codec.Bitio.Reader.get_bit r)),
+            run (fun () -> Bool.to_int (Ref_reader.get_bit rr)) )
+        | Bits n ->
+          ( run (fun () -> Codec.Bitio.Reader.get_bits r n),
+            run (fun () -> Ref_reader.get_bits rr n) )
+        | Ue ->
+          (run (fun () -> Codec.Golomb.read_ue r), run (fun () -> Ref_reader.read_ue rr))
+        | Se ->
+          (run (fun () -> Codec.Golomb.read_se r), run (fun () -> Ref_reader.read_se rr))
+        | Align ->
+          ( run (fun () -> Codec.Bitio.Reader.align r; 0),
+            run (fun () -> Ref_reader.align rr; 0) )
+        | Byte_aligned ->
+          ( run (fun () -> Codec.Bitio.Reader.get_byte_aligned r),
+            run (fun () -> Ref_reader.align rr; Ref_reader.get_bits rr 8) )
+      in
+      (* After a raise the two positions may differ, so the sequence
+         stops at the first one. *)
+      let rec go = function
+        | [] -> true
+        | op :: rest -> (
+          match step op with
+          | Some a, Some b -> a = b && go rest
+          | None, None -> true
+          | _ -> false)
+      in
+      go ops)
+
 (* --- Zigzag ----------------------------------------------------------- *)
 
 let test_zigzag_is_permutation () =
@@ -112,11 +229,6 @@ let test_zigzag_starts_at_dc () =
   check bool "low frequencies first" true
     (List.mem Codec.Zigzag.scan_order.(1) [ 1; 8 ]
      && List.mem Codec.Zigzag.scan_order.(2) [ 1; 8 ])
-
-let prop_zigzag_roundtrip =
-  QCheck2.Test.make ~name:"zigzag inverse . forward = id"
-    QCheck2.Gen.(array_size (return 64) (-100 -- 100))
-    (fun a -> Codec.Zigzag.inverse (Codec.Zigzag.forward a) = a)
 
 (* --- Dct -------------------------------------------------------------- *)
 
@@ -151,6 +263,89 @@ let test_dct_bad_size () =
   Alcotest.check_raises "wrong size" (Invalid_argument "Dct: block must have 64 samples")
     (fun () -> ignore (Codec.Dct.forward [| 1. |]))
 
+(* The dense separable inverse, term by term as the transform was
+   first written: every sum starts from [0.] and runs in index order
+   over all eight terms. *)
+let dense_cosine =
+  let n = 8 in
+  Array.init 64 (fun i ->
+      let u = i / n and x = i mod n in
+      let alpha =
+        if u = 0 then sqrt (1. /. float_of_int n) else sqrt (2. /. float_of_int n)
+      in
+      alpha
+      *. cos (((2. *. float_of_int x) +. 1.) *. float_of_int u *. Float.pi
+              /. (2. *. float_of_int n)))
+
+let dense_inverse coeffs =
+  let cosine u x = dense_cosine.((u * 8) + x) in
+  let tmp = Array.make 64 0. and out = Array.make 64 0. in
+  for y = 0 to 7 do
+    for u = 0 to 7 do
+      let acc = ref 0. in
+      for x = 0 to 7 do
+        acc := !acc +. (cosine x u *. coeffs.((y * 8) + x))
+      done;
+      tmp.((y * 8) + u) <- !acc
+    done
+  done;
+  for u = 0 to 7 do
+    for v = 0 to 7 do
+      let acc = ref 0. in
+      for y = 0 to 7 do
+        acc := !acc +. (cosine y v *. tmp.((y * 8) + u))
+      done;
+      out.((v * 8) + u) <- !acc
+    done
+  done;
+  out
+
+(* Quantised levels of one of five shapes (all zero, DC only, a few
+   scattered levels, a few rows, full), as the decoder dequantises
+   them. *)
+let random_levels ~shape rng =
+  let levels = Array.make 64 0 in
+  let level () = (if Image.Prng.bool rng then 1 else -1) * (1 + Image.Prng.int rng 60) in
+  (match shape with
+  | 0 -> ()
+  | 1 -> levels.(0) <- level ()
+  | 2 ->
+    for _ = 1 + Image.Prng.int rng 8 downto 1 do
+      levels.(Image.Prng.int rng 64) <- level ()
+    done
+  | 3 ->
+    for _ = 1 + Image.Prng.int rng 3 downto 1 do
+      let y = Image.Prng.int rng 8 in
+      for x = 0 to 7 do
+        if Image.Prng.bool rng then levels.((y * 8) + x) <- level ()
+      done
+    done
+  | _ -> Array.iteri (fun i _ -> levels.(i) <- level ()) levels);
+  levels
+
+let same_bits a b =
+  Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let prop_dct_inverse_matches_dense =
+  QCheck2.Test.make ~count:100_000
+    ~name:"sparse inverse DCT equals the dense transform bit for bit"
+    QCheck2.Gen.(triple (0 -- 4) (1 -- 31) int)
+    (fun (shape, qp, seed) ->
+      let rng = Image.Prng.create ~seed in
+      let levels = random_levels ~shape rng in
+      let kind = if Image.Prng.bool rng then Codec.Quant.Luma else Codec.Quant.Chroma in
+      let coeffs = Array.make 64 0. in
+      let rows = Codec.Quant.dequantise (Codec.Quant.make ~qp) kind levels coeffs in
+      (* A skipped row may hold -0 as well as +0. *)
+      Array.iteri
+        (fun i _ ->
+          if rows land (1 lsl (i / 8)) = 0 && Image.Prng.bool rng then coeffs.(i) <- -0.)
+        coeffs;
+      let expected = dense_inverse coeffs in
+      let sparse = Array.make 64 0. in
+      Codec.Dct.inverse_into ~rows coeffs ~tmp:(Array.make 64 0.) sparse;
+      same_bits expected sparse && same_bits expected (Codec.Dct.inverse coeffs))
+
 (* --- Quant ------------------------------------------------------------ *)
 
 let test_quant_zero_preserved () =
@@ -173,7 +368,8 @@ let test_quant_dequant_bounded_error () =
   let q = Codec.Quant.make ~qp:8 in
   let coeffs = random_block 4 in
   let levels = Codec.Quant.quantise q Codec.Quant.Luma coeffs in
-  let back = Codec.Quant.dequantise q Codec.Quant.Luma levels in
+  let back = Array.make 64 0. in
+  ignore (Codec.Quant.dequantise q Codec.Quant.Luma levels back);
   (* Error per coefficient is at most half the quantisation step;
      the largest step at qp 8 is 121. *)
   Array.iteri
@@ -190,7 +386,9 @@ let test_quant_invalid_qp () =
 let roundtrip_block levels =
   let w = Codec.Bitio.Writer.create () in
   Codec.Coeff.write_block w levels;
-  Codec.Coeff.read_block (Codec.Bitio.Reader.of_string (Codec.Bitio.Writer.contents w))
+  let levels = Array.make 64 0 in
+  Codec.Coeff.read_block (Codec.Bitio.Reader.of_string (Codec.Bitio.Writer.contents w)) levels;
+  levels
 
 let test_coeff_all_zero_block () =
   let zeros = Array.make 64 0 in
@@ -231,8 +429,25 @@ let test_plane_pad_and_crop () =
   check int "padded width" 8 padded.Codec.Plane.width;
   check int "padded height" 8 padded.Codec.Plane.height;
   check int "edge replicated" 42 (Codec.Plane.get padded ~x:7 ~y:7);
-  let cropped = Codec.Plane.crop padded ~width:5 ~height:3 in
-  check bool "crop restores" true (Codec.Plane.equal p cropped)
+  for y = 0 to 2 do
+    for x = 0 to 4 do
+      check int "top-left kept" (Codec.Plane.get p ~x ~y) (Codec.Plane.get padded ~x ~y)
+    done
+  done;
+  (* Converting the padded planes of a picture, cropped to its size,
+     gives the picture the unpadded planes give. *)
+  let img =
+    Image.Raster.init ~width:5 ~height:3 (fun ~x ~y ->
+        Image.Pixel.v (40 * x) (80 * y) (200 - (30 * x)))
+  in
+  let planes = Codec.Plane.of_raster img in
+  let pad p = Codec.Plane.pad_to_multiple p 8 in
+  check bool "padded planes crop back" true
+    (Image.Raster.equal
+       (Codec.Plane.to_raster planes)
+       (Codec.Plane.to_raster_cropped
+          { Codec.Plane.y = pad planes.y; cb = pad planes.cb; cr = pad planes.cr }
+          ~width:5 ~height:3))
 
 let test_plane_pad_identity_when_aligned () =
   let p = Codec.Plane.create ~width:8 ~height:16 in
@@ -665,6 +880,26 @@ let test_decoder_rejects_implausible_count () =
   check int "real stream" 2
     (Array.length (Codec.Decoder.decode_exn e.Codec.Encoder.data).Codec.Decoder.frames)
 
+(* A frame whose first block count is the wrapping 62-zero code, then
+   ue(0) for the other two blocks of an 8x8 frame. *)
+let test_decoder_rejects_wrapping_block_count () =
+  let info =
+    match Codec.Decoder.parse_header (header_only ~frame_count:1) with
+    | Ok info -> info
+    | Error msg -> Alcotest.fail msg
+  in
+  let w = Codec.Bitio.Writer.create () in
+  Codec.Bitio.Writer.put_byte_aligned w (Char.code 'I');
+  Codec.Bitio.Writer.put_byte_aligned w 8;
+  let code = Codec.Bitio.Reader.of_string (Codec.Bitio.Writer.contents (wrapping_ue ())) in
+  for _ = 1 to 125 do
+    Codec.Bitio.Writer.put_bit w (Codec.Bitio.Reader.get_bit code)
+  done;
+  Codec.Bitio.Writer.put_bits w ~value:3 ~bits:2;
+  check bool "Error" true
+    (Result.is_error
+       (Codec.Decoder.decode_frame ~info ~reference:None (Codec.Bitio.Writer.contents w)))
+
 let test_decoder_mutation_fuzz () =
   (* Flipping arbitrary bytes in a valid stream must never escape as an
      exception: the decoder returns Ok (the damage landed in
@@ -969,14 +1204,110 @@ let test_golden_fingerprint () =
         (golden_digest ~width ~height))
     golden_sizes
 
+(* --- Golden outcomes on corrupt input ------------------------------------ *)
+
+(* Fifty deterministic mutations of each paper workload's stream at
+   33x17, which has edge blocks on both axes: ten truncations and forty
+   single-byte flips. Every outcome, the decoded frames or the error
+   message, feeds one MD5 per workload. The pins were taken before the
+   decode path was rewritten, so they also fix where corrupt input
+   fails and what it decodes to. *)
+
+let raster_bytes img =
+  String.init (3 * Image.Raster.pixel_count img) (fun i ->
+      Char.chr (Image.Raster.byte img i))
+
+let decode_outcome data =
+  match Codec.Decoder.decode data with
+  | Error msg -> "error:" ^ msg
+  | Ok d ->
+    "ok:" ^ String.concat "" (Array.to_list (Array.map raster_bytes d.Codec.Decoder.frames))
+
+let mutations ~seed data =
+  let rng = Image.Prng.create ~seed in
+  let n = String.length data in
+  List.init 50 (fun k ->
+      if k < 10 then String.sub data 0 (Image.Prng.int rng n)
+      else begin
+        let b = Bytes.of_string data in
+        let pos = Image.Prng.int rng n in
+        Bytes.set b pos (Char.chr (Char.code data.[pos] lxor (1 + Image.Prng.int rng 255)));
+        Bytes.to_string b
+      end)
+
+let corrupt_digest ~seed (profile : Video.Profile.t) =
+  let full = Video.Clip_gen.render ~width:33 ~height:17 ~fps:12. profile in
+  let clip =
+    Video.Clip.make ~name:full.Video.Clip.name ~width:33 ~height:17 ~fps:12.
+      ~frame_count:8 (fun i -> full.Video.Clip.render (2 * i))
+  in
+  let e =
+    Codec.Encoder.encode_clip ~params:{ Codec.Stream.default_params with gop = 4 } clip
+  in
+  mutations ~seed e.Codec.Encoder.data
+  |> List.map (fun m -> Digest.string (decode_outcome m))
+  |> String.concat ""
+  |> Digest.string
+  |> Digest.to_hex
+
+let corrupt_digests =
+  [
+    ("themovie", "1074513487e331b0b7385e959eaa7c09");
+    ("catwoman", "ff0861b2aefc24ccb3a411534e7a6aaf");
+    ("hunter_subres", "272c0cf549be4c7f69767420ef3b3d14");
+    ("i_robot", "ed3b9fae1ef5075c89323b602c609b79");
+    ("ice_age", "dcd80c233315abea5e926b5c1c691549");
+    ("officexp", "776562d1a2c25213505da8182f5ad2a2");
+    ("returnoftheking", "8943894f90d462dee994ce522a0e25aa");
+    ("shrek2", "f07ea1065ac45f0ced13495e82e16e54");
+    ("spiderman2", "c4ea397fd2085c1ace92bc5669a551d5");
+    ("theincredibles-tlr2", "48898fdadacb160f68902162c6384441");
+  ]
+
+let test_golden_corrupt_input () =
+  List.iteri
+    (fun i (profile : Video.Profile.t) ->
+      let name = profile.Video.Profile.name in
+      check Alcotest.string (name ^ " mutation outcomes")
+        (List.assoc name corrupt_digests)
+        (corrupt_digest ~seed:(i + 1) profile))
+    Video.Workloads.all
+
+(* The decoder's obs counters over one 32x24 decode: a faster decode
+   path must count exactly the same transforms, quantiser passes,
+   frames and bytes. *)
+let test_golden_decode_counters () =
+  let data =
+    (Codec.Encoder.encode_clip (test_clip ~width:32 ~height:24 ~frames:8 ()))
+      .Codec.Encoder.data
+  in
+  let series =
+    [
+      ("codec_dct_ops_total", []);
+      ("codec_quant_ops_total", []);
+      ("codec_frames_decoded_total", [ ("type", "I") ]);
+      ("codec_frames_decoded_total", [ ("type", "P") ]);
+      ("codec_decoded_bytes_total", []);
+    ]
+  in
+  let values () =
+    List.map (fun (name, labels) -> Obs.Metrics.Counter.value (Obs.counter name labels)) series
+  in
+  Obs.with_enabled @@ fun () ->
+  let before = values () in
+  ignore (Codec.Decoder.decode_exn data);
+  Alcotest.(check (list int)) "dct, quant, I, P, bytes" [ 160; 160; 1; 7; 322 ]
+    (List.map2 ( - ) (values ()) before)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_bitio_roundtrip;
       prop_golomb_ue_roundtrip;
       prop_golomb_se_roundtrip;
-      prop_zigzag_roundtrip;
+      prop_reader_matches_reference;
       prop_coeff_roundtrip;
+      prop_dct_inverse_matches_dense;
       prop_motion_kernels_match_clamped;
     ]
 
@@ -996,6 +1327,7 @@ let () =
           Alcotest.test_case "small values" `Quick test_golomb_small_values;
           Alcotest.test_case "code lengths" `Quick test_golomb_code_lengths;
           Alcotest.test_case "negative rejected" `Quick test_golomb_negative_rejected;
+          Alcotest.test_case "long prefix rejected" `Quick test_golomb_long_prefix_rejected;
         ] );
       ( "zigzag",
         [
@@ -1093,8 +1425,14 @@ let () =
           Alcotest.test_case "mutation fuzz" `Quick test_decoder_mutation_fuzz;
           Alcotest.test_case "implausible frame count" `Quick
             test_decoder_rejects_implausible_count;
+          Alcotest.test_case "wrapping block count" `Quick
+            test_decoder_rejects_wrapping_block_count;
         ] );
       ( "golden",
-        [ Alcotest.test_case "fingerprint" `Quick test_golden_fingerprint ] );
+        [
+          Alcotest.test_case "fingerprint" `Quick test_golden_fingerprint;
+          Alcotest.test_case "corrupt input" `Quick test_golden_corrupt_input;
+          Alcotest.test_case "decode counters" `Quick test_golden_decode_counters;
+        ] );
       ("properties", qtests);
     ]
