@@ -112,38 +112,49 @@ chaos-ladder:
 bench:
 	dune exec bench/main.exe
 
-# Energy + resilience + fleet regression gate: the committed baseline
-# must reproduce within tolerance (the energy rows, the chaos-ladder
-# counts and the fleet scheduler counts), and a synthetic 10% energy
-# regression must trip the gate. Runs in _build/gate so the committed
-# BENCH_*.json artifacts are not overwritten by the partial reports
-# these runs produce.
+# Bench report gate: BENCH_report.json is the one committed bench
+# artifact and holds only simulated results (energy rows, the codec
+# work row, the resilience sweep, the chaos-ladder counts, the fleet
+# scheduler counts). Regenerate it once in _build/gate, so the
+# committed files are not overwritten, and compare it with the
+# committed copy (`bench gate`: counts exact, _pct fields within half
+# a point, other floats within 1%). The bench journals must pass the
+# offline V4xx audit. The negative legs must exit 1: a synthetic 10%
+# energy regression on the same run, and a fixture pair whose
+# duplicated metric names would otherwise compare against the first
+# row with that name.
+GATE_RUN = _build/gate/BENCH_report.json
+BENCH = _build/default/bench/main.exe
+
 gate:
 	dune build
 	mkdir -p _build/gate
-	cd _build/gate && ../default/bench/main.exe energy resilience-ladder \
-	  fleet --baseline ../../BENCH_baseline.json --gate > /dev/null
+	cd _build/gate && ../default/bench/main.exe energy resilience \
+	  resilience-ladder fleet > /dev/null
 	cd _build/gate && ../default/bin/lint.exe verify BENCH_session.journal \
 	  BENCH_ladder.journal BENCH_fleet.journal > /dev/null
-	cd _build/gate && ! ../default/bench/main.exe energy resilience-ladder \
-	  fleet --baseline ../../BENCH_baseline.json --gate \
-	  --inject-regression 10 > /dev/null
-	@echo "gate: baseline reproduces; injected 10% regression trips it;"
-	@echo "gate: the bench journals pass the offline V4xx audit"
+	$(BENCH) gate BENCH_report.json $(GATE_RUN)
+	$(BENCH) gate BENCH_report.json $(GATE_RUN) --inject-regression 10 \
+	  > /dev/null; test $$? -eq 1
+	$(BENCH) gate test/fixtures/gate/duplicate-committed.json \
+	  test/fixtures/gate/duplicate-run.json > /dev/null; test $$? -eq 1
+	@echo "gate: the committed report reproduces; an injected 10% regression"
+	@echo "gate: and duplicated metric names trip it; the bench journals pass"
+	@echo "gate: the offline V4xx audit"
 
-# Regenerate the committed bench baseline (energy rows, chaos-ladder
-# counts, fleet scheduler counts). Do this ONLY alongside a reasoned
-# diff in the PR: state what moved, by how much, and why the new
-# numbers are correct — the gate exists to make silent drift
-# impossible.
+# Regenerate the committed bench report and energy flamegraph. Do this
+# ONLY alongside a reasoned diff in the change: state what moved, by
+# how much, and why the new numbers are correct — the gate exists to
+# make silent drift impossible.
 baseline:
 	dune build
 	mkdir -p _build/gate
-	cd _build/gate && ../default/bench/main.exe energy resilience-ladder \
-	  fleet --write-baseline ../../BENCH_baseline.json
-	@echo
-	@echo "BENCH_baseline.json regenerated. Commit it together with a"
-	@echo "reasoned diff (what moved, by how much, why it is correct)."
+	cd _build/gate && ../default/bench/main.exe energy resilience \
+	  resilience-ladder fleet > /dev/null
+	cp $(GATE_RUN) BENCH_report.json
+	cp _build/gate/BENCH_energy.folded BENCH_energy.folded
+	@echo "BENCH_report.json and BENCH_energy.folded regenerated. Commit them"
+	@echo "with a reasoned diff (what moved, by how much, why it is correct)."
 
 clean:
 	dune clean

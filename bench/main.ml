@@ -5,7 +5,10 @@
      main.exe                 run every figure/table experiment
      main.exe fig9 fig10      run selected experiments
      main.exe micro           Bechamel micro-benchmarks of hot kernels
-     main.exe --list          list experiment ids *)
+     main.exe --list          list experiment ids
+     main.exe --jobs N ...    largest domain count (parallel, fleet)
+     main.exe gate COMMITTED RUN [--inject-regression PCT]
+                              compare two BENCH_report.json files *)
 
 let device = Display.Device.ipaq_h5555
 
@@ -811,8 +814,9 @@ let fec () =
 
 (* --- Extension: resilience sweep ------------------------------------------- *)
 
-(* Rows land in BENCH_report.json (see report_obs) so the sweep is
-   reviewable without re-running the bench. *)
+(* Rows for the report's "resilience" section, one per burst length;
+   every figure is a pure function of the seeds, so the gate compares
+   them like the other sections. *)
 let resilience_rows : Obs.Json.t list ref = ref []
 
 let resilience () =
@@ -932,11 +936,10 @@ let resilience () =
 
 (* Largest domain count the [parallel] experiment sweeps; override
    with [--jobs N] on the bench command line. Speedup above 1x needs a
-   multi-core host — the row records what the host offers so a 1-core
-   CI run is readable as such. *)
+   multi-core host — the table prints what the host offers so a 1-core
+   run is readable as such. The table is wall clock and goes to stdout
+   only; the experiment fails if any domain count changes a byte. *)
 let bench_jobs = ref 4
-
-let parallel_rows : Obs.Json.t list ref = ref []
 
 let parallel () =
   section
@@ -976,43 +979,34 @@ let parallel () =
   Printf.printf "%-8s %12s %9s %12s\n" "domains" "profile ms" "speedup"
     "bytes equal";
   rule ();
-  let profile_rows =
-    List.map
-      (fun jobs ->
-        let profiled, ms =
-          if jobs = 1 then (seq, seq_ms)
-          else
-            Par.Pool.with_pool ~domains:jobs (fun pool ->
-                time_best (fun () -> Annotation.Annotator.profile ~pool clip))
-        in
-        (* The tentpole invariant: parallelism must not change a byte. *)
-        if not (String.equal (encoded profiled) seq_bytes) then
-          failwith
-            (Printf.sprintf
-               "parallel profiling diverged from sequential at %d domains" jobs);
-        (* More domains than the host offers time-slice one core: the
-           row records the time but claims no speedup. *)
-        let oversubscribed = jobs > Par.Pool.recommended () in
+  List.iter
+    (fun jobs ->
+      let profiled, ms =
+        if jobs = 1 then (seq, seq_ms)
+        else
+          Par.Pool.with_pool ~domains:jobs (fun pool ->
+              time_best (fun () -> Annotation.Annotator.profile ~pool clip))
+      in
+      (* Parallelism must not change a byte. *)
+      if not (String.equal (encoded profiled) seq_bytes) then
+        failwith
+          (Printf.sprintf
+             "parallel profiling diverged from sequential at %d domains" jobs);
+      (* More domains than the host offers time-slice one core: the
+         row records the time but claims no speedup. *)
+      if jobs > Par.Pool.recommended () then
+        Printf.printf "%-8d %12.2f %9s %12s\n" jobs ms "oversub." "yes"
+      else begin
         let speedup = seq_ms /. ms in
-        if oversubscribed then
-          Printf.printf "%-8d %12.2f %9s %12s\n" jobs ms "oversub." "yes"
-        else begin
-          Printf.printf "%-8d %12.2f %8.2fx %12s\n" jobs ms speedup "yes";
-          Obs.Metrics.Gauge.set
-            (Obs.Registry.gauge
-               ~help:"profile-phase speedup over a one-domain run"
-               "bench_parallel_profile_speedup"
-               [ ("domains", string_of_int jobs) ])
-            speedup
-        end;
-        Obs.Json.Obj
-          (("domains", Obs.Json.Int jobs)
-           :: ("profile_ms", Obs.Json.Float ms)
-           :: (if oversubscribed then [ ("oversubscribed", Obs.Json.Bool true) ]
-               else [ ("speedup_vs_1", Obs.Json.Float speedup) ])
-          @ [ ("bytes_equal", Obs.Json.Bool true) ]))
-      domains
-  in
+        Printf.printf "%-8d %12.2f %8.2fx %12s\n" jobs ms speedup "yes";
+        Obs.Metrics.Gauge.set
+          (Obs.Registry.gauge
+             ~help:"profile-phase speedup over a one-domain run"
+             "bench_parallel_profile_speedup"
+             [ ("domains", string_of_int jobs) ])
+          speedup
+      end)
+    domains;
   (* The prepared-stream cache under a batched fan-out: first batch
      builds every stream, the rerun is pure cache hits. *)
   let server = Streaming.Server.create () in
@@ -1059,25 +1053,6 @@ let parallel () =
     (List.length specs) m1 (h2 - h1)
     (Streaming.Server.cache_size server);
   if m2 <> m1 then failwith "cache rerun was expected to miss nothing";
-  parallel_rows :=
-    [
-      Obs.Json.Obj
-        [
-          ("host_domains", Obs.Json.Int (Par.Pool.recommended ()));
-          ("clip", Obs.Json.String clip.Video.Clip.name);
-          ("frames", Obs.Json.Int clip.Video.Clip.frame_count);
-          ("profile", Obs.Json.List profile_rows);
-          ( "prepared_cache",
-            Obs.Json.Obj
-              [
-                ("specs", Obs.Json.Int (List.length specs));
-                ("first_pass_misses", Obs.Json.Int m1);
-                ("rerun_hits", Obs.Json.Int (h2 - h1));
-                ("cached_streams", Obs.Json.Int (Streaming.Server.cache_size server));
-                ("bytes_equal", Obs.Json.Bool true);
-              ] );
-        ];
-    ];
   print_endline
     "\n(the domain pool splits the per-frame histogram pass; chunking is a\n\
     \ pure function of the frame count, so any domain count produces the\n\
@@ -1327,25 +1302,88 @@ let micro () =
   in
   List.iter benchmark tests
 
-(* --- Extension: E17 energy attribution + regression gate ------------------- *)
+(* --- Codec work rows ---------------------------------------------------------- *)
 
-(* Rows for the report's "energy" section; the regression gate diffs
-   them against BENCH_baseline.json. *)
+(* Rows for the report's "work" section: the codec's work on one fixed
+   clip, encoded and then decoded on the calling domain. Operation
+   counts are deltas of the codec_* counters. Allocation comes from
+   [Gc.minor_words], which in OCaml 5 counts the calling domain only;
+   its pass runs with observability off, because the telemetry's
+   quantile sketches allocate according to the times they are fed.
+   The counted pass runs first, so no first-use initialisation lands
+   in the allocation pass. Allocation depends on the compiler, so the
+   row records its version. *)
+let work_rows : Obs.Json.t list ref = ref []
+
+let work () =
+  let width = 96 and height = 72 and frame_count = 48 in
+  let rasters =
+    let full =
+      Video.Clip_gen.render ~width ~height ~fps:12. Video.Workloads.officexp
+    in
+    Array.init frame_count full.Video.Clip.render
+  in
+  let clip =
+    Video.Clip.make ~name:"officexp-48" ~width ~height ~fps:12. ~frame_count
+      (Array.get rasters)
+  in
+  let counts () =
+    let c name labels = Obs.Metrics.Counter.value (Obs.counter name labels) in
+    ( c "codec_frames_encoded_total" [ ("type", "I") ]
+      + c "codec_frames_encoded_total" [ ("type", "P") ],
+      c "codec_encoded_bytes_total" [],
+      c "codec_dct_ops_total" [],
+      c "codec_quant_ops_total" [] )
+  in
+  let frames0, bytes0, dct0, quant0 = counts () in
+  let encoded = Codec.Encoder.encode_clip clip in
+  ignore (Codec.Decoder.decode_exn encoded.Codec.Encoder.data);
+  let frames1, bytes1, dct1, quant1 = counts () in
+  let frames = frames1 - frames0 and bytes = bytes1 - bytes0 in
+  let dct_ops = dct1 - dct0 and quant_ops = quant1 - quant0 in
+  let minor_kw f =
+    Obs.disable ();
+    Fun.protect ~finally:Obs.enable (fun () ->
+        let w0 = Gc.minor_words () in
+        let r = f () in
+        (r, (Gc.minor_words () -. w0) /. 1e3))
+  in
+  let encoded, encode_kw = minor_kw (fun () -> Codec.Encoder.encode_clip clip) in
+  let decoded, decode_kw =
+    minor_kw (fun () -> Codec.Decoder.decode_exn encoded.Codec.Encoder.data)
+  in
+  let decoded_frames = Array.length decoded.Codec.Decoder.frames in
+  let per_encoded = encode_kw /. float_of_int frames in
+  let per_decoded = decode_kw /. float_of_int decoded_frames in
+  Printf.printf
+    "codec work, %s at %dx%d on one domain (OCaml %s): %d frames, %d bytes, \
+     %d DCTs, %d quantiser passes; %.1f kwords per encoded frame, %.1f per \
+     decoded frame\n\n"
+    clip.Video.Clip.name width height Sys.ocaml_version frames bytes dct_ops
+    quant_ops per_encoded per_decoded;
+  work_rows :=
+    [
+      Obs.Json.Obj
+        [
+          ("clip", Obs.Json.String clip.Video.Clip.name);
+          ("ocaml_version", Obs.Json.String Sys.ocaml_version);
+          ("frames", Obs.Json.Int frames);
+          ("encoded_bytes", Obs.Json.Int bytes);
+          ("dct_ops", Obs.Json.Int dct_ops);
+          ("quant_ops", Obs.Json.Int quant_ops);
+          ("minor_kw_per_encoded_frame", Obs.Json.Float per_encoded);
+          ("minor_kw_per_decoded_frame", Obs.Json.Float per_decoded);
+        ];
+    ]
+
+(* --- Extension: E17 energy attribution ------------------------------------- *)
+
+(* Rows for the report's "energy" section. *)
 let energy_rows : Obs.Json.t list ref = ref []
-
-(* Synthetic energy regression in percent, injected at reporting time
-   by [--inject-regression] so `make check` can prove the gate trips
-   on drift without touching the simulator. *)
-let inject_regression_pct = ref 0.
-
-(* Top-level run summary for BENCH_report.json: headline savings and
-   throughput. [savings_pct] is deterministic and gated with the usual
-   half-point tolerance; [frames_per_s] is wall-clock and gated
-   presence-only (see [metric_ok]). *)
-let energy_summary : (string * Obs.Json.t) list ref = ref []
 
 let energy () =
   section "Extension — E17: energy attribution (joules per stage/scene/component)";
+  work ();
   let profiler = Obs.Profile.create () in
   Obs.Profile.install profiler;
   Fun.protect ~finally:Obs.Profile.uninstall @@ fun () ->
@@ -1366,8 +1404,6 @@ let energy () =
   Printf.printf "%-18s %12s %12s %9s %11s %7s %7s %8s %8s\n" "clip" "device mJ"
     "baseline mJ" "saved" "backlight" "cpu" "radio" "jrnl ev" "jrnl B";
   rule ();
-  let t0 = Obs.Clock.now_ns () in
-  let sum_savings_pct = ref 0. and total_frames = ref 0 in
   List.iter
     (fun profile ->
       let name = profile.Video.Profile.name in
@@ -1426,16 +1462,13 @@ let energy () =
              []
         |> List.rev
       in
-      let scale = 1. +. (!inject_regression_pct /. 100.) in
-      let device_mj = report.Streaming.Session.device_energy_mj *. scale in
+      let device_mj = report.Streaming.Session.device_energy_mj in
       let baseline_mj = report.Streaming.Session.baseline_energy_mj in
       let device_savings_pct = 100. *. (baseline_mj -. device_mj) /. baseline_mj in
       (* This clip's share of the shared journal: both counts are pure
          functions of the session, so the gate compares them exactly. *)
       let journal_events = Obs.Journal.length journal - journal_ev0 in
       let journal_bytes = Obs.Journal.size_bytes journal - journal_b0 in
-      sum_savings_pct := !sum_savings_pct +. device_savings_pct;
-      total_frames := !total_frames + report.Streaming.Session.frames;
       Printf.printf "%-18s %12.1f %12.1f %8.1f%% %10.1f%% %6.1f%% %6.1f%% %8d %8d\n"
         name device_mj baseline_mj device_savings_pct
         (100. *. report.Streaming.Session.backlight_savings)
@@ -1470,13 +1503,6 @@ let energy () =
               ];
           ])
     clips;
-  let wall_s = Float.max 1e-9 (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0)) in
-  energy_summary :=
-    [
-      ( "savings_pct",
-        Obs.Json.Float (!sum_savings_pct /. float_of_int (List.length clips)) );
-      ("frames_per_s", Obs.Json.Float (float_of_int !total_frames /. wall_s));
-    ];
   Obs.Journal.write journal ~path:"BENCH_session.journal";
   Printf.printf
     "\nwrote BENCH_session.journal (%d sessions, %d events, %d bytes — read \
@@ -1491,10 +1517,8 @@ let energy () =
 
 (* --- Extension: E19 resilience ladder (chaos sweep) ------------------------ *)
 
-(* Rows for the report's "resilience_ladder" section; the regression
-   gate diffs them against BENCH_baseline.json alongside the energy
-   rows. Every count is a pure function of the seeds, so the gate
-   compares them exactly. *)
+(* Rows for the report's "resilience_ladder" section. Every count is a
+   pure function of the seeds, so the gate compares them exactly. *)
 let resilience_ladder_rows : Obs.Json.t list ref = ref []
 
 let resilience_ladder () =
@@ -1722,9 +1746,8 @@ let resilience_ladder () =
 
 (* --- Extension: E20 fleet-scale scheduler ---------------------------------- *)
 
-(* Rows for the report's "fleet" section; everything except the
-   wall-clock throughput column is a pure function of the seeds, so
-   the gate compares it exactly. *)
+(* Rows for the report's "fleet" section; every field is a pure
+   function of the seeds. The wall clock goes to stdout only. *)
 let fleet_rows : Obs.Json.t list ref = ref []
 
 let fleet_bench () =
@@ -1782,10 +1805,6 @@ let fleet_bench () =
   let t0 = Obs.Clock.now_ns () in
   let report = run_fleet ~domains load in
   let wall_s = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0) in
-  let sessions_per_domain_per_s =
-    float_of_int report.Fleet.Scheduler.completed
-    /. wall_s /. float_of_int domains
-  in
   Printf.printf "%d domains, %d shards:\n%s\n\n" domains
     config.Fleet.Scheduler.shards
     (Format.asprintf "%a" Fleet.Scheduler.pp_report
@@ -1804,7 +1823,8 @@ let fleet_bench () =
   Printf.printf
     "\nwall %.2f s — %.0f sessions/s/domain (wall), %.1f sessions per \
      simulated second\n"
-    wall_s sessions_per_domain_per_s
+    wall_s
+    (float_of_int report.Fleet.Scheduler.completed /. wall_s /. float_of_int domains)
     report.Fleet.Scheduler.sessions_per_sim_second;
   (* Determinism: the shard loops share no state, so the journal and
      every report number must be byte-identical at any domain count —
@@ -1855,83 +1875,118 @@ let fleet_bench () =
                 (100. *. report.Fleet.Scheduler.mean_device_savings) );
             ("monitor_healthy", Obs.Json.Int (if healthy then 1 else 0));
             ("replay_mismatches", Obs.Json.Int replay_mismatches);
-            ( "sessions_per_domain_per_s",
-              Obs.Json.Float sessions_per_domain_per_s );
           ];
       ]
 
-(* --- regression gate ------------------------------------------------------- *)
+(* --- the committed report and its gate ------------------------------------- *)
 
-let baseline_comment =
-  "Committed bench baseline for `bench --baseline FILE --gate`. Regenerate \
-   with `make baseline` ONLY alongside a reasoned diff: state in the PR what \
-   moved, by how much, and why the new numbers are correct."
+(* BENCH_report.json holds only simulated results, each a pure function
+   of the code and the seeds: `make baseline` commits it, and `make
+   gate` regenerates it and compares the two files with [gate]. *)
+let report_json () =
+  Obs.Json.Obj
+    (List.filter_map
+       (fun (name, rows) ->
+         if !rows = [] then None else Some (name, Obs.Json.List !rows))
+       [
+         ("energy", energy_rows);
+         ("work", work_rows);
+         ("resilience", resilience_rows);
+         ("resilience_ladder", resilience_ladder_rows);
+         ("fleet", fleet_rows);
+       ])
 
-let energy_section () =
-  if !energy_rows = [] then []
-  else [ ("energy", Obs.Json.List !energy_rows) ]
+(* One field per line, so two reports diff field by field. *)
+let rec render indent = function
+  | Obs.Json.Obj (_ :: _ as fields) ->
+    block indent '{' '}'
+      (List.map
+         (fun (k, v) ->
+           Obs.Json.to_string (Obs.Json.String k) ^ ": " ^ render (indent ^ "  ") v)
+         fields)
+  | Obs.Json.List (_ :: _ as items) ->
+    block indent '[' ']' (List.map (render (indent ^ "  ")) items)
+  | v -> Obs.Json.to_string v
 
-let summary_section () =
-  if !energy_summary = [] then []
-  else [ ("summary", Obs.Json.Obj !energy_summary) ]
+and block indent opening closing items =
+  let inner = indent ^ "  " in
+  Printf.sprintf "%c\n%s%s\n%s%c" opening inner
+    (String.concat (",\n" ^ inner) items)
+    indent closing
 
-let ladder_section () =
-  if !resilience_ladder_rows = [] then []
-  else [ ("resilience_ladder", Obs.Json.List !resilience_ladder_rows) ]
-
-let fleet_section () =
-  if !fleet_rows = [] then [] else [ ("fleet", Obs.Json.List !fleet_rows) ]
-
-let write_baseline ~path =
-  if !energy_rows = [] then begin
-    prerr_endline
-      "bench: --write-baseline needs the energy experiment in the same run \
-       (e.g. `bench energy --write-baseline FILE`)";
-    exit 1
-  end;
-  Obs.write_file ~path
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          ([
-             ("_comment", Obs.Json.String baseline_comment);
-             ("energy", Obs.Json.List !energy_rows);
-           ]
-          @ summary_section () @ ladder_section () @ fleet_section ())));
-  Printf.printf "wrote %s\n" path
-
-(* Flatten a report row into (metric path, numeric value) pairs;
-   strings identify the row and are not compared. *)
-let rec flatten_metrics prefix json acc =
-  match json with
+(* Flatten a report value into (metric path, numeric value) pairs, in
+   document order; strings identify a row and are not compared. *)
+let rec flatten_metrics prefix = function
   | Obs.Json.Obj fields ->
-    List.fold_left
-      (fun acc (k, v) -> flatten_metrics (prefix ^ "." ^ k) v acc)
-      acc fields
-  | Obs.Json.Float v -> (prefix, `Float v) :: acc
-  | Obs.Json.Int i -> (prefix, `Int i) :: acc
-  | _ -> acc
+    List.concat_map (fun (k, v) -> flatten_metrics (prefix ^ "." ^ k) v) fields
+  | Obs.Json.Float v -> [ (prefix, `Float v) ]
+  | Obs.Json.Int i -> [ (prefix, `Int i) ]
+  | _ -> []
 
-let flatten_rows rows =
-  List.concat_map
-    (fun row ->
-      let clip =
-        match Obs.Json.member "clip" row with
-        | Some (Obs.Json.String c) -> c
-        | _ -> "?"
-      in
-      flatten_metrics clip row [])
-    rows
+(* A row is named by its section and its clip; the resilience sweep has
+   no clip and one row per burst length. *)
+let flatten_report = function
+  | Obs.Json.Obj sections ->
+    List.concat_map
+      (fun (section, value) ->
+        match value with
+        | Obs.Json.List rows ->
+          List.concat_map
+            (fun row ->
+              let key =
+                match
+                  (Obs.Json.member "clip" row, Obs.Json.member "burst_length" row)
+                with
+                | Some (Obs.Json.String clip), _ -> clip
+                | _, Some (Obs.Json.Float burst) -> Printf.sprintf "burst_%g" burst
+                | _ -> "?"
+              in
+              flatten_metrics (section ^ "/" ^ key) row)
+            rows
+        | value -> flatten_metrics section value)
+      sections
+  | value -> flatten_metrics "" value
 
-(* Per-metric tolerance: percentage columns drift absolutely (half a
-   point), energies and other floats relatively (1%), counts exactly.
-   Throughput columns ([_per_s]) are wall-clock-dependent and gated
-   presence-only: both sides must exist and be finite, the values are
-   not compared. *)
+(* [--inject-regression PCT] raises each energy row's device energy by
+   PCT percent, and lowers its savings to match, before the comparison:
+   `make gate` uses it to show that the gate trips on drift. *)
+let inject_regression pct json =
+  let scale_row = function
+    | Obs.Json.Obj fields as row -> (
+      match
+        ( List.assoc_opt "device_energy_mj" fields,
+          List.assoc_opt "baseline_energy_mj" fields )
+      with
+      | Some (Obs.Json.Float device), Some (Obs.Json.Float baseline) ->
+        let device = device *. (1. +. (pct /. 100.)) in
+        Obs.Json.Obj
+          (List.map
+             (fun (k, v) ->
+               match k with
+               | "device_energy_mj" -> (k, Obs.Json.Float device)
+               | "device_savings_pct" ->
+                 (k, Obs.Json.Float (100. *. (baseline -. device) /. baseline))
+               | _ -> (k, v))
+             fields)
+      | _ -> row)
+    | row -> row
+  in
+  match json with
+  | Obs.Json.Obj sections ->
+    Obs.Json.Obj
+      (List.map
+         (function
+           | "energy", Obs.Json.List rows ->
+             ("energy", Obs.Json.List (List.map scale_row rows))
+           | section -> section)
+         sections)
+  | json -> json
+
+(* Per-metric tolerance: counts exactly, percentages within half a
+   point, other floats within 1%. The report is made on one host and
+   checked on another, whose libm may differ in the last bit. *)
 let metric_ok name base current =
   match (base, current) with
-  | _ when String.ends_with ~suffix:"_per_s" name ->
-    let f = function `Int i -> float_of_int i | `Float v -> v in
-    Float.is_finite (f base) && Float.is_finite (f current)
   | `Int a, `Int b -> a = b
   | _ ->
     let f = function `Int i -> float_of_int i | `Float v -> v in
@@ -1943,138 +1998,68 @@ let metric_value = function
   | `Int i -> string_of_int i
   | `Float v -> Printf.sprintf "%.6g" v
 
-let gate ~baseline_path =
-  if !energy_rows = [] then begin
-    prerr_endline
-      "bench: --gate needs the energy experiment in the same run \
-       (e.g. `bench energy --baseline FILE --gate`)";
-    exit 1
-  end;
-  let baseline_json =
+let duplicates metrics =
+  let seen = Hashtbl.create 256 in
+  List.sort_uniq String.compare
+    (List.filter
+       (fun name -> Hashtbl.mem seen name || (Hashtbl.add seen name (); false))
+       (List.map fst metrics))
+
+(* Exit 0 when every metric of [committed] is in [run] within tolerance
+   and nothing else is; 1 on any drift, missing, extra or duplicated
+   metric; 2 when a file cannot be read. *)
+let gate ~committed ~run ~inject_pct =
+  let read path =
     let parsed =
-      match In_channel.with_open_text baseline_path In_channel.input_all with
+      match In_channel.with_open_text path In_channel.input_all with
       | text -> Obs.Json.of_string text
       | exception Sys_error msg -> Error msg
     in
     match parsed with
-    | Error msg ->
-      Printf.eprintf "bench: cannot read baseline %s: %s\n" baseline_path msg;
-      exit 1
     | Ok json -> json
+    | Error msg ->
+      Printf.eprintf "bench gate: cannot read %s: %s\n" path msg;
+      exit 2
   in
-  (* The committed report beside the baseline must carry every section
-     the baseline gates; a report regenerated before a section existed
-     would otherwise go stale unnoticed. *)
-  let report_path =
-    Filename.concat (Filename.dirname baseline_path) "BENCH_report.json"
+  let base = flatten_report (read committed) in
+  let current = flatten_report (inject_regression inject_pct (read run)) in
+  Printf.printf "bench gate: %s against %s\n" run committed;
+  let failures = ref 0 in
+  let fail fmt =
+    incr failures;
+    Printf.printf fmt
   in
-  let stale_sections =
-    let sections =
-      match baseline_json with
-      | Obs.Json.Obj fields ->
-        List.filter (fun k -> k <> "_comment") (List.map fst fields)
-      | _ -> []
-    in
-    let report =
-      match In_channel.with_open_text report_path In_channel.input_all with
-      | text -> Result.to_option (Obs.Json.of_string text)
-      | exception Sys_error _ -> None
-    in
-    List.filter
-      (fun k ->
-        match report with
-        | Some r -> Obs.Json.member k r = None
-        | None -> true)
-      sections
-  in
-  let baseline_rows =
-    match Obs.Json.member "energy" baseline_json with
-    | Some (Obs.Json.List rows) -> rows
-    | Some _ | None ->
-      Printf.eprintf "bench: %s has no \"energy\" section\n" baseline_path;
-      exit 1
-  in
-  (* The top-level summary rides the same comparison, prefixed so its
-     metrics cannot collide with a clip named "summary". *)
-  let flatten_summary = function
-    | Some json -> flatten_metrics "summary" json []
-    | None -> []
-  in
-  (* The resilience-ladder section rides the same comparison; its rows
-     carry a "clip" field like the energy rows, so the flattened names
-     cannot collide. Absent on either side just means the section's
-     experiment was not in that run — the additive-diff rule for
-     missing/extra metrics then applies as usual. *)
-  let ladder_rows json =
-    match Obs.Json.member "resilience_ladder" json with
-    | Some (Obs.Json.List rows) -> rows
-    | Some _ | None -> []
-  in
-  (* The fleet section rides the same comparison under the same
-     additive-diff rule; its single row is keyed "fleet-10k". *)
-  let baseline_fleet_rows json =
-    match Obs.Json.member "fleet" json with
-    | Some (Obs.Json.List rows) -> rows
-    | Some _ | None -> []
-  in
-  let base =
-    flatten_rows baseline_rows
-    @ flatten_rows (ladder_rows baseline_json)
-    @ flatten_rows (baseline_fleet_rows baseline_json)
-    @ flatten_summary (Obs.Json.member "summary" baseline_json)
-  in
-  let current =
-    flatten_rows !energy_rows
-    @ flatten_rows !resilience_ladder_rows
-    @ flatten_rows !fleet_rows
-    @ flatten_summary
-        (match !energy_summary with
-        | [] -> None
-        | fields -> Some (Obs.Json.Obj fields))
-  in
-  section (Printf.sprintf "regression gate vs %s" baseline_path);
-  let failures = ref (List.length stale_sections) in
-  let total = ref (List.length stale_sections) in
   List.iter
-    (fun k ->
-      Printf.printf
-        "  STALE section %S is in the baseline but missing from %s \
-         (regenerate the report)\n"
-        k report_path)
-    stale_sections;
+    (fun (path, metrics) ->
+      List.iter
+        (fun name -> fail "  DUPLICATE %-50s occurs more than once in %s\n" name path)
+        (duplicates metrics))
+    [ (committed, base); (run, current) ];
   List.iter
     (fun (name, bv) ->
-      incr total;
       match List.assoc_opt name current with
       | None ->
-        incr failures;
-        Printf.printf "  DRIFT %-52s baseline %s, missing from this run\n" name
+        fail "  DRIFT %-54s committed %s, missing from the run\n" name
           (metric_value bv)
       | Some cv ->
-        if not (metric_ok name bv cv) then begin
-          incr failures;
-          Printf.printf "  DRIFT %-52s baseline %s, now %s\n" name
-            (metric_value bv) (metric_value cv)
-        end)
+        if not (metric_ok name bv cv) then
+          fail "  DRIFT %-54s committed %s, run %s\n" name (metric_value bv)
+            (metric_value cv))
     base;
   List.iter
     (fun (name, cv) ->
-      if List.assoc_opt name base = None then begin
-        incr total;
-        incr failures;
-        Printf.printf
-          "  DRIFT %-52s %s in this run, absent from baseline (regenerate \
-           with `make baseline` + reasoned diff)\n"
-          name (metric_value cv)
-      end)
+      if not (List.mem_assoc name base) then
+        fail "  DRIFT %-54s run %s, absent from the committed report\n" name
+          (metric_value cv))
     current;
-  if !failures = 0 then begin
-    Printf.printf "  %d metrics within tolerance — gate passed\n" !total;
-    true
-  end
+  if !failures = 0 then
+    Printf.printf "  %d metrics within tolerance — gate passed\n" (List.length base)
   else begin
-    Printf.printf "  %d of %d metrics drifted — gate FAILED\n" !failures !total;
-    false
+    Printf.printf
+      "  %d finding(s) — gate FAILED. If the change is meant, run `make baseline` \
+       and say what moved, by how much, and why.\n"
+      !failures;
+    exit 1
   end
 
 (* --- driver -------------------------------------------------------------- *)
@@ -2203,118 +2188,70 @@ let report_obs () =
         Printf.printf "  %-24s %10.1f ms\n" s.Obs.Trace.name
           (Obs.Clock.ns_to_s s.Obs.Trace.duration_ns *. 1e3))
       roots;
-    let phases = Obs.Json.List (List.map phase_json roots) in
-    let critical_path = Obs.Trace.hotspots_to_json (Obs.Trace.critical_path ()) in
     let json =
       Obs.Json.Obj
         [
-          ("phases", phases);
+          ("phases", Obs.Json.List (List.map phase_json roots));
           ("quantiles", quantiles_json ());
-          ("critical_path", critical_path);
+          ("critical_path", Obs.Trace.hotspots_to_json (Obs.Trace.critical_path ()));
           ("metrics", Obs.Registry.to_json (Obs.Registry.snapshot ()));
         ]
     in
     Obs.write_file ~path:"BENCH_obs.json" (Obs.Json.to_string json);
-    (* The committed, reviewable slice of the same data: wall clock
-       and span percentiles per experiment, no raw metric dump (see
-       EXPERIMENTS.md, "Bench reports"). *)
-    let resilience =
-      if !resilience_rows = [] then []
-      else [ ("resilience", Obs.Json.List !resilience_rows) ]
-    in
-    let parallel =
-      if !parallel_rows = [] then []
-      else [ ("parallel", Obs.Json.List !parallel_rows) ]
-    in
-    let report =
-      Obs.Json.Obj
-        ([ ("phases", phases); ("critical_path", critical_path) ]
-        @ summary_section () @ resilience @ ladder_section () @ fleet_section ()
-        @ parallel @ energy_section ())
-    in
-    Obs.write_file ~path:"BENCH_report.json" (Obs.Json.to_string report);
-    Printf.printf "\nwrote BENCH_obs.json and BENCH_report.json\n"
+    match report_json () with
+    | Obs.Json.Obj [] -> Printf.printf "\nwrote BENCH_obs.json\n"
+    | report ->
+      Obs.write_file ~path:"BENCH_report.json" (render "" report ^ "\n");
+      Printf.printf "\nwrote BENCH_obs.json and BENCH_report.json\n"
   end
 
+let gate_usage () =
+  prerr_endline "usage: bench gate COMMITTED RUN [--inject-regression PCT]";
+  exit 2
+
 let () =
-  Obs.enable ();
-  (* Monitoring adds the quantile sketches behind the percentile
-     columns in BENCH_obs.json / BENCH_report.json. *)
-  Obs.enable_monitoring ();
-  (* Harness flags, not experiment ids — strip them before dispatch.
-     [--jobs N] bounds the [parallel] experiment's domain sweep; the
-     baseline/gate flags drive the energy regression gate. *)
-  let baseline_path = ref None in
-  let gate_requested = ref false in
-  let write_baseline_path = ref None in
-  let rec strip_flags = function
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n ->
-        bench_jobs := Par.Pool.normalize_jobs n;
-        strip_flags rest
-      | None ->
-        prerr_endline "bench: --jobs expects an integer";
-        exit 1)
-    | [ "--jobs" ] ->
-      prerr_endline "bench: --jobs expects an integer";
-      exit 1
-    | "--baseline" :: path :: rest ->
-      baseline_path := Some path;
-      strip_flags rest
-    | [ "--baseline" ] ->
-      prerr_endline "bench: --baseline expects a file";
-      exit 1
-    | "--gate" :: rest ->
-      gate_requested := true;
-      strip_flags rest
-    | "--write-baseline" :: path :: rest ->
-      write_baseline_path := Some path;
-      strip_flags rest
-    | [ "--write-baseline" ] ->
-      prerr_endline "bench: --write-baseline expects a file";
-      exit 1
-    | "--inject-regression" :: pct :: rest -> (
+  match Array.to_list Sys.argv with
+  | _ :: "gate" :: args -> (
+    match args with
+    | [ committed; run ] -> gate ~committed ~run ~inject_pct:0.
+    | [ committed; run; "--inject-regression"; pct ] -> (
       match float_of_string_opt pct with
-      | Some v ->
-        inject_regression_pct := v;
-        strip_flags rest
-      | None ->
-        prerr_endline "bench: --inject-regression expects a percentage";
-        exit 1)
-    | [ "--inject-regression" ] ->
-      prerr_endline "bench: --inject-regression expects a percentage";
-      exit 1
-    | arg :: rest -> arg :: strip_flags rest
-    | [] -> []
-  in
-  (match strip_flags (Array.to_list Sys.argv) with
-  | _ :: [] ->
-    (* Everything except the micro-benchmarks, which have their own id. *)
-    List.iter (fun (id, _, run) -> observed id run) experiments
+      | Some inject_pct -> gate ~committed ~run ~inject_pct
+      | None -> gate_usage ())
+    | _ -> gate_usage ())
   | _ :: args ->
-    List.iter
-      (fun arg ->
-        match arg with
-        | "--list" | "-l" -> list_experiments ()
-        | "micro" -> observed "micro" micro
-        | id -> (
-          match List.find_opt (fun (name, _, _) -> name = id) experiments with
-          | Some (_, _, run) -> observed id run
-          | None ->
-            Printf.eprintf "unknown experiment %S\n" id;
-            list_experiments ();
-            exit 1))
-      args
-  | [] -> assert false);
-  report_obs ();
-  (match !write_baseline_path with
-  | Some path -> write_baseline ~path
-  | None -> ());
-  if !gate_requested then begin
-    match !baseline_path with
-    | None ->
-      prerr_endline "bench: --gate requires --baseline FILE";
-      exit 1
-    | Some path -> if not (gate ~baseline_path:path) then exit 1
-  end
+    Obs.enable ();
+    (* Monitoring adds the quantile sketches behind the percentile
+       columns in BENCH_obs.json. *)
+    Obs.enable_monitoring ();
+    (* [--jobs N] bounds the [parallel] experiment's domain sweep and
+       sizes the fleet's pool; it is a harness flag, not an id. *)
+    let rec strip_jobs = function
+      | "--jobs" :: n :: rest when int_of_string_opt n <> None ->
+        bench_jobs := Par.Pool.normalize_jobs (int_of_string n);
+        strip_jobs rest
+      | "--jobs" :: _ ->
+        prerr_endline "bench: --jobs expects an integer";
+        exit 1
+      | arg :: rest -> arg :: strip_jobs rest
+      | [] -> []
+    in
+    (match strip_jobs args with
+    | [] ->
+      (* Everything except the micro-benchmarks, which have their own id. *)
+      List.iter (fun (id, _, run) -> observed id run) experiments
+    | ids ->
+      List.iter
+        (function
+          | "--list" | "-l" -> list_experiments ()
+          | "micro" -> observed "micro" micro
+          | id -> (
+            match List.find_opt (fun (name, _, _) -> name = id) experiments with
+            | Some (_, _, run) -> observed id run
+            | None ->
+              Printf.eprintf "unknown experiment %S\n" id;
+              list_experiments ();
+              exit 1))
+        ids);
+    report_obs ()
+  | [] -> assert false

@@ -59,20 +59,6 @@ let detach id =
       sinks := List.filter (fun s -> s.id <> id) !sinks;
       List.iter (fun s -> s.close ()) closing)
 
-let detach_all () =
-  with_lock (fun () ->
-      let old = !sinks in
-      sinks := [];
-      List.iter (fun s -> s.close ()) old)
-
-let attach_stderr () =
-  attach (fun e ->
-      (* lint: allow L005 this sink is the console backend the rule points at *)
-      Printf.eprintf "[%s] %s: %s%s\n%!" (level_name e.level) e.scope e.message
-        (match e.fields with
-        | [] -> ""
-        | fields -> " " ^ Json.to_string (Json.Obj fields)))
-
 let attach_jsonl ~path =
   let oc = open_out path in
   attach_sink

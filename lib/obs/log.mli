@@ -29,10 +29,6 @@ val attach : (event -> unit) -> sink_id
     level threshold. *)
 
 val detach : sink_id -> unit
-val detach_all : unit -> unit
-
-val attach_stderr : unit -> sink_id
-(** Human-readable one-line-per-event sink on stderr. *)
 
 val attach_jsonl : path:string -> sink_id
 (** JSONL file sink; each event is one JSON object per line, flushed

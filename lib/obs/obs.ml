@@ -51,16 +51,6 @@ let gauge = Registry.gauge ?registry:None
 
 let histogram = Registry.histogram ?registry:None
 
-let timed h f =
-  if Control.on () then begin
-    let t0 = Clock.now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        Metrics.Histogram.observe h (Clock.ns_to_s (Clock.elapsed_ns ~since:t0)))
-      f
-  end
-  else f ()
-
 let write_file ~path contents =
   let oc = open_out path in
   Fun.protect

@@ -83,25 +83,6 @@ let reset () =
 
 let span_count () = Atomic.get recorded
 
-let rec find name = function
-  | [] -> None
-  | s :: rest ->
-    if s.name = name then Some s
-    else (
-      match find name s.children with
-      | Some _ as hit -> hit
-      | None -> find name rest)
-
-let total_ns name =
-  let rec sum acc spans =
-    List.fold_left
-      (fun acc s ->
-        let acc = if s.name = name then Int64.add acc s.duration_ns else acc in
-        sum acc s.children)
-      acc spans
-  in
-  sum 0L (roots ())
-
 type hotspot = {
   h_name : string;
   h_count : int;

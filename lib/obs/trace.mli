@@ -33,12 +33,6 @@ val reset : unit -> unit
 val span_count : unit -> int
 (** Total spans recorded, including children. *)
 
-val find : string -> span list -> span option
-(** Depth-first search by name. *)
-
-val total_ns : string -> int64
-(** Summed duration of every recorded span with the given name. *)
-
 (** {1 Critical path} *)
 
 type hotspot = {
