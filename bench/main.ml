@@ -946,10 +946,10 @@ let parallel () =
     "Extension — multicore annotation farm: profile speedup vs domains, \
      prepared-stream cache";
   let clip = render_workload Video.Workloads.returnoftheking in
-  (* Best of three keeps scheduler noise out of the speedup column. *)
-  let time_best f =
+  (* Best of [runs] keeps scheduler noise out of the speedup column. *)
+  let time_best ?(runs = 3) f =
     let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
+    for _ = 1 to runs do
       let t0 = Obs.Clock.now_ns () in
       let r = f () in
       let ms = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0) *. 1e3 in
@@ -981,20 +981,24 @@ let parallel () =
   rule ();
   List.iter
     (fun jobs ->
+      (* More domains than the host offers time-slice one core: the
+         row records the time but claims no speedup, so one run times
+         it. *)
+      let oversubscribed = jobs > Par.Pool.recommended () in
       let profiled, ms =
         if jobs = 1 then (seq, seq_ms)
         else
           Par.Pool.with_pool ~domains:jobs (fun pool ->
-              time_best (fun () -> Annotation.Annotator.profile ~pool clip))
+              time_best
+                ~runs:(if oversubscribed then 1 else 3)
+                (fun () -> Annotation.Annotator.profile ~pool clip))
       in
       (* Parallelism must not change a byte. *)
       if not (String.equal (encoded profiled) seq_bytes) then
         failwith
           (Printf.sprintf
              "parallel profiling diverged from sequential at %d domains" jobs);
-      (* More domains than the host offers time-slice one core: the
-         row records the time but claims no speedup. *)
-      if jobs > Par.Pool.recommended () then
+      if oversubscribed then
         Printf.printf "%-8d %12.2f %9s %12s\n" jobs ms "oversub." "yes"
       else begin
         let speedup = seq_ms /. ms in
@@ -1308,8 +1312,8 @@ let micro () =
    clip, encoded and then decoded on the calling domain. Operation
    counts are deltas of the codec_* counters. Allocation comes from
    [Gc.minor_words], which in OCaml 5 counts the calling domain only;
-   its pass runs with observability off, because the telemetry's
-   quantile sketches allocate according to the times they are fed.
+   its pass runs with observability off, so that the row counts the
+   codec's allocation and not the telemetry's (span records).
    The counted pass runs first, so no first-use initialisation lands
    in the allocation pass. Allocation depends on the compiler, so the
    row records its version. *)

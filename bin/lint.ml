@@ -37,15 +37,12 @@ let expand_paths paths =
       if Sys.is_directory path then Lint.ml_files_under path else [ path ])
     paths
 
-(* Wall-clock per pass. The linter itself is the one place allowed to
-   look at the clock for its own telemetry: the timings feed
-   EXPERIMENTS, never an annotation stream. *)
+(* Host time per pass, for the linter's own telemetry: the timings
+   feed EXPERIMENTS, never an annotation stream. *)
 let timed passes name f =
-  (* lint: allow L001 linter self-telemetry, never reaches artifacts *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   let r = f () in
-  (* lint: allow L001 linter self-telemetry, never reaches artifacts *)
-  let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let ms = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0) *. 1000. in
   passes := (name, ms) :: !passes;
   r
 

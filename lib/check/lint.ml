@@ -28,7 +28,8 @@ let rules =
 
 (* --- identifier tables ------------------------------------------------- *)
 
-let clock_idents = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
+let clock_idents =
+  [ "Unix.gettimeofday"; "Unix.time"; "Sys.time"; "Monotonic_clock.now" ]
 
 let random_idents =
   [

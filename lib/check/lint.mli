@@ -12,8 +12,8 @@
     Rules (stable codes, see the README "Static checks" table):
 
     - [L001] ambient clock read ([Unix.gettimeofday], [Unix.time],
-      [Sys.time]) — all wall-clock access goes through the
-      [Obs.Clock] shim so simulations stay replayable.
+      [Sys.time], [Monotonic_clock.now]) — all host-clock access goes
+      through the [Obs.Clock] shim so simulations stay replayable.
     - [L002] ambient randomness ([Random.self_init] or the global
       [Random.int]/[float]/[bool]/[bits]) — seeded [Image.Prng] or an
       explicit [Random.State] only.

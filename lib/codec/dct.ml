@@ -85,33 +85,15 @@ let obs_ops =
   Obs.counter ~help:"8x8 DCT transforms performed (forward + inverse)"
     "codec_dct_ops_total" []
 
-let obs_seconds =
-  Obs.histogram ~help:"Wall-clock time of one 8x8 DCT transform"
-    ~buckets:[| 1e-7; 5e-7; 1e-6; 5e-6; 1e-5; 1e-4; 1e-3 |]
-    "codec_dct_seconds" []
-
-let observe t0 =
-  Obs.Metrics.Counter.incr obs_ops;
-  Obs.Metrics.Histogram.observe obs_seconds
-    (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0))
-
 let forward block =
-  if Obs.enabled () then begin
-    let t0 = Obs.Clock.now_ns () in
-    let out = transform forward_matrix block in
-    observe t0;
-    out
-  end
-  else transform forward_matrix block
+  let out = transform forward_matrix block in
+  Obs.Metrics.Counter.incr obs_ops;
+  out
 
 let inverse_into ~rows coeffs ~tmp out =
   check coeffs;
-  if Obs.enabled () then begin
-    let t0 = Obs.Clock.now_ns () in
-    inverse_rows ~rows coeffs ~tmp out;
-    observe t0
-  end
-  else inverse_rows ~rows coeffs ~tmp out
+  Obs.Metrics.Counter.incr obs_ops;
+  inverse_rows ~rows coeffs ~tmp out
 
 let inverse coeffs =
   let out = Array.make (n * n) 0. in

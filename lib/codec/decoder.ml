@@ -32,10 +32,6 @@ let obs_decoded_bytes =
   Obs.counter ~help:"Compressed stream bytes consumed by the decoder"
     "codec_decoded_bytes_total" []
 
-let obs_decode_frame_seconds =
-  Obs.histogram ~help:"Wall-clock time decoding one frame"
-    "codec_decode_frame_seconds" []
-
 exception Corrupt of string
 
 let fail msg = raise (Corrupt msg)
@@ -146,7 +142,6 @@ let raster_of_planes info planes =
    of their previous contents survives. *)
 let decode_frame_body r s ~planes ~reference =
   Bitio.Reader.align r;
-  let obs_t0 = if Obs.enabled () then Obs.Clock.now_ns () else 0L in
   let obs_start_bits = Bitio.Reader.position_bits r in
   let marker = Bitio.Reader.get_byte_aligned r in
   let qp = Bitio.Reader.get_byte_aligned r in
@@ -171,13 +166,9 @@ let decode_frame_body r s ~planes ~reference =
   Plane.clamp planes.Plane.y;
   Plane.clamp planes.Plane.cb;
   Plane.clamp planes.Plane.cr;
-  if Obs.enabled () then begin
-    Obs.Metrics.Counter.incr (obs_frames_decoded marker);
-    Obs.Metrics.Counter.incr obs_decoded_bytes
-      ~by:((Bitio.Reader.position_bits r - obs_start_bits + 7) / 8);
-    Obs.Metrics.Histogram.observe obs_decode_frame_seconds
-      (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:obs_t0))
-  end;
+  Obs.Metrics.Counter.incr (obs_frames_decoded marker);
+  Obs.Metrics.Counter.incr obs_decoded_bytes
+    ~by:((Bitio.Reader.position_bits r - obs_start_bits + 7) / 8);
   planes
 
 let reference_of_raster raster = Plane.of_raster raster

@@ -22,10 +22,6 @@ let obs_encoded_bytes =
   Obs.counter ~help:"Total compressed stream bytes produced"
     "codec_encoded_bytes_total" []
 
-let obs_encode_frame_seconds =
-  Obs.histogram ~help:"Wall-clock time encoding one frame"
-    "codec_encode_frame_seconds" []
-
 type luma_mode = Intra | Inter of Motion.vector
 
 (* Bit cost of coding a motion vector. *)
@@ -176,7 +172,6 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
      before last; coding rewrites every block of them. *)
   let reference = ref None and spare = ref None in
   for i = 0 to frame_count - 1 do
-    let obs_t0 = if Obs.enabled () then Obs.Clock.now_ns () else 0L in
     let frame = pad_ycbcr (Plane.of_raster (clip.Video.Clip.render i)) in
     let is_i =
       (match i_frame_at with
@@ -231,11 +226,7 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     spare := !reference;
     reference := Some recon;
     frame_sizes_bits.(i) <- Bitio.Writer.bit_length w - start_bits;
-    if Obs.enabled () then begin
-      Obs.Metrics.Counter.incr (obs_frames_encoded frame_types.(i));
-      Obs.Metrics.Histogram.observe obs_encode_frame_seconds
-        (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:obs_t0))
-    end
+    Obs.Metrics.Counter.incr (obs_frames_encoded frame_types.(i))
   done;
   Obs.Metrics.Counter.incr obs_encoded_bytes
     ~by:((Bitio.Writer.bit_length w + 7) / 8);

@@ -55,16 +55,6 @@ let obs_ops =
   Obs.counter ~help:"64-coefficient quantise/dequantise passes"
     "codec_quant_ops_total" []
 
-let obs_seconds =
-  Obs.histogram ~help:"Wall-clock time of one quantise/dequantise pass"
-    ~buckets:[| 1e-7; 5e-7; 1e-6; 5e-6; 1e-5; 1e-4; 1e-3 |]
-    "codec_quant_seconds" []
-
-let observe t0 =
-  Obs.Metrics.Counter.incr obs_ops;
-  Obs.Metrics.Histogram.observe obs_seconds
-    (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since:t0))
-
 let quantise_steps s coeffs =
   let out = Array.make 64 0 in
   for i = 0 to 63 do
@@ -85,20 +75,10 @@ let dequantise_steps s levels out =
 
 let quantise t kind coeffs =
   if Array.length coeffs <> 64 then invalid_arg "Quant.quantise: need 64 coefficients";
-  if Obs.enabled () then begin
-    let t0 = Obs.Clock.now_ns () in
-    let out = quantise_steps (steps t kind) coeffs in
-    observe t0;
-    out
-  end
-  else quantise_steps (steps t kind) coeffs
+  Obs.Metrics.Counter.incr obs_ops;
+  quantise_steps (steps t kind) coeffs
 
 let dequantise t kind levels out =
   if Array.length levels <> 64 then invalid_arg "Quant.dequantise: need 64 levels";
-  if Obs.enabled () then begin
-    let t0 = Obs.Clock.now_ns () in
-    let rows = dequantise_steps (steps t kind) levels out in
-    observe t0;
-    rows
-  end
-  else dequantise_steps (steps t kind) levels out
+  Obs.Metrics.Counter.incr obs_ops;
+  dequantise_steps (steps t kind) levels out

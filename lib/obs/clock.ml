@@ -1,15 +1,9 @@
-(* The wall clock can step backwards (NTP); a CAS loop pins readings
-   to the latest value observed so far, which makes the clock monotone
-   without needing a platform monotonic-clock binding. *)
-let last = Atomic.make 0L
-
-let rec now_ns () =
+(* CLOCK_MONOTONIC through bechamel's binding: it never steps
+   backwards, so no state is needed to keep readings ordered, and a
+   reading is one allocation-free call. *)
+let now_ns () =
   (* lint: allow L001 this shim is the one sanctioned ambient-clock reader *)
-  let raw = Int64.of_float (Unix.gettimeofday () *. 1e9) in
-  let prev = Atomic.get last in
-  if Int64.compare raw prev <= 0 then prev
-  else if Atomic.compare_and_set last prev raw then raw
-  else now_ns ()
+  Monotonic_clock.now ()
 
 let elapsed_ns ~since =
   let d = Int64.sub (now_ns ()) since in

@@ -12,6 +12,8 @@ val level_name : level -> string
 
 type event = {
   ts_ns : int64;
+      (** {!Clock} reading: nanoseconds from the clock's arbitrary
+          origin, not the Unix epoch *)
   level : level;
   scope : string;
   message : string;

@@ -67,4 +67,6 @@ val to_chrome_json : ?counters:counter list -> unit -> Json.t
 (** The recorded tree as a Chrome [trace_event] array of complete
     ("ph":"X") events; attrs become event [args]. [counters] are
     interleaved as "ph":"C" events, and the combined stream is sorted
-    by timestamp so counter tracks render correctly in Perfetto. *)
+    by timestamp so counter tracks render correctly in Perfetto. Each
+    event's [ts] is an {!Clock} reading in microseconds, counted from
+    the clock's arbitrary origin, not the Unix epoch. *)

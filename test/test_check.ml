@@ -45,6 +45,15 @@ let test_fixtures_fire_once () =
 let test_clean_fixture () =
   check_codes "clean.ml is clean" [] (lint_fixture ~in_lib:true ~has_mli:true "clean.ml")
 
+let test_l001_monotonic_binding () =
+  (* Obs.Clock reads CLOCK_MONOTONIC through bechamel's binding; any
+     other caller of that binding is an ambient clock read too, and
+     the shim's reasoned allow is what keeps it clean. *)
+  check_codes "direct monotonic read" [ "L001" ]
+    (Lint.lint_source ~path:"lib/x/y.ml" "let t () = Monotonic_clock.now ()\n");
+  check_codes "the Obs.Clock shim" []
+    (Lint.lint_source ~path:"lib/obs/clock.ml" (read_file "../lib/obs/clock.ml"))
+
 let test_l009_pool_exempt () =
   (* The pool implementation itself is the one sanctioned spawn site;
      the same source is clean when attributed to lib/par. *)
@@ -657,6 +666,8 @@ let () =
         [
           Alcotest.test_case "fixtures fire once" `Quick test_fixtures_fire_once;
           Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
+          Alcotest.test_case "L001 covers the monotonic binding" `Quick
+            test_l001_monotonic_binding;
           Alcotest.test_case "lib/par exempt from L009" `Quick test_l009_pool_exempt;
           Alcotest.test_case "lib/power exempt from L010" `Quick test_l010_meter_exempt;
           Alcotest.test_case "hooks exempt from L011" `Quick test_l011_journal_exempt;

@@ -1273,14 +1273,9 @@ let test_golden_corrupt_input () =
         (corrupt_digest ~seed:(i + 1) profile))
     Video.Workloads.all
 
-(* The decoder's obs counters over one 32x24 decode: a faster decode
-   path must count exactly the same transforms, quantiser passes,
-   frames and bytes. *)
-let test_golden_decode_counters () =
-  let data =
-    (Codec.Encoder.encode_clip (test_clip ~width:32 ~height:24 ~frames:8 ()))
-      .Codec.Encoder.data
-  in
+(* The codec's counters over one decode of [data]: DCT ops, quant
+   ops, I frames, P frames and stream bytes. *)
+let decode_counter_deltas data =
   let series =
     [
       ("codec_dct_ops_total", []);
@@ -1293,11 +1288,51 @@ let test_golden_decode_counters () =
   let values () =
     List.map (fun (name, labels) -> Obs.Metrics.Counter.value (Obs.counter name labels)) series
   in
-  Obs.with_enabled @@ fun () ->
   let before = values () in
   ignore (Codec.Decoder.decode_exn data);
-  Alcotest.(check (list int)) "dct, quant, I, P, bytes" [ 160; 160; 1; 7; 322 ]
-    (List.map2 ( - ) (values ()) before)
+  List.map2 ( - ) (values ()) before
+
+(* Over one 32x24 decode: a faster decode path must count exactly the
+   same transforms, quantiser passes, frames and bytes. *)
+let golden_decode_counters = [ 160; 160; 1; 7; 322 ]
+
+let test_golden_decode_counters () =
+  let data =
+    (Codec.Encoder.encode_clip (test_clip ~width:32 ~height:24 ~frames:8 ()))
+      .Codec.Encoder.data
+  in
+  Obs.with_enabled @@ fun () ->
+  Alcotest.(check (list int)) "dct, quant, I, P, bytes" golden_decode_counters
+    (decode_counter_deltas data)
+
+(* The codec counts its work and leaves timing to the stage spans: an
+   encode and a decode with obs and monitoring on leave no codec
+   histogram family in the scrape, drop no histogram sample, and count
+   exactly what the golden pin above counts. *)
+let test_codec_counts_not_time () =
+  let clip = test_clip ~width:32 ~height:24 ~frames:8 () in
+  Obs.enable ();
+  Obs.enable_monitoring ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable_monitoring ();
+      Obs.disable ())
+    (fun () ->
+      let dropped = Obs.Metrics.dropped_samples_total () in
+      let data = (Codec.Encoder.encode_clip clip).Codec.Encoder.data in
+      Alcotest.(check (list int)) "decode counters" golden_decode_counters
+        (decode_counter_deltas data);
+      let codec_types =
+        List.filter
+          (String.starts_with ~prefix:"# TYPE codec_")
+          (String.split_on_char '\n' (Obs.Openmetrics.of_registry ~trace_top:0 ()))
+      in
+      Alcotest.(check bool) "the scrape carries the codec counters" true
+        (List.mem "# TYPE codec_dct_ops counter" codec_types);
+      Alcotest.(check (list string)) "every codec family is a counter" []
+        (List.filter (fun l -> not (String.ends_with ~suffix:" counter" l)) codec_types);
+      Alcotest.(check int) "no dropped samples" dropped
+        (Obs.Metrics.dropped_samples_total ()))
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest
@@ -1433,6 +1468,7 @@ let () =
           Alcotest.test_case "fingerprint" `Quick test_golden_fingerprint;
           Alcotest.test_case "corrupt input" `Quick test_golden_corrupt_input;
           Alcotest.test_case "decode counters" `Quick test_golden_decode_counters;
+          Alcotest.test_case "counts, not time" `Quick test_codec_counts_not_time;
         ] );
       ("properties", qtests);
     ]

@@ -75,6 +75,32 @@ let test_gauge_concurrent_add () =
     (float_of_int (domains * per_domain))
     (Obs.Metrics.Gauge.value g)
 
+(* --- clock ---------------------------------------------------------------- *)
+
+(* Two domains each check that their own readings never decrease.
+   Each also publishes its latest reading in a shared Atomic and,
+   before each reading, takes what was last published: a reading
+   taken after another domain's published one is never smaller. *)
+let test_clock_monotonic () =
+  let shared = Atomic.make (Obs.Clock.now_ns ()) in
+  let run () =
+    let last = ref 0L and backwards = ref 0 in
+    for _ = 1 to 20_000 do
+      let published = Atomic.get shared in
+      let t = Obs.Clock.now_ns () in
+      if Int64.compare t published < 0 || Int64.compare t !last < 0 then
+        incr backwards;
+      last := t;
+      Atomic.set shared t
+    done;
+    !backwards
+  in
+  let spawned = List.init 2 (fun _ -> Domain.spawn run) in
+  check (Alcotest.list int) "no reading went back, in either domain" [ 0; 0 ]
+    (List.map Domain.join spawned);
+  check bool "elapsed_ns is never negative" true
+    (Int64.compare (Obs.Clock.elapsed_ns ~since:Int64.max_int) 0L = 0)
+
 (* --- histograms --------------------------------------------------------- *)
 
 let test_histogram_buckets () =
@@ -375,6 +401,51 @@ let test_would_log_requires_sink () =
 
 (* --- behaviour neutrality ----------------------------------------------- *)
 
+let ok_or_fail what = function
+  | Ok x -> x
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let default_rules () =
+  ok_or_fail "default.slo" (Obs.Slo.load ~path:"../examples/default.slo")
+
+(* Runs [f] with the program's obs on, a monitor over [rules] and a
+   journal installed, as the CLIs' --monitor --journal runs do.
+   Returns [f]'s result, the monitor's verdicts (one line each, floats
+   in hex so nothing is rounded) and the journal bytes, sealed after
+   the monitor's final window. The default registry is reset first:
+   quantile rules read its sketches. *)
+let with_telemetry ~rules f =
+  Obs.Registry.reset ();
+  let journal = Obs.Journal.create () in
+  let monitor = Obs.Monitor.create ~rules () in
+  Obs.enable ();
+  Obs.Journal.install journal;
+  Obs.Monitor.install monitor;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Journal.uninstall ();
+      Obs.Monitor.uninstall ();
+      Obs.Trace.reset ();
+      Obs.disable ())
+    (fun () ->
+      let r = f () in
+      let hex = function None -> "-" | Some v -> Printf.sprintf "%h" v in
+      let verdicts =
+        List.map
+          (fun (v : Obs.Monitor.verdict) ->
+            Printf.sprintf "%s | evaluated %d breached %d worst %s final %s%s"
+              v.Obs.Monitor.rule.Obs.Slo.source v.evaluated v.breached
+              (hex v.worst) (hex v.final)
+              (if v.final_breach then " BREACH" else ""))
+          (Obs.Monitor.report monitor).Obs.Monitor.verdicts
+      in
+      (r, verdicts, Obs.Journal.to_string journal))
+
+let session_report config clip () =
+  match Streaming.Session.run config clip with
+  | Error e -> Alcotest.failf "session failed: %s" e
+  | Ok r -> Format.asprintf "%a" Streaming.Session.pp_report r
+
 (* The whole layer is opt-in: a session must report byte-for-byte the
    same numbers whether or not observability is recording. This is the
    contract that lets instrumentation live permanently in the hot
@@ -388,17 +459,78 @@ let test_session_report_unchanged_by_obs () =
     { (Streaming.Session.default_config ~device:Display.Device.ipaq_h5555) with
       Streaming.Session.fault = Some (Streaming.Fault.bernoulli ~rate:0.05) }
   in
-  let report_string () =
-    match Streaming.Session.run config clip with
-    | Error e -> Alcotest.failf "session failed: %s" e
-    | Ok r -> Format.asprintf "%a" Streaming.Session.pp_report r
-  in
+  let report_string = session_report config clip in
   Obs.disable ();
   let plain = report_string () in
   let observed = Obs.with_enabled report_string in
   check string "byte-identical report with obs on" plain observed;
+  let monitored, _, journal = with_telemetry ~rules:(default_rules ()) report_string in
+  check string "and with a monitor and a journal on" plain monitored;
+  check bool "the journal recorded the session" true
+    (String.length journal > String.length Obs.Journal.magic);
   Obs.disable ();
   check string "and again with obs back off" plain (report_string ())
+
+(* --- telemetry goldens ----------------------------------------------------- *)
+
+(* One session in the benchmark's chaos-warm configuration: bursty
+   loss with corruption, reorder, jitter and a bandwidth collapse
+   (examples/chaos.fault) and the aggressive resilience plane, on a
+   48-frame 32x24 clip. *)
+let chaos_warm_report () =
+  let fault =
+    ok_or_fail "chaos.fault" (Streaming.Fault.load ~path:"../examples/chaos.fault")
+  in
+  let resilience =
+    ok_or_fail "aggressive.resilience"
+      (Resilience.Profile.load ~path:"../examples/aggressive.resilience")
+  in
+  let full =
+    Video.Clip_gen.render ~width:32 ~height:24 ~fps:12. Video.Workloads.catwoman
+  in
+  let clip =
+    Video.Clip.make ~name:full.Video.Clip.name ~width:32 ~height:24 ~fps:12.
+      ~frame_count:48 full.Video.Clip.render
+  in
+  let config =
+    {
+      (Streaming.Session.default_config ~device:Display.Device.ipaq_h5555) with
+      Streaming.Session.fault = Some fault;
+      resilience = Some resilience;
+      seed = 100_004;
+    }
+  in
+  session_report config clip
+
+(* Pinned on the code before the codec's timing histograms and the
+   wall-clock shim were removed: telemetry that records counts and
+   simulated time must not move when the host clock or the per-op
+   timing changes. *)
+let golden_verdicts =
+  [
+    "streaming_frame_latency_seconds_p99 < 0.25 | evaluated 6 breached 0 worst \
+     0x1.79b16e9712519p-8 final 0x1.69d61be129c8cp-8";
+    "annot_clip_fraction_p95 <= 0.1 | evaluated 6 breached 0 worst 0x1.98p-4 final \
+     0x1.98p-4";
+    "deadline_miss_rate < 0.05 | evaluated 6 breached 0 worst 0x0p+0 final 0x0p+0";
+    "backlight_switches_per_s < 6 | evaluated 6 breached 0 worst 0x1p+0 final 0x1p-1";
+    "annot_records_corrupt_total == 0 | evaluated 1 breached 1 worst 0x1p+0 final \
+     0x1p+0 BREACH";
+    "ladder_depth <= 3 | evaluated 6 breached 0 worst 0x1.8p+1 final 0x1.8p+1";
+    "breaker_state <= 2 | evaluated 0 breached 0 worst - final -";
+  ]
+
+let golden_journal_md5 = "41004aa7d2e95d51aa2b8e098ead5912"
+
+let test_chaos_warm_goldens () =
+  let report_string = chaos_warm_report () in
+  Obs.disable ();
+  let plain = report_string () in
+  let report, verdicts, journal = with_telemetry ~rules:(default_rules ()) report_string in
+  check string "report byte-identical with telemetry on" plain report;
+  check (Alcotest.list string) "SLO verdicts" golden_verdicts verdicts;
+  check string "journal digest" golden_journal_md5
+    (Digest.to_hex (Digest.string journal))
 
 let () =
   Alcotest.run "obs"
@@ -429,6 +561,11 @@ let () =
             test_registry_snapshot_and_reset;
           Alcotest.test_case "JSON round-trip" `Quick test_registry_json_roundtrip;
         ] );
+      ( "clock",
+        [
+          Alcotest.test_case "monotonic within and across domains" `Quick
+            test_clock_monotonic;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "nesting and timing" `Quick
@@ -456,5 +593,10 @@ let () =
         [
           Alcotest.test_case "session report identical with obs on/off" `Quick
             test_session_report_unchanged_by_obs;
+        ] );
+      ( "goldens",
+        [
+          Alcotest.test_case "chaos-warm journal and SLO verdicts" `Quick
+            test_chaos_warm_goldens;
         ] );
     ]
