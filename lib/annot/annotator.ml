@@ -15,25 +15,12 @@ let obs_scenes =
   Obs.counter ~help:"Scenes detected during annotation"
     "annot_scenes_detected_total" []
 
-let profile ?plane ?pool clip =
-  Obs.Trace.with_span "annot.profile"
-    ~attrs:[ ("clip", clip.Video.Clip.name) ]
-  @@ fun () ->
+(* The one place a [profiled] record is built: both the profiling pass
+   below and a histogram tap feed it. *)
+let profile_of_histograms clip histograms =
+  if Array.length histograms <> clip.Video.Clip.frame_count then
+    invalid_arg "Annotator.profile_of_histograms: one histogram per frame";
   Obs.Metrics.Counter.incr obs_profiles;
-  let histograms =
-    match pool with
-    | None -> Video.Clip.histogram_track ?plane clip
-    | Some pool ->
-      (* The expensive pass: one render + pixel walk per frame. Each
-         frame writes its own slot, so the memory image — and thus the
-         whole [profiled] record — is bit-identical to the sequential
-         walk at any domain count. *)
-      let n = clip.Video.Clip.frame_count in
-      let histograms = Array.make n (Image.Histogram.create ()) in
-      Par.Pool.parallel_for pool ~lo:0 ~hi:(n - 1) (fun i ->
-          histograms.(i) <- Video.Clip.frame_histogram ?plane clip i);
-      histograms
-  in
   let max_track =
     Array.map
       (fun h -> if Image.Histogram.total h = 0 then 0 else Image.Histogram.max_level h)
@@ -52,6 +39,45 @@ let profile ?plane ?pool clip =
     max_track;
     mean_track;
   }
+
+let profile ?plane ?pool clip =
+  Obs.Trace.with_span "annot.profile"
+    ~attrs:[ ("clip", clip.Video.Clip.name) ]
+  @@ fun () ->
+  let histograms =
+    match pool with
+    | None -> Video.Clip.histogram_track ?plane clip
+    | Some pool ->
+      (* The expensive pass: one render + pixel walk per frame. Each
+         frame writes its own slot, so the memory image — and thus the
+         whole [profiled] record — is bit-identical to the sequential
+         walk at any domain count. *)
+      let n = clip.Video.Clip.frame_count in
+      let histograms = Array.make n (Image.Histogram.create ()) in
+      Par.Pool.parallel_for pool ~lo:0 ~hi:(n - 1) (fun i ->
+          histograms.(i) <- Video.Clip.frame_histogram ?plane clip i);
+      histograms
+  in
+  profile_of_histograms clip histograms
+
+let histogram_tap clip =
+  let n = clip.Video.Clip.frame_count in
+  let histograms = Array.make n (Image.Histogram.create ()) in
+  let seen = Array.make n false in
+  let tapped =
+    Video.Clip.map_frames ~name:clip.Video.Clip.name
+      (fun i frame ->
+        histograms.(i) <- Image.Histogram.of_raster frame;
+        seen.(i) <- true;
+        frame)
+      clip
+  in
+  let finish () =
+    if not (Array.for_all Fun.id seen) then
+      invalid_arg "Annotator.histogram_tap: a frame was never rendered";
+    profile_of_histograms clip histograms
+  in
+  (tapped, finish)
 
 let scene_histogram profiled (scene : Scene_detect.scene) =
   let merged = Image.Histogram.create () in

@@ -33,6 +33,23 @@ val profile :
     result is bit-identical to the sequential pass — the determinism
     tests assert [profile ~pool] = [profile] field for field. *)
 
+val profile_of_histograms : Video.Clip.t -> Image.Histogram.t array -> profiled
+(** [profile_of_histograms clip histograms] is the profile of [clip]
+    given its per-frame histograms, in frame order: [profile ?plane
+    clip] is [profile_of_histograms clip] of its histogram pass over
+    [plane]. It bumps
+    [annot_profiles_total] as {!profile} does. Raises
+    [Invalid_argument] unless there is one histogram per frame. *)
+
+val histogram_tap : Video.Clip.t -> Video.Clip.t * (unit -> profiled)
+(** [histogram_tap clip] is [(tapped, finish)]. [tapped] renders
+    exactly the frames of [clip], and histograms each frame's luma as
+    it is rendered, so a consumer that renders every frame of
+    [tapped] once (the encoder does) also profiles the clip. After
+    that, [finish ()] is [profile clip], with no frame rendered again.
+    Raises [Invalid_argument] from [finish] if some frame of [tapped]
+    was never rendered. [tapped] is for one consumer on one domain. *)
+
 val annotate_profiled :
   ?scene_params:Scene_detect.params ->
   device:Display.Device.t ->

@@ -15,13 +15,47 @@ let scratch () =
     tmp = Array.make 64 0.;
   }
 
-let code_intra q kind samples =
-  let centred = Array.map (fun s -> s -. 128.) samples in
-  Quant.quantise q kind (Dct.forward centred)
+type coder = {
+  recon : scratch;
+  samples : float array;
+  residual : float array;
+  coded_prediction : float array;
+  coded_levels : int array;
+  alt_prediction : float array;
+  alt_levels : int array;
+  intra_levels : int array;
+}
 
-let code_inter q kind ~samples ~prediction =
-  let residual = Array.init 64 (fun i -> samples.(i) -. prediction.(i)) in
-  Quant.quantise q kind (Dct.forward residual)
+let coder () =
+  {
+    recon = scratch ();
+    samples = Array.make 64 0.;
+    residual = Array.make 64 0.;
+    coded_prediction = Array.make 64 0.;
+    coded_levels = Array.make 64 0;
+    alt_prediction = Array.make 64 0.;
+    alt_levels = Array.make 64 0;
+    intra_levels = Array.make 64 0;
+  }
+
+(* The transform runs in place on [c.residual], with the
+   reconstruction scratch's [tmp] as its intermediate: reconstruction
+   only runs after a block's levels are chosen. *)
+let transform_quantise c q kind levels =
+  Dct.forward_into c.residual ~tmp:c.recon.tmp c.residual;
+  Quant.quantise_into q kind c.residual levels
+
+let code_intra c q kind levels =
+  for i = 0 to 63 do
+    c.residual.(i) <- c.samples.(i) -. 128.
+  done;
+  transform_quantise c q kind levels
+
+let code_inter c q kind ~prediction levels =
+  for i = 0 to 63 do
+    c.residual.(i) <- c.samples.(i) -. prediction.(i)
+  done;
+  transform_quantise c q kind levels
 
 (* IEEE addition commutes, so over [s.mid_grey] the sum is exactly
    [residual + 128.], the intra reconstruction. *)

@@ -14,15 +14,29 @@ type scratch = {
 
 val scratch : unit -> scratch
 
-val code_intra : Quant.t -> Quant.plane_kind -> float array -> int array
-(** [code_intra q kind samples] centres the 64 samples at 0, applies
-    the DCT and quantises. *)
+type coder = {
+  recon : scratch;  (** for {!reconstruct} *)
+  samples : float array;  (** the 64 samples of the block being coded *)
+  residual : float array;  (** transform input, transformed in place *)
+  coded_prediction : float array;  (** an inter candidate's prediction *)
+  coded_levels : int array;  (** its levels, or an intra block's *)
+  alt_prediction : float array;  (** a second inter candidate's *)
+  alt_levels : int array;
+  intra_levels : int array;  (** the intra alternative's levels *)
+}
+(** The encoder's working memory: one per {!Encoder.encode_clip} call,
+    so coding a block allocates nothing. *)
+
+val coder : unit -> coder
+
+val code_intra : coder -> Quant.t -> Quant.plane_kind -> int array -> unit
+(** [code_intra c q kind levels] centres [c.samples] at 0, applies the
+    DCT and quantises into [levels]. *)
 
 val code_inter :
-  Quant.t -> Quant.plane_kind -> samples:float array -> prediction:float array ->
-  int array
-(** [code_inter q kind ~samples ~prediction] codes the residual
-    [samples - prediction]. *)
+  coder -> Quant.t -> Quant.plane_kind -> prediction:float array -> int array -> unit
+(** [code_inter c q kind ~prediction levels] codes the residual
+    [c.samples - prediction] into [levels]. *)
 
 val reconstruct :
   scratch -> Quant.t -> Quant.plane_kind -> prediction:float array -> int array ->

@@ -1,25 +1,27 @@
-let nonzero_pairs zz =
-  (* (run-of-zeros-before, level) for each non-zero coefficient. *)
-  let pairs = ref [] in
+let check levels =
+  if Array.length levels <> 64 then invalid_arg "Zigzag: need 64 levels"
+
+(* Walked straight off [Zigzag.scan_order], like [bit_cost]: a first
+   pass counts the non-zero levels, a second writes each one's
+   (zero-run, level) pair, so no reordered copy and no pair list is
+   built. *)
+let write_block w levels =
+  check levels;
+  let nnz = ref 0 in
+  for k = 0 to 63 do
+    if levels.(Zigzag.scan_order.(k)) <> 0 then incr nnz
+  done;
+  Golomb.write_ue w !nnz;
   let run = ref 0 in
   for k = 0 to 63 do
-    if zz.(k) = 0 then incr run
+    let level = levels.(Zigzag.scan_order.(k)) in
+    if level = 0 then incr run
     else begin
-      pairs := (!run, zz.(k)) :: !pairs;
+      Golomb.write_ue w !run;
+      Golomb.write_se w level;
       run := 0
     end
-  done;
-  List.rev !pairs
-
-let write_block w levels =
-  let zz = Zigzag.forward levels in
-  let pairs = nonzero_pairs zz in
-  Golomb.write_ue w (List.length pairs);
-  List.iter
-    (fun (run, level) ->
-      Golomb.write_ue w run;
-      Golomb.write_se w level)
-    pairs
+  done
 
 (* Levels land straight at their row-major index: no zig-zag copy. *)
 let read_block r levels =
@@ -41,7 +43,7 @@ let read_block r levels =
 (* The cost of [write_block], walked straight off [Zigzag.scan_order]
    with no reordered copy and no pair list. *)
 let bit_cost levels =
-  if Array.length levels <> 64 then invalid_arg "Zigzag: need 64 levels";
+  check levels;
   let bits = ref 0 and nnz = ref 0 and run = ref 0 in
   for k = 0 to 63 do
     let level = levels.(Zigzag.scan_order.(k)) in

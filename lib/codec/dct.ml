@@ -22,11 +22,11 @@ let inverse_matrix = Array.init (n * n) (fun i -> cosine.(i mod n).(i / n))
 let check block =
   if Array.length block <> n * n then invalid_arg "Dct: block must have 64 samples"
 
-(* Separable transform: rows then columns. Each sum starts from [0.]
-   and accumulates in index order. *)
-let transform m block =
-  check block;
-  let tmp = Array.make (n * n) 0. in
+(* Separable transform: rows into [tmp], then columns into [out]. Each
+   sum starts from [0.] and accumulates in index order. [out] may be
+   [block]: the row pass reads all of [block] before the column pass
+   writes. *)
+let transform m block ~tmp out =
   (* Rows. *)
   for y = 0 to n - 1 do
     for u = 0 to n - 1 do
@@ -38,7 +38,6 @@ let transform m block =
     done
   done;
   (* Columns. *)
-  let out = Array.make (n * n) 0. in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
       let acc = ref 0. in
@@ -47,8 +46,7 @@ let transform m block =
       done;
       out.((v * n) + u) <- !acc
     done
-  done;
-  out
+  done
 
 (* The inverse of [transform inverse_matrix] that skips the rows of
    [coeffs] whose bit in [rows] is clear. Such a row is all ±0, so each
@@ -85,9 +83,14 @@ let obs_ops =
   Obs.counter ~help:"8x8 DCT transforms performed (forward + inverse)"
     "codec_dct_ops_total" []
 
-let forward block =
-  let out = transform forward_matrix block in
+let forward_into block ~tmp out =
+  check block;
   Obs.Metrics.Counter.incr obs_ops;
+  transform forward_matrix block ~tmp out
+
+let forward block =
+  let out = Array.make (n * n) 0. in
+  forward_into block ~tmp:(Array.make (n * n) 0.) out;
   out
 
 let inverse_into ~rows coeffs ~tmp out =

@@ -12,6 +12,11 @@ val forward : float array -> float array
     coefficients, DC first. Raises [Invalid_argument] unless the input
     has 64 elements. *)
 
+val forward_into : float array -> tmp:float array -> float array -> unit
+(** [forward_into block ~tmp out] is {!forward} written into [out],
+    with [tmp] (64 elements) as the intermediate; it allocates nothing.
+    [out] may be [block]. *)
+
 val inverse : float array -> float array
 (** [inverse coeffs] reconstructs the spatial block. *)
 

@@ -124,15 +124,8 @@ let decode_chroma_p r s q ~luma_modes ~luma_bw ~luma_bh ~(reference : Plane.t)
     done
   done
 
-let padded d = (d + 7) / 8 * 8
-
 let fresh_planes info =
-  let cw = (info.info_width + 1) / 2 and ch = (info.info_height + 1) / 2 in
-  {
-    Plane.y = Plane.create ~width:(padded info.info_width) ~height:(padded info.info_height);
-    cb = Plane.create ~width:(padded cw) ~height:(padded ch);
-    cr = Plane.create ~width:(padded cw) ~height:(padded ch);
-  }
+  Plane.create_ycbcr ~width:info.info_width ~height:info.info_height ~multiple:8
 
 let raster_of_planes info planes =
   Plane.to_raster_cropped planes ~width:info.info_width ~height:info.info_height
@@ -176,7 +169,11 @@ let reference_of_raster raster = Plane.of_raster raster
 let raster_of_reference ~width ~height planes =
   Plane.to_raster_cropped planes ~width ~height
 
-let decode_frame ~info ~reference payload =
+let decode_frame_into ~into:planes ~info ~reference payload =
+  if not
+       (Plane.has_ycbcr_geometry planes ~width:info.info_width ~height:info.info_height
+          ~multiple:8)
+  then invalid_arg "Decoder.decode_frame_into: planes are not the stream's padded geometry";
   let r = Bitio.Reader.of_string payload in
   (* The reference picture may come from concealment at display size;
      re-pad it to the codec's working geometry. *)
@@ -191,12 +188,15 @@ let decode_frame ~info ~reference payload =
       reference
   in
   match
-    decode_frame_body r (Block_codec.scratch ()) ~planes:(fresh_planes info) ~reference
+    decode_frame_body r (Block_codec.scratch ()) ~planes ~reference
   with
   | planes -> Ok (raster_of_planes info planes, planes)
   | exception Corrupt msg -> Error msg
   | exception Bitio.Reader.Out_of_bits -> Error "truncated frame"
   | exception Invalid_argument msg -> Error msg
+
+let decode_frame ~info ~reference payload =
+  decode_frame_into ~into:(fresh_planes info) ~info ~reference payload
 
 let decode_body r =
   let info = read_header r in

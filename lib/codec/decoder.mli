@@ -57,5 +57,21 @@ val decode_frame :
   (Image.Raster.t * reference, string) result
 (** [decode_frame ~info ~reference payload] decodes exactly one frame
     from its own byte string (as produced by
-    {!Encoder.frame_payloads}). P-frames require [reference]; I-frames
-    ignore it. *)
+    {!Encoder.frame_payloads}) into fresh planes. P-frames require
+    [reference]; I-frames ignore it. *)
+
+val decode_frame_into :
+  into:reference ->
+  info:stream_info ->
+  reference:reference option ->
+  string ->
+  (Image.Raster.t * reference, string) result
+(** [decode_frame_into ~into ~info ~reference payload] is
+    {!decode_frame} reconstructed into [into] instead of fresh planes,
+    so a caller that decodes frame after frame can reuse the planes of
+    its reference before last; the picture is the same. On success the
+    returned reference is [into], every sample of it rewritten; on
+    [Error] its contents are unspecified. [into] must not be
+    [reference] and must have the stream's padded geometry (that of
+    {!Plane.create_ycbcr} at multiple 8), else [Invalid_argument] is
+    raised. *)

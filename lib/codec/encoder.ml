@@ -40,16 +40,23 @@ let write_header w ~width ~height ~fps ~frame_count (p : Stream.params) =
   Golomb.write_ue w p.Stream.qp;
   Golomb.write_ue w p.Stream.search_range
 
+(* Codes [c.samples] as inter from [vector]: the prediction lands in
+   [prediction], the levels in [levels]; returns the exact bit cost. *)
+let inter_cost c q ~reference ~x ~y vector ~prediction levels =
+  Motion.extract_predicted_halfpel_into reference ~x ~y vector prediction;
+  Block_codec.code_inter c q Quant.Luma ~prediction levels;
+  1 + vector_cost vector + Coeff.bit_cost levels
+
 (* Codes one luma plane of a P frame and reconstructs it in place into
    [recon]; returns the per-block mode grid. *)
-let code_luma_p w s q ~search_range ~(current : Plane.t) ~(reference : Plane.t)
-    ~(recon : Plane.t) =
+let code_luma_p w (c : Block_codec.coder) q ~search_range ~(current : Plane.t)
+    ~(reference : Plane.t) ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
   let modes = Array.make (bw * bh) Intra in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
-      let samples = Motion.extract_block current ~x ~y in
+      Motion.extract_block_into current ~x ~y c.samples;
       (* Candidate 1: inter with the best motion vector, integer search
          then half-pel refinement. *)
       let zero_sad = Motion.sad current reference ~x ~y Motion.zero in
@@ -58,7 +65,7 @@ let code_luma_p w s q ~search_range ~(current : Plane.t) ~(reference : Plane.t)
           (* Near-perfect zero-vector prediction (static content):
              half-pel refinement could only trade exact samples for
              interpolated ones. *)
-          Motion.to_halfpel Motion.zero
+          Motion.zero
         else begin
           let integer_vec, integer_sad =
             Motion.search ~range:search_range ~current ~reference ~x ~y ()
@@ -69,91 +76,87 @@ let code_luma_p w s q ~search_range ~(current : Plane.t) ~(reference : Plane.t)
           if refined_sad < integer_sad then refined else Motion.to_halfpel integer_vec
         end
       in
-      (* SAD-best is not bits-best: evaluate the searched vector and the
-         zero vector by exact bit cost, then compare with intra. *)
-      let inter_candidate vector =
-        let prediction = Motion.extract_predicted_halfpel reference ~x ~y vector in
-        let levels = Block_codec.code_inter q Quant.Luma ~samples ~prediction in
-        (1 + vector_cost vector + Coeff.bit_cost levels, vector, prediction, levels)
+      (* SAD-best is not bits-best: code the searched vector and, unless
+         it is the zero vector, the zero vector too, and keep the one
+         with the lower exact bit cost (the searched one on a tie); then
+         compare with intra. *)
+      let searched_cost =
+        inter_cost c q ~reference ~x ~y searched ~prediction:c.coded_prediction
+          c.coded_levels
       in
-      let candidates =
-        inter_candidate searched
-        ::
-        (if searched = Motion.to_halfpel Motion.zero then []
-         else [ inter_candidate (Motion.to_halfpel Motion.zero) ])
+      let zero_cost =
+        if searched.Motion.dx = 0 && searched.Motion.dy = 0 then max_int
+        else
+          inter_cost c q ~reference ~x ~y Motion.zero ~prediction:c.alt_prediction
+            c.alt_levels
       in
-      let inter_cost, vec, prediction, inter_levels =
-        List.fold_left
-          (fun (bc, bv, bp, bl) (c, v, p, l) ->
-            if c < bc then (c, v, p, l) else (bc, bv, bp, bl))
-          (List.hd candidates) (List.tl candidates)
-      in
+      let zero_wins = zero_cost < searched_cost in
       (* Candidate 2: intra. *)
-      let intra_levels = Block_codec.code_intra q Quant.Luma samples in
-      let intra_cost = 1 + Coeff.bit_cost intra_levels in
-      if inter_cost <= intra_cost then begin
+      Block_codec.code_intra c q Quant.Luma c.intra_levels;
+      let intra_cost = 1 + Coeff.bit_cost c.intra_levels in
+      if (if zero_wins then zero_cost else searched_cost) <= intra_cost then begin
+        let vec = if zero_wins then Motion.zero else searched in
+        let prediction = if zero_wins then c.alt_prediction else c.coded_prediction
+        and levels = if zero_wins then c.alt_levels else c.coded_levels in
         modes.((by * bw) + bx) <- Inter vec;
         Golomb.write_ue w 0;
         Golomb.write_se w vec.Motion.dx;
         Golomb.write_se w vec.Motion.dy;
-        Coeff.write_block w inter_levels;
-        Block_codec.reconstruct s q Quant.Luma ~prediction inter_levels recon ~x ~y
+        Coeff.write_block w levels;
+        Block_codec.reconstruct c.recon q Quant.Luma ~prediction levels recon ~x ~y
       end
       else begin
         Golomb.write_ue w 1;
-        Coeff.write_block w intra_levels;
-        Block_codec.reconstruct s q Quant.Luma ~prediction:s.Block_codec.mid_grey
-          intra_levels recon ~x ~y
+        Coeff.write_block w c.intra_levels;
+        Block_codec.reconstruct c.recon q Quant.Luma
+          ~prediction:c.recon.Block_codec.mid_grey c.intra_levels recon ~x ~y
       end
     done
   done;
   modes
 
-let code_plane_intra w s q kind ~(current : Plane.t) ~(recon : Plane.t) =
+let code_plane_intra w (c : Block_codec.coder) q kind ~(current : Plane.t)
+    ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
-      let samples = Motion.extract_block current ~x ~y in
-      let levels = Block_codec.code_intra q kind samples in
-      Coeff.write_block w levels;
-      Block_codec.reconstruct s q kind ~prediction:s.Block_codec.mid_grey levels recon
-        ~x ~y
+      Motion.extract_block_into current ~x ~y c.samples;
+      Block_codec.code_intra c q kind c.coded_levels;
+      Coeff.write_block w c.coded_levels;
+      Block_codec.reconstruct c.recon q kind ~prediction:c.recon.Block_codec.mid_grey
+        c.coded_levels recon ~x ~y
     done
   done
 
 (* Chroma of a P frame: mode and vector derived from the co-located
    luma block (top-left of the 16x16 luma area), so only the residual
    is written. *)
-let code_chroma_p w s q ~luma_modes ~luma_bw ~luma_bh ~(current : Plane.t)
-    ~(reference : Plane.t) ~(recon : Plane.t) =
+let code_chroma_p w (c : Block_codec.coder) q ~luma_modes ~luma_bw ~luma_bh
+    ~(current : Plane.t) ~(reference : Plane.t) ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
-      let samples = Motion.extract_block current ~x ~y in
+      Motion.extract_block_into current ~x ~y c.samples;
       let lx = min (2 * bx) (luma_bw - 1) and ly = min (2 * by) (luma_bh - 1) in
-      match luma_modes.((ly * luma_bw) + lx) with
-      | Inter vec ->
-        let cvec = Motion.chroma_vector vec in
-        let prediction = Motion.extract_predicted reference ~x ~y cvec in
-        let levels = Block_codec.code_inter q Quant.Chroma ~samples ~prediction in
-        Coeff.write_block w levels;
-        Block_codec.reconstruct s q Quant.Chroma ~prediction levels recon ~x ~y
-      | Intra ->
-        let levels = Block_codec.code_intra q Quant.Chroma samples in
-        Coeff.write_block w levels;
-        Block_codec.reconstruct s q Quant.Chroma ~prediction:s.Block_codec.mid_grey
-          levels recon ~x ~y
+      let prediction =
+        match luma_modes.((ly * luma_bw) + lx) with
+        | Inter vec ->
+          Motion.extract_predicted_into reference ~x ~y (Motion.chroma_vector vec)
+            c.coded_prediction;
+          Block_codec.code_inter c q Quant.Chroma ~prediction:c.coded_prediction
+            c.coded_levels;
+          c.coded_prediction
+        | Intra ->
+          Block_codec.code_intra c q Quant.Chroma c.coded_levels;
+          c.recon.Block_codec.mid_grey
+      in
+      Coeff.write_block w c.coded_levels;
+      Block_codec.reconstruct c.recon q Quant.Chroma ~prediction c.coded_levels recon
+        ~x ~y
     done
   done
-
-let pad_ycbcr (f : Plane.ycbcr) =
-  {
-    Plane.y = Plane.pad_to_multiple f.Plane.y 8;
-    cb = Plane.pad_to_multiple f.Plane.cb 8;
-    cr = Plane.pad_to_multiple f.Plane.cr 8;
-  }
 
 let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
   if params.Stream.qp < 1 || params.Stream.qp > 31 then
@@ -167,12 +170,19 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     ~fps:clip.Video.Clip.fps ~frame_count params;
   let frame_sizes_bits = Array.make frame_count 0 in
   let frame_types = Array.make frame_count Stream.I_frame in
-  let s = Block_codec.scratch () in
-  (* Each frame is reconstructed into the planes of the reference
-     before last; coding rewrites every block of them. *)
+  let c = Block_codec.coder () in
+  let width = clip.Video.Clip.width and height = clip.Video.Clip.height in
+  let planes () = Plane.create_ycbcr ~width ~height ~multiple:8 in
+  (* Each frame is converted into the same padded planes, and
+     reconstructed into the planes of the reference before last;
+     coding rewrites every block of them. *)
+  let frame = planes () in
   let reference = ref None and spare = ref None in
   for i = 0 to frame_count - 1 do
-    let frame = pad_ycbcr (Plane.of_raster (clip.Video.Clip.render i)) in
+    let raster = clip.Video.Clip.render i in
+    if Image.Raster.width raster <> width || Image.Raster.height raster <> height then
+      invalid_arg "Encoder: frame dimensions differ from the clip's";
+    Plane.of_raster_into raster frame;
     let is_i =
       (match i_frame_at with
       | Some predicate -> predicate i
@@ -191,18 +201,12 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     let q = Quant.make ~qp in
     Bitio.Writer.put_byte_aligned w (if is_i then Char.code 'I' else Char.code 'P');
     Bitio.Writer.put_byte_aligned w qp;
-    let recon =
-      match !spare with
-      | Some planes -> planes
-      | None ->
-        let blank (p : Plane.t) = Plane.create ~width:p.Plane.width ~height:p.Plane.height in
-        { Plane.y = blank frame.Plane.y; cb = blank frame.Plane.cb; cr = blank frame.Plane.cr }
-    in
+    let recon = match !spare with Some planes -> planes | None -> planes () in
     (if is_i then begin
        frame_types.(i) <- Stream.I_frame;
-       code_plane_intra w s q Quant.Luma ~current:frame.Plane.y ~recon:recon.Plane.y;
-       code_plane_intra w s q Quant.Chroma ~current:frame.Plane.cb ~recon:recon.Plane.cb;
-       code_plane_intra w s q Quant.Chroma ~current:frame.Plane.cr ~recon:recon.Plane.cr
+       code_plane_intra w c q Quant.Luma ~current:frame.Plane.y ~recon:recon.Plane.y;
+       code_plane_intra w c q Quant.Chroma ~current:frame.Plane.cb ~recon:recon.Plane.cb;
+       code_plane_intra w c q Quant.Chroma ~current:frame.Plane.cr ~recon:recon.Plane.cr
      end
      else begin
        frame_types.(i) <- Stream.P_frame;
@@ -212,12 +216,12 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
        let luma_bw = frame.Plane.y.Plane.width / 8
        and luma_bh = frame.Plane.y.Plane.height / 8 in
        let modes =
-         code_luma_p w s q ~search_range:params.Stream.search_range
+         code_luma_p w c q ~search_range:params.Stream.search_range
            ~current:frame.Plane.y ~reference:prev.Plane.y ~recon:recon.Plane.y
        in
-       code_chroma_p w s q ~luma_modes:modes ~luma_bw ~luma_bh
+       code_chroma_p w c q ~luma_modes:modes ~luma_bw ~luma_bh
          ~current:frame.Plane.cb ~reference:prev.Plane.cb ~recon:recon.Plane.cb;
-       code_chroma_p w s q ~luma_modes:modes ~luma_bw ~luma_bh
+       code_chroma_p w c q ~luma_modes:modes ~luma_bw ~luma_bh
          ~current:frame.Plane.cr ~reference:prev.Plane.cr ~recon:recon.Plane.cr
      end);
     Plane.clamp recon.Plane.y;

@@ -32,8 +32,12 @@ val encode_clip :
     [qp_for] chooses each frame's quantiser, receiving the bits written
     so far — the hook single-pass rate control steers (see
     {!Rate_control.single_pass}); it must return values in [1, 31].
-    Raises [Invalid_argument] on invalid parameters or an empty
-    clip. *)
+    It calls [clip.render i] exactly once per frame, in index order
+    from 0, so a clip whose render has side effects (a cold session's
+    prepare histograms each frame as it is rendered) sees each frame
+    once.
+    Raises [Invalid_argument] on invalid parameters, an empty clip or
+    a rendered frame whose dimensions differ from the clip's. *)
 
 val total_bytes : encoded -> int
 

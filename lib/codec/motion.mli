@@ -39,6 +39,9 @@ val search :
 val extract_block : Plane.t -> x:int -> y:int -> float array
 (** 8x8 block as floats (edge-clamped reads). *)
 
+val extract_block_into : Plane.t -> x:int -> y:int -> float array -> unit
+(** {!extract_block} into the caller's 64-element array. *)
+
 val extract_predicted : Plane.t -> x:int -> y:int -> vector -> float array
 (** Reference block displaced by a vector, as floats. *)
 

@@ -23,10 +23,11 @@ let clamp p =
 
 let copy p = { p with samples = Array.copy p.samples }
 
+let round_up v m = (v + m - 1) / m * m
+
 let pad_to_multiple p m =
   if m <= 0 then invalid_arg "Plane.pad_to_multiple: bad multiple";
-  let round v = (v + m - 1) / m * m in
-  let w = round p.width and h = round p.height in
+  let w = round_up p.width m and h = round_up p.height m in
   if w = p.width && h = p.height then p
   else begin
     let out = create ~width:w ~height:h in
@@ -61,34 +62,79 @@ let green y cb cr =
 
 let blue y cb = clamp255 (y + ((116130 * (cb - 128)) asr 16))
 
-let of_raster img =
+(* Repeats column [w - 1] and row [h - 1] of [p]'s top-left [w]x[h]
+   into the rest of [p]: sample [(x, y)] becomes sample
+   [(min x (w - 1), min y (h - 1))], as [pad_to_multiple] reads it. *)
+let replicate_edges p ~w ~h =
+  let s = p.samples and pw = p.width in
+  for y = 0 to h - 1 do
+    let edge = s.((y * pw) + w - 1) in
+    Array.fill s ((y * pw) + w) (pw - w) edge
+  done;
+  for y = h to p.height - 1 do
+    Array.blit s ((h - 1) * pw) s (y * pw) pw
+  done
+
+(* One pass over the pixels: luma straight into [yp], and each chroma
+   site accumulates its (up to) 2x2 pixels in place. Integer sums do
+   not depend on the order of their terms, so each site's average is
+   the one a separate accumulator gives. *)
+let of_raster_into img { y = yp; cb = cbp; cr = crp } =
   let w = Image.Raster.width img and h = Image.Raster.height img in
   let cw = chroma_dim w and ch = chroma_dim h in
-  let yp = create ~width:w ~height:h in
-  let cbp = create ~width:cw ~height:ch in
-  let crp = create ~width:cw ~height:ch in
-  (* Accumulate chroma over 2x2 sites. *)
-  let cb_acc = Array.make (cw * ch) 0
-  and cr_acc = Array.make (cw * ch) 0
-  and cnt = Array.make (cw * ch) 0 in
+  let fits (p : t) w h = w <= p.width && h <= p.height in
+  if not (fits yp w h && fits cbp cw ch && fits crp cw ch) then
+    invalid_arg "Plane.of_raster_into: planes smaller than the picture";
+  let d = Image.Raster.data img in
+  let ys = yp.samples and cbs = cbp.samples and crs = crp.samples in
+  for cy = 0 to ch - 1 do
+    Array.fill cbs (cy * cbp.width) cw 0;
+    Array.fill crs (cy * crp.width) cw 0
+  done;
   for y = 0 to h - 1 do
+    let yo = y * yp.width and cbo = y / 2 * cbp.width and cro = y / 2 * crp.width in
     for x = 0 to w - 1 do
-      let i = (y * w) + x in
-      let r = Image.Raster.byte img (3 * i)
-      and g = Image.Raster.byte img ((3 * i) + 1)
-      and b = Image.Raster.byte img ((3 * i) + 2) in
-      yp.samples.(i) <- luma r g b;
-      let ci = ((y / 2) * cw) + (x / 2) in
-      cb_acc.(ci) <- cb_acc.(ci) + chroma_b r g b;
-      cr_acc.(ci) <- cr_acc.(ci) + chroma_r r g b;
-      cnt.(ci) <- cnt.(ci) + 1
+      let o = 3 * ((y * w) + x) in
+      let r = Char.code (Bytes.unsafe_get d o)
+      and g = Char.code (Bytes.unsafe_get d (o + 1))
+      and b = Char.code (Bytes.unsafe_get d (o + 2)) in
+      ys.(yo + x) <- luma r g b;
+      cbs.(cbo + (x / 2)) <- cbs.(cbo + (x / 2)) + chroma_b r g b;
+      crs.(cro + (x / 2)) <- crs.(cro + (x / 2)) + chroma_r r g b
     done
   done;
-  for i = 0 to (cw * ch) - 1 do
-    cbp.samples.(i) <- cb_acc.(i) / max 1 cnt.(i);
-    crp.samples.(i) <- cr_acc.(i) / max 1 cnt.(i)
+  for cy = 0 to ch - 1 do
+    let rows = if (2 * cy) + 1 < h then 2 else 1 in
+    for cx = 0 to cw - 1 do
+      let count = rows * if (2 * cx) + 1 < w then 2 else 1 in
+      cbs.((cy * cbp.width) + cx) <- cbs.((cy * cbp.width) + cx) / count;
+      crs.((cy * crp.width) + cx) <- crs.((cy * crp.width) + cx) / count
+    done
   done;
-  { y = yp; cb = cbp; cr = crp }
+  replicate_edges yp ~w ~h;
+  replicate_edges cbp ~w:cw ~h:ch;
+  replicate_edges crp ~w:cw ~h:ch
+
+let create_ycbcr ~width ~height ~multiple:m =
+  let cw = round_up (chroma_dim width) m and ch = round_up (chroma_dim height) m in
+  {
+    y = create ~width:(round_up width m) ~height:(round_up height m);
+    cb = create ~width:cw ~height:ch;
+    cr = create ~width:cw ~height:ch;
+  }
+
+let has_ycbcr_geometry { y; cb; cr } ~width ~height ~multiple:m =
+  let is (p : t) w h = p.width = round_up w m && p.height = round_up h m in
+  let cw = chroma_dim width and ch = chroma_dim height in
+  is y width height && is cb cw ch && is cr cw ch
+
+let of_raster img =
+  let planes =
+    create_ycbcr ~width:(Image.Raster.width img) ~height:(Image.Raster.height img)
+      ~multiple:1
+  in
+  of_raster_into img planes;
+  planes
 
 (* Every chroma site [(x / 2, y / 2)] of the crop lies inside chroma
    planes of at least [chroma_dim width] x [chroma_dim height], so the

@@ -33,8 +33,27 @@ type ycbcr = { y : t; cb : t; cr : t }
 (** 4:2:0 frame: chroma planes have half resolution in each dimension
     (rounded up). *)
 
+val create_ycbcr : width:int -> height:int -> multiple:int -> ycbcr
+(** [create_ycbcr ~width ~height ~multiple] is a zeroed 4:2:0 frame
+    for a [width]x[height] picture, each plane's dimensions rounded up
+    to a multiple of [multiple]: the geometry of [pad_to_multiple]
+    applied to {!of_raster}'s planes. *)
+
+val has_ycbcr_geometry : ycbcr -> width:int -> height:int -> multiple:int -> bool
+(** [has_ycbcr_geometry planes ~width ~height ~multiple] holds when
+    [planes] have exactly the dimensions of
+    [create_ycbcr ~width ~height ~multiple]. *)
+
 val of_raster : Image.Raster.t -> ycbcr
 (** BT.601 conversion with 2x2 chroma averaging. *)
+
+val of_raster_into : Image.Raster.t -> ycbcr -> unit
+(** [of_raster_into img planes] writes {!of_raster}[ img] into the
+    top-left of [planes] and fills the rest of each plane by edge
+    replication, so planes of the padded size receive exactly
+    [pad_to_multiple (of_raster img)] with no intermediate planes. It
+    allocates nothing. Raises [Invalid_argument] if a plane is smaller
+    than [of_raster img]'s. *)
 
 val to_raster : ycbcr -> Image.Raster.t
 (** Inverse conversion with chroma upsampling (nearest-neighbour).

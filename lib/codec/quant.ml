@@ -55,12 +55,10 @@ let obs_ops =
   Obs.counter ~help:"64-coefficient quantise/dequantise passes"
     "codec_quant_ops_total" []
 
-let quantise_steps s coeffs =
-  let out = Array.make 64 0 in
+let quantise_steps s coeffs out =
   for i = 0 to 63 do
     out.(i) <- int_of_float (Float.round (coeffs.(i) /. s.(i)))
-  done;
-  out
+  done
 
 (* Also returns the rows that hold a non-zero level, bit [y] for row
    [y]: found on the integers, where zero is exact. *)
@@ -73,10 +71,16 @@ let dequantise_steps s levels out =
   done;
   !rows
 
-let quantise t kind coeffs =
-  if Array.length coeffs <> 64 then invalid_arg "Quant.quantise: need 64 coefficients";
+let quantise_into t kind coeffs out =
+  if Array.length coeffs <> 64 || Array.length out <> 64 then
+    invalid_arg "Quant.quantise: need 64 coefficients";
   Obs.Metrics.Counter.incr obs_ops;
-  quantise_steps (steps t kind) coeffs
+  quantise_steps (steps t kind) coeffs out
+
+let quantise t kind coeffs =
+  let out = Array.make 64 0 in
+  quantise_into t kind coeffs out;
+  out
 
 let dequantise t kind levels out =
   if Array.length levels <> 64 then invalid_arg "Quant.dequantise: need 64 levels";

@@ -20,6 +20,10 @@ val quantise : t -> plane_kind -> float array -> int array
 (** [quantise q kind coeffs] divides 64 DCT coefficients by the step
     matrix and rounds to nearest. *)
 
+val quantise_into : t -> plane_kind -> float array -> int array -> unit
+(** [quantise_into q kind coeffs out] is {!quantise} written into
+    [out] (64 elements); it allocates nothing. *)
+
 val dequantise : t -> plane_kind -> int array -> float array -> int
 (** [dequantise q kind levels out] multiplies back by the step matrix
     into [out] (64 elements). It returns the rows of [levels] that hold

@@ -6,6 +6,3 @@ val scan_order : int array
 (** [scan_order.(k)] is the row-major index of the [k]-th coefficient
     in zig-zag order; a permutation of [0..63] starting at the DC
     term. *)
-
-val forward : int array -> int array
-(** Reorders 64 row-major levels into zig-zag order. *)

@@ -4,12 +4,16 @@ let bins_len = 256
 
 let create () = { bins = Array.make bins_len 0 }
 
+(* Counts each pixel's luma straight off the raster bytes: the same
+   values as [of_luminance_plane (Raster.luminance_plane img)], with
+   no plane in between. *)
 let of_raster img =
   let h = create () in
-  let n = Raster.pixel_count img in
-  let plane = Raster.luminance_plane img in
-  for i = 0 to n - 1 do
-    let y = Char.code (Bytes.unsafe_get plane i) in
+  let d = Raster.data img in
+  let c o = Char.code (Bytes.unsafe_get d o) in
+  for i = 0 to Raster.pixel_count img - 1 do
+    let o = 3 * i in
+    let y = Pixel.luminance_rgb (c o) (c (o + 1)) (c (o + 2)) in
     h.bins.(y) <- h.bins.(y) + 1
   done;
   h

@@ -4,10 +4,13 @@ let contrast_enhance_inplace ~k img =
   let table = Array.init 256 (fun c ->
       Pixel.clamp_channel (int_of_float ((k *. float_of_int c) +. 0.5)))
   in
-  Raster.map_inplace
-    (fun { Pixel.r; g; b } ->
-      { Pixel.r = table.(r); g = table.(g); b = table.(b) })
-    img
+  (* The table is the same for all three channels, so every byte maps
+     through it alike. *)
+  let data = Raster.data img in
+  for i = 0 to Bytes.length data - 1 do
+    Bytes.unsafe_set data i
+      (Char.unsafe_chr table.(Char.code (Bytes.unsafe_get data i)))
+  done
 
 let contrast_enhance ~k img =
   let out = Raster.copy img in
@@ -17,12 +20,15 @@ let contrast_enhance ~k img =
 let brightness_compensate ~delta img = Raster.map (Pixel.add delta) img
 
 let clipped_fraction ~k img =
-  let clipped =
-    Raster.fold
-      (fun acc p -> if Pixel.is_clipped_by_scale k p then acc + 1 else acc)
-      0 img
-  in
-  float_of_int clipped /. float_of_int (Raster.pixel_count img)
+  (* [Pixel.is_clipped_by_scale k] on the raster bytes. *)
+  let data = Raster.data img in
+  let over o = k *. float_of_int (Char.code (Bytes.unsafe_get data o)) > 255.5 in
+  let clipped = ref 0 in
+  for i = 0 to Raster.pixel_count img - 1 do
+    let o = 3 * i in
+    if over o || over (o + 1) || over (o + 2) then incr clipped
+  done;
+  float_of_int !clipped /. float_of_int (Raster.pixel_count img)
 
 let simulate_display ~backlight_gain img =
   if backlight_gain < 0. || backlight_gain > 1. then

@@ -17,7 +17,9 @@ let wr = 19595 (* round (0.299 * 65536) *)
 let wg = 38470 (* round (0.587 * 65536) + 1 so that wr+wg+wb = 65536 *)
 let wb = 7471 (* round (0.114 * 65536) *)
 
-let luminance { r; g; b } = ((wr * r) + (wg * g) + (wb * b) + 32768) lsr 16
+let luminance_rgb r g b = ((wr * r) + (wg * g) + (wb * b) + 32768) lsr 16
+
+let luminance { r; g; b } = luminance_rgb r g b
 
 let luminance_exact { r; g; b } =
   (0.299 *. float_of_int r) +. (0.587 *. float_of_int g)

@@ -24,6 +24,10 @@ val luminance : t -> int
 (** [luminance p] is the BT.601 luma of [p], rounded to nearest, in
     [0, 255]. White maps to 255 and black to 0. *)
 
+val luminance_rgb : int -> int -> int -> int
+(** [luminance_rgb r g b] is [luminance (v r g b)] for channels already
+    in [0, 255], with no pixel record. *)
+
 val luminance_exact : t -> float
 (** [luminance_exact p] is the unrounded BT.601 luma of [p]. *)
 

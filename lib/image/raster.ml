@@ -54,6 +54,8 @@ let init ~width ~height f =
   done;
   img
 
+let data img = img.data
+
 let byte img i = Char.code (Bytes.get img.data i)
 
 let set_byte img i v = Bytes.set img.data i (Char.chr v)
@@ -90,47 +92,58 @@ let iter f img =
     done
   done
 
+(* Channel [c] of pixel [i] is byte [3 * i + c] of [img.data]. The
+   whole-image kernels below read those bytes directly, so no pixel
+   record is built per pixel. *)
+let[@inline] channel d o = Char.code (Bytes.unsafe_get d o)
+
 let fold f acc img =
-  let n = pixel_count img in
-  let rec loop acc i =
-    if i >= n then acc else loop (f acc (unsafe_get_index img i)) (i + 1)
-  in
-  loop acc 0
+  let d = img.data in
+  let acc = ref acc in
+  for i = 0 to pixel_count img - 1 do
+    let o = i * 3 in
+    acc :=
+      f !acc
+        { Pixel.r = channel d o; g = channel d (o + 1); b = channel d (o + 2) }
+  done;
+  !acc
+
+let[@inline] luminance_at d o =
+  Pixel.luminance_rgb (channel d o) (channel d (o + 1)) (channel d (o + 2))
 
 let luminance_plane img =
-  let n = pixel_count img in
+  let n = pixel_count img and d = img.data in
   let plane = Bytes.create n in
   for i = 0 to n - 1 do
-    let y = Pixel.luminance (unsafe_get_index img i) in
-    Bytes.unsafe_set plane i (Char.unsafe_chr y)
+    Bytes.unsafe_set plane i (Char.unsafe_chr (luminance_at d (i * 3)))
   done;
   plane
 
 let channel_max_plane img =
-  let n = pixel_count img in
+  let n = pixel_count img and d = img.data in
   let plane = Bytes.create n in
   for i = 0 to n - 1 do
-    let { Pixel.r; g; b } = unsafe_get_index img i in
-    let m = max r (max g b) in
+    let o = i * 3 in
+    let m = max (channel d o) (max (channel d (o + 1)) (channel d (o + 2))) in
     Bytes.unsafe_set plane i (Char.unsafe_chr m)
   done;
   plane
 
 let max_luminance img =
-  let n = pixel_count img in
-  let rec loop best i =
-    if i >= n || best = 255 then best
-    else
-      let y = Pixel.luminance (unsafe_get_index img i) in
-      loop (if y > best then y else best) (i + 1)
-  in
-  loop 0 0
+  let n = pixel_count img and d = img.data in
+  let best = ref 0 and i = ref 0 in
+  while !i < n && !best < 255 do
+    let y = luminance_at d (!i * 3) in
+    if y > !best then best := y;
+    incr i
+  done;
+  !best
 
 let mean_luminance img =
-  let n = pixel_count img in
+  let n = pixel_count img and d = img.data in
   let total = ref 0 in
   for i = 0 to n - 1 do
-    total := !total + Pixel.luminance (unsafe_get_index img i)
+    total := !total + luminance_at d (i * 3)
   done;
   float_of_int !total /. float_of_int n
 

@@ -35,6 +35,12 @@ val byte : t -> int -> int
     (red, green, blue) of pixel [i / 3] in row-major order. Raises
     [Invalid_argument] unless [0 <= i < 3 * pixel_count img]. *)
 
+val data : t -> Bytes.t
+(** [data img] is the packed buffer itself, not a copy, laid out as
+    {!byte} describes. It is for whole-image kernels that read or write
+    every pixel and must not build a {!Pixel.t} per pixel; every byte
+    is a valid channel value, so any write keeps the image valid. *)
+
 val set_byte : t -> int -> int -> unit
 (** [set_byte img i v] writes byte [i] (see {!byte}). Raises
     [Invalid_argument] when [i] is out of range or [v] is outside

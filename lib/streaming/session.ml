@@ -327,15 +327,20 @@ let frames m = m.m_frames
 
 let dt_s m = m.m_dt_s
 
-(* The server-side pipeline: profile, annotate for the mapping site,
-   encode and FEC-protect the track, encode the video, and decode it
-   once as the PSNR reference. [traced] runs the stages under the
-   session spans; a cache fill runs untraced, because it is the cache
-   owner's work, not any one session's. *)
+(* The server-side pipeline: encode the video, profiling each frame as
+   the encoder renders it, annotate for the mapping site, encode and
+   FEC-protect the track, and decode the video once as the PSNR
+   reference. Every frame is rendered once. [traced] runs the stages
+   under the session spans; a cache fill runs untraced, because it is
+   the cache owner's work, not any one session's. *)
 let prepare ~traced config clip =
   let span name f = if traced then span name f else f () in
-  let profiled =
-    span "session.profile" (fun () -> Annotation.Annotator.profile clip)
+  let tapped, profiled = Annotation.Annotator.histogram_tap clip in
+  let encoded =
+    span "session.encode" @@ fun () ->
+    Codec.Encoder.encode_clip
+      ~params:{ Codec.Stream.default_params with gop = config.gop }
+      tapped
   in
   let track, annotation_payload, protected =
     span "session.annotate" @@ fun () ->
@@ -346,18 +351,12 @@ let prepare ~traced config clip =
           quality = config.quality;
           mapping = config.mapping;
         }
-        profiled
+        (profiled ())
     in
     let annotation_payload = Annotation.Encoding.encode track in
     ( track,
       annotation_payload,
       Fec.protect ~packet_size:24 ~group_size:3 annotation_payload )
-  in
-  let encoded =
-    span "session.encode" @@ fun () ->
-    Codec.Encoder.encode_clip
-      ~params:{ Codec.Stream.default_params with gop = config.gop }
-      clip
   in
   let clean = Result.to_option (Codec.Decoder.decode encoded.Codec.Encoder.data) in
   { track; annotation_payload; protected; encoded; clean }

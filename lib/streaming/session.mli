@@ -128,13 +128,17 @@ type progress =
   | `Complete  (** [result] is available *) ]
 
 val prepare_input : config -> Video.Clip.t -> prepared_input
-(** [prepare_input config clip] runs the server-side pipeline
-    (profile, annotate for the mapping site, FEC-protect, encode,
-    reference-decode) once, outside any session: un-spanned and
-    un-journaled, because cache fills are the cache owner's work, not
-    any one session's. A machine created without [?prepared] runs the
-    same pipeline in its first [step], under the [session.profile],
-    [session.annotate] and [session.encode] spans. *)
+(** [prepare_input config clip] runs the server-side pipeline once,
+    outside any session: un-spanned and un-journaled, because cache
+    fills are the cache owner's work, not any one session's. It
+    encodes the video while profiling it, then annotates for the
+    mapping site, FEC-protects the track and decodes the stream as
+    the PSNR reference. It renders every frame of [clip] exactly
+    once, in order: the encoder's render of a frame also fills that
+    frame's histogram ({!Annotation.Annotator.histogram_tap}). A
+    machine created without [?prepared] runs the same pipeline in its
+    first [step], under the [session.encode] span, which spans render,
+    histogram and encode, then the [session.annotate] span. *)
 
 val create : ?prepared:prepared_input -> config -> Video.Clip.t -> machine
 (** [create config clip] validates the configuration (non-empty clip —

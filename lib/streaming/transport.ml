@@ -50,7 +50,16 @@ let decode_with_concealment t ~lost =
     Obs.Metrics.Counter.incr obs_frames_lost
       ~by:(Array.fold_left (fun acc l -> if l then acc + 1 else acc) 0 lost);
   let pictures = Array.make n (Image.Raster.create ~width:1 ~height:1) in
-  let reference = ref None in
+  (* Each frame is decoded into the planes of the reference before
+     last: pictures and concealed frames are rasters of their own, so
+     nothing reads those planes any more. *)
+  let reference = ref None and spare = ref None in
+  let decode payload =
+    match !spare with
+    | Some into ->
+      Codec.Decoder.decode_frame_into ~into ~info:t.info ~reference:!reference payload
+    | None -> Codec.Decoder.decode_frame ~info:t.info ~reference:!reference payload
+  in
   let concealed = ref 0 and drifted = ref 0 in
   (* Tracks whether the prediction chain is currently damaged. *)
   let chain_dirty = ref false in
@@ -70,10 +79,7 @@ let decode_with_concealment t ~lost =
                ~height:t.info.Codec.Decoder.info_height prev
        end
        else begin
-         match
-           Codec.Decoder.decode_frame ~info:t.info ~reference:!reference
-             t.payloads.(i)
-         with
+         match decode t.payloads.(i) with
          | Error msg -> failwith msg
          | Ok (picture, new_reference) ->
            (* An I-frame refreshes the chain; a P-frame inherits any
@@ -86,6 +92,7 @@ let decode_with_concealment t ~lost =
                Obs.Metrics.Counter.incr obs_drifted
              end);
            pictures.(i) <- picture;
+           spare := !reference;
            reference := Some new_reference
        end
      done

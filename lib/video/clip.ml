@@ -52,12 +52,10 @@ let max_luminance_track clip =
 
 let frame_histogram ?(plane = `Luma) clip i =
   let frame = clip.render i in
-  let bytes =
-    match plane with
-    | `Luma -> Image.Raster.luminance_plane frame
-    | `Channel_max -> Image.Raster.channel_max_plane frame
-  in
-  Image.Histogram.of_luminance_plane bytes
+  match plane with
+  | `Luma -> Image.Histogram.of_raster frame
+  | `Channel_max ->
+    Image.Histogram.of_luminance_plane (Image.Raster.channel_max_plane frame)
 
 let histogram_track ?plane clip =
   Array.init clip.frame_count (fun i -> frame_histogram ?plane clip i)

@@ -454,6 +454,64 @@ let test_plane_pad_identity_when_aligned () =
   check bool "no-op pad is physical identity" true
     (Codec.Plane.pad_to_multiple p 8 == p)
 
+(* The colour conversion as it was before [Plane.of_raster_into]: one
+   accumulator per chroma site, then [pad_to_multiple]. Kept as the
+   reference the one-pass, in-place kernel must match sample for
+   sample. *)
+let reference_planes ~multiple img =
+  let w = Image.Raster.width img and h = Image.Raster.height img in
+  let cw = (w + 1) / 2 and ch = (h + 1) / 2 in
+  let yp = Codec.Plane.create ~width:w ~height:h
+  and cbp = Codec.Plane.create ~width:cw ~height:ch
+  and crp = Codec.Plane.create ~width:cw ~height:ch in
+  let cb_acc = Array.make (cw * ch) 0
+  and cr_acc = Array.make (cw * ch) 0
+  and cnt = Array.make (cw * ch) 0 in
+  for y = 0 to h - 1 do
+    for x = 0 to w - 1 do
+      let i = (y * w) + x in
+      let r = Image.Raster.byte img (3 * i)
+      and g = Image.Raster.byte img ((3 * i) + 1)
+      and b = Image.Raster.byte img ((3 * i) + 2) in
+      yp.Codec.Plane.samples.(i) <- ((19595 * r) + (38470 * g) + (7471 * b) + 32768) lsr 16;
+      let ci = ((y / 2) * cw) + (x / 2) in
+      cb_acc.(ci) <- cb_acc.(ci) + 128 + (((-11056 * r) - (21712 * g) + (32768 * b)) asr 16);
+      cr_acc.(ci) <- cr_acc.(ci) + 128 + (((32768 * r) - (27440 * g) - (5328 * b)) asr 16);
+      cnt.(ci) <- cnt.(ci) + 1
+    done
+  done;
+  for i = 0 to (cw * ch) - 1 do
+    cbp.Codec.Plane.samples.(i) <- cb_acc.(i) / cnt.(i);
+    crp.Codec.Plane.samples.(i) <- cr_acc.(i) / cnt.(i)
+  done;
+  let pad p = Codec.Plane.pad_to_multiple p multiple in
+  { Codec.Plane.y = pad yp; cb = pad cbp; cr = pad crp }
+
+let prop_of_raster_into_matches_reference =
+  QCheck2.Test.make ~count:500
+    ~name:"of_raster_into matches the accumulator conversion and padding"
+    QCheck2.Gen.(triple (1 -- 40) (1 -- 40) (0 -- 1_000_000))
+    (fun (width, height, seed) ->
+      let rng = Image.Prng.create ~seed in
+      let picture () =
+        Image.Raster.init ~width ~height (fun ~x:_ ~y:_ ->
+            Image.Pixel.v (Image.Prng.int rng 256) (Image.Prng.int rng 256)
+              (Image.Prng.int rng 256))
+      in
+      let same (a : Codec.Plane.ycbcr) (b : Codec.Plane.ycbcr) =
+        Codec.Plane.equal a.y b.y && Codec.Plane.equal a.cb b.cb
+        && Codec.Plane.equal a.cr b.cr
+      in
+      (* Two pictures through the same planes: the second conversion
+         must overwrite every sample the first one wrote. *)
+      let planes = Codec.Plane.create_ycbcr ~width ~height ~multiple:8 in
+      List.for_all
+        (fun img ->
+          Codec.Plane.of_raster_into img planes;
+          same planes (reference_planes ~multiple:8 img)
+          && same (Codec.Plane.of_raster img) (reference_planes ~multiple:1 img))
+        [ picture (); picture () ])
+
 let test_plane_ycbcr_gray_roundtrip () =
   (* Grays survive the colour transform exactly. *)
   let img = Image.Raster.init ~width:8 ~height:8 (fun ~x ~y ->
@@ -841,6 +899,19 @@ let test_codec_rejects_bad_params () =
         (Codec.Encoder.encode_clip
            ~params:{ Codec.Stream.default_params with qp = 0 } clip))
 
+(* The encoder converts every frame into planes sized from the clip's
+   dimensions, so a frame of another size is refused, not coded into
+   a stream whose header disagrees with it. *)
+let test_codec_rejects_mismatched_frame () =
+  let small = Image.Raster.create ~width:8 ~height:8 in
+  let clip =
+    Video.Clip.make ~name:"mismatch" ~width:16 ~height:16 ~fps:12. ~frame_count:1
+      (fun _ -> small)
+  in
+  Alcotest.check_raises "frame smaller than the clip"
+    (Invalid_argument "Encoder: frame dimensions differ from the clip's") (fun () ->
+      ignore (Codec.Encoder.encode_clip clip))
+
 let test_decoder_rejects_garbage () =
   check bool "garbage rejected" true
     (Result.is_error (Codec.Decoder.decode "not a stream at all"));
@@ -899,6 +970,19 @@ let test_decoder_rejects_wrapping_block_count () =
   check bool "Error" true
     (Result.is_error
        (Codec.Decoder.decode_frame ~info ~reference:None (Codec.Bitio.Writer.contents w)))
+
+let test_decoder_into_checks_geometry () =
+  let encoded = Codec.Encoder.encode_clip (test_clip ~frames:1 ()) in
+  let info =
+    match Codec.Decoder.parse_header encoded.Codec.Encoder.data with
+    | Ok info -> info
+    | Error msg -> Alcotest.fail msg
+  in
+  let small = Codec.Decoder.reference_of_raster (Image.Raster.create ~width:8 ~height:8) in
+  Alcotest.check_raises "planes of another size"
+    (Invalid_argument
+       "Decoder.decode_frame_into: planes are not the stream's padded geometry")
+    (fun () -> ignore (Codec.Decoder.decode_frame_into ~into:small ~info ~reference:None ""))
 
 let test_decoder_mutation_fuzz () =
   (* Flipping arbitrary bytes in a valid stream must never escape as an
@@ -1344,6 +1428,7 @@ let qtests =
       prop_coeff_roundtrip;
       prop_dct_inverse_matches_dense;
       prop_motion_kernels_match_clamped;
+      prop_of_raster_into_matches_reference;
     ]
 
 let () =
@@ -1421,6 +1506,7 @@ let () =
           Alcotest.test_case "odd dimensions" `Quick test_codec_odd_dimensions;
           Alcotest.test_case "single frame" `Quick test_codec_single_frame;
           Alcotest.test_case "rejects bad params" `Quick test_codec_rejects_bad_params;
+          Alcotest.test_case "rejects mismatched frame" `Quick test_codec_rejects_mismatched_frame;
           Alcotest.test_case "static clip compresses" `Quick
             test_codec_static_clip_compresses_well;
         ] );
@@ -1458,6 +1544,7 @@ let () =
           Alcotest.test_case "truncation rejected" `Quick test_decoder_rejects_truncation;
           Alcotest.test_case "bad magic rejected" `Quick test_decoder_rejects_bad_magic;
           Alcotest.test_case "mutation fuzz" `Quick test_decoder_mutation_fuzz;
+          Alcotest.test_case "into checks geometry" `Quick test_decoder_into_checks_geometry;
           Alcotest.test_case "implausible frame count" `Quick
             test_decoder_rejects_implausible_count;
           Alcotest.test_case "wrapping block count" `Quick

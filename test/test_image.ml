@@ -649,6 +649,35 @@ let test_prng_gaussian_moments () =
   check bool "mean near 10" true (abs_float (mean -. 10.) < 0.2);
   check bool "variance near 9" true (abs_float (var -. 9.) < 0.5)
 
+(* --- Golden PRNG sequence --------------------------------------------- *)
+
+(* MD5 of the first draws of [bits64], [int], [float], [gaussian] and
+   [split] for three seeds, floats by their bit patterns. Taken before
+   the generator's state was unboxed; any change to a drawn bit moves
+   it. *)
+let prng_sequence_digest () =
+  let buf = Buffer.create 65536 in
+  let add64 v = Buffer.add_string buf (Printf.sprintf "%Lx;" v) in
+  List.iter
+    (fun seed ->
+      let rng = Image.Prng.create ~seed in
+      for i = 1 to 200 do
+        add64 (Image.Prng.bits64 rng);
+        Buffer.add_string buf (Printf.sprintf "%d;" (Image.Prng.int rng (1 + (i * 37))));
+        add64 (Int64.bits_of_float (Image.Prng.float rng (float_of_int i)));
+        add64
+          (Int64.bits_of_float
+             (Image.Prng.gaussian rng ~mu:(float_of_int i) ~sigma:3.5))
+      done;
+      let child = Image.Prng.split rng in
+      add64 (Image.Prng.bits64 child);
+      add64 (Image.Prng.bits64 rng))
+    [ 0; 42; -7_000_003 ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_prng_golden () =
+  check Alcotest.string "sequence digest" "bd99becc4da67788c46ccc1a7d03ac66" (prng_sequence_digest ())
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -754,6 +783,7 @@ let () =
           Alcotest.test_case "seed separation" `Quick test_prng_seeds_differ;
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian_moments;
+          Alcotest.test_case "golden sequence" `Quick test_prng_golden;
         ] );
       ("properties", qtests);
     ]

@@ -911,6 +911,48 @@ let test_transport_random_loss_never_crashes () =
     | Error e -> Alcotest.fail ("unexpected decode failure: " ^ e)
   done
 
+(* The concealment loop as it was before the transport decoded into
+   the planes of its reference before last: every frame into fresh
+   planes. The pictures must not change. *)
+let fresh_planes_pictures (p : Streaming.Transport.packetized) ~lost =
+  let info = p.Streaming.Transport.info in
+  let width = info.Codec.Decoder.info_width and height = info.Codec.Decoder.info_height in
+  let reference = ref None in
+  Array.mapi
+    (fun i payload ->
+      if lost.(i) then
+        match !reference with
+        | Some prev -> Codec.Decoder.raster_of_reference ~width ~height prev
+        | None -> Alcotest.fail "first frame lost"
+      else
+        match Codec.Decoder.decode_frame ~info ~reference:!reference payload with
+        | Ok (picture, planes) ->
+          reference := Some planes;
+          picture
+        | Error e -> Alcotest.fail e)
+    p.Streaming.Transport.payloads
+
+let test_transport_reused_planes_match_fresh () =
+  List.iter
+    (fun gop ->
+      let packetized, _ = packetized_clip ~gop () in
+      let n = Array.length packetized.Streaming.Transport.payloads in
+      for seed = 0 to 20 do
+        let lost =
+          Streaming.Fault.loss_mask (Streaming.Fault.bernoulli ~rate:0.3) ~seed ~n
+        in
+        lost.(0) <- false;
+        match Streaming.Transport.decode_with_concealment packetized ~lost with
+        | Error e -> Alcotest.fail e
+        | Ok received ->
+          check bool
+            (Printf.sprintf "gop %d seed %d pictures" gop seed)
+            true
+            (Array.for_all2 Image.Raster.equal received.Streaming.Transport.pictures
+               (fresh_planes_pictures packetized ~lost))
+      done)
+    [ 1; 3; 8 ]
+
 (* --- Planner --------------------------------------------------------------- *)
 
 (* Quality levels only differentiate when scenes have bright tails the
@@ -1323,6 +1365,103 @@ let test_ramp_cost_fps_validation () =
         (Streaming.Ramp.smoothing_cost ~fps:0. ~device ~max_dim_step:8
            (Array.make 8 100)))
 
+(* --- Cold prepare: goldens and single pass ------------------------------ *)
+
+(* The first 8 frames of each paper workload at 96x72. *)
+let golden_prepare_clips () =
+  List.map
+    (fun profile ->
+      let full = Video.Clip_gen.render ~width:96 ~height:72 ~fps:12. profile in
+      Video.Clip.make ~name:full.Video.Clip.name ~width:96 ~height:72 ~fps:12.
+        ~frame_count:8 full.Video.Clip.render)
+    Video.Workloads.all
+
+(* MD5s of [prepare_input]'s annotation payload, FEC packets and
+   encoded stream over the ten workloads (GOP 12). Taken before the
+   cold prepare was made single-pass; any change to a byte the server
+   ships moves them. *)
+let golden_prepare_digests =
+  [
+    ("annotation payload", "28c57ca276363d960569b4644fd9225e");
+    ("fec packets", "baf61792071cf2b0f51c2783d7800b27");
+    ("encoded data", "3de762c0954e00e9703284435a604eb3");
+  ]
+
+let test_golden_prepare () =
+  let config = { (Streaming.Session.default_config ~device) with gop = 12 } in
+  let payload = Buffer.create 4096
+  and fec = Buffer.create 4096
+  and data = Buffer.create (1 lsl 16) in
+  let add buf s =
+    Buffer.add_string buf (Printf.sprintf "%d:" (String.length s));
+    Buffer.add_string buf s
+  in
+  List.iter
+    (fun clip ->
+      let p = Streaming.Session.prepare_input config clip in
+      add payload p.Streaming.Session.annotation_payload;
+      let f = p.Streaming.Session.protected in
+      Buffer.add_string fec
+        (Printf.sprintf "%d/%d/%d/%d;" f.Streaming.Fec.data_packets
+           f.Streaming.Fec.group_size f.Streaming.Fec.packet_size
+           f.Streaming.Fec.payload_length);
+      Array.iter (add fec) f.Streaming.Fec.packets;
+      add data p.Streaming.Session.encoded.Codec.Encoder.data)
+    (golden_prepare_clips ());
+  let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  List.iter2
+    (fun (what, expected) buf -> check Alcotest.string what expected (digest buf))
+    golden_prepare_digests [ payload; fec; data ]
+
+(* A clip that logs every frame index it renders. *)
+let counting_clip () =
+  let full = two_scene_clip () in
+  let calls = ref [] in
+  let clip =
+    Video.Clip.make ~name:full.Video.Clip.name ~width:full.Video.Clip.width
+      ~height:full.Video.Clip.height ~fps:full.Video.Clip.fps
+      ~frame_count:full.Video.Clip.frame_count (fun i ->
+        calls := i :: !calls;
+        full.Video.Clip.render i)
+  in
+  (clip, fun () -> List.rev !calls)
+
+let test_prepare_single_pass () =
+  let config = Streaming.Session.default_config ~device in
+  let clip, rendered = counting_clip () in
+  let once = List.init clip.Video.Clip.frame_count Fun.id in
+  let prep = Streaming.Session.prepare_input config clip in
+  check (Alcotest.list int) "prepare_input renders each frame once, in order" once
+    (rendered ());
+  (* The track shipped is the one a separate profiling pass gives. *)
+  let profiled = Annotation.Annotator.profile clip in
+  let track =
+    Streaming.Negotiation.annotate
+      {
+        Streaming.Negotiation.device;
+        quality = config.Streaming.Session.quality;
+        mapping = config.Streaming.Session.mapping;
+      }
+      profiled
+  in
+  check Alcotest.string "annotation payload equals a separate profile's"
+    (Annotation.Encoding.encode track)
+    prep.Streaming.Session.annotation_payload;
+  (* The tap [prepare] profiles through, fed by the encoder, builds
+     exactly [Annotator.profile]'s record. *)
+  let tapped, tap_profile = Annotation.Annotator.histogram_tap clip in
+  Alcotest.check_raises "no profile before every frame is rendered"
+    (Invalid_argument "Annotator.histogram_tap: a frame was never rendered")
+    (fun () -> ignore (tap_profile ()));
+  ignore (Codec.Encoder.encode_clip tapped);
+  check bool "tap profile = Annotator.profile" true (tap_profile () = profiled);
+  let cold, rendered = counting_clip () in
+  (match Streaming.Session.run config cold with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  check (Alcotest.list int) "a cold run renders each frame once, in order" once
+    (rendered ())
+
 let () =
   Alcotest.run "streaming"
     [
@@ -1381,6 +1520,11 @@ let () =
             test_adaptive_impossible_battery_dies;
           Alcotest.test_case "steps contiguous" `Quick test_adaptive_steps_contiguous;
         ] );
+      ( "cold prepare",
+        [
+          Alcotest.test_case "golden digests" `Quick test_golden_prepare;
+          Alcotest.test_case "single pass" `Quick test_prepare_single_pass;
+        ] );
       ( "session",
         [
           Alcotest.test_case "clean run" `Quick test_session_clean_run;
@@ -1427,6 +1571,8 @@ let () =
             test_transport_bernoulli_deterministic;
           Alcotest.test_case "random loss never crashes" `Quick
             test_transport_random_loss_never_crashes;
+          Alcotest.test_case "reused planes match fresh" `Quick
+            test_transport_reused_planes_match_fresh;
         ] );
       ( "planner",
         [

@@ -302,6 +302,50 @@ let test_workloads_brightness_ordering () =
   check bool "ice_age brighter than rotk" true (ice > rotk +. 50.);
   check bool "hunter brighter than catwoman" true (hunter > catwoman +. 50.)
 
+(* --- Golden render digests --------------------------------------------- *)
+
+(* One MD5 per frame size over the raster bytes of the first 60 frames
+   of the ten paper workloads and two parametric clips. The digests
+   were taken before the drawing kernels were rewritten to work on
+   raster bytes; any change to a rendered bit moves them. *)
+
+let golden_render_profiles =
+  Video.Workloads.all
+  @ [
+      Video.Workloads.parametric ~base_level:40 ~highlight_peak:150 ();
+      Video.Workloads.parametric ~motion:25. ~base_level:170 ~highlight_peak:60 ();
+    ]
+
+let golden_render_digest ~width ~height =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun profile ->
+      let clip = Video.Clip_gen.render ~width ~height ~fps:12. profile in
+      for i = 0 to min 60 clip.Video.Clip.frame_count - 1 do
+        let frame = clip.Video.Clip.render i in
+        for b = 0 to (3 * Image.Raster.pixel_count frame) - 1 do
+          Buffer.add_char buf (Char.chr (Image.Raster.byte frame b))
+        done
+      done)
+    golden_render_profiles;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_render_digests =
+  [
+    ((96, 72), "5e45f7f970dfce8886419f08dfab8ac8");
+    ((33, 21), "585605bc0724af4c26f8aebab876faca");
+    ((160, 120), "d88d6ef22117cd4fb7deea0e9b6b653c");
+  ]
+
+let test_golden_render () =
+  List.iter
+    (fun ((width, height) as size) ->
+      check Alcotest.string
+        (Printf.sprintf "%dx%d digest" width height)
+        (List.assoc size golden_render_digests)
+        (golden_render_digest ~width ~height))
+    [ (96, 72); (33, 21); (160, 120) ]
+
 let qtests =
   let profile_gen =
     let open QCheck2.Gen in
@@ -376,5 +420,6 @@ let () =
           Alcotest.test_case "unique seeds" `Quick test_workloads_unique_seeds;
           Alcotest.test_case "brightness ordering" `Slow test_workloads_brightness_ordering;
         ] );
+      ("golden", [ Alcotest.test_case "render digests" `Quick test_golden_render ]);
       ("properties", qtests);
     ]
