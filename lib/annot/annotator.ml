@@ -11,10 +11,6 @@ let obs_profiles =
   Obs.counter ~help:"Clips profiled into luminance histograms"
     "annot_profiles_total" []
 
-let obs_scenes =
-  Obs.counter ~help:"Scenes detected during annotation"
-    "annot_scenes_detected_total" []
-
 (* The one place a [profiled] record is built: both the profiling pass
    below and a histogram tap feed it. *)
 let profile_of_histograms clip histograms =
@@ -99,9 +95,8 @@ let annotate_profiled ?(scene_params = Scene_detect.default_params) ~device
     Scene_detect.segment_with_means scene_params ~max_track:profiled.max_track
       ~mean_track:profiled.mean_track
   in
-  Obs.Metrics.Counter.incr obs_scenes ~by:(List.length scenes);
   (* Journaling must not disturb the solver's own observability
-     ([solve] bumps counters), so the per-grid candidate registers are
+     ([solve] feeds the [annot_clip_fraction] histogram), so the per-grid candidate registers are
      recomputed through the pure clip-level -> register path. *)
   let journal_decision i (scene : Scene_detect.scene) hist
       (sol : Backlight_solver.solution) =

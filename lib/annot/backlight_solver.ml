@@ -33,10 +33,6 @@ let of_effective_max ~device ~effective_max ~clipped_fraction =
     { effective_max; desired_gain; register; realised_gain; compensation; clipped_fraction }
   end
 
-let obs_solutions =
-  Obs.counter ~help:"Backlight solver invocations" "annot_solver_solutions_total"
-    []
-
 let obs_clip_fraction =
   Obs.histogram ~help:"Distribution of clipped-pixel fractions chosen"
     ~buckets:Obs.Metrics.default_fraction_buckets "annot_clip_fraction" []
@@ -49,7 +45,6 @@ let solve ~device ~quality hist =
     float_of_int (Image.Histogram.samples_above hist effective_max)
     /. float_of_int total
   in
-  Obs.Metrics.Counter.incr obs_solutions;
   Obs.Metrics.Histogram.observe obs_clip_fraction clipped_fraction;
   of_effective_max ~device ~effective_max ~clipped_fraction
 

@@ -71,22 +71,6 @@ let put_u32 buf n =
 let quality_permille q =
   int_of_float ((Quality_level.allowed_loss q *. 1000.) +. 0.5)
 
-let obs_tracks =
-  Obs.counter ~help:"Annotation tracks serialised to the wire format"
-    "annot_tracks_encoded_total" []
-
-let obs_track_bytes =
-  Obs.counter ~help:"Bytes of serialised annotation tracks"
-    "annot_track_bytes_total" []
-
-let obs_corrupt_records =
-  Obs.counter ~help:"Annotation records rejected by their CRC32"
-    "annot_records_corrupt_total" []
-
-let obs_missing_records =
-  Obs.counter ~help:"Annotation records unreadable because their bytes were lost"
-    "annot_records_missing_total" []
-
 let put_header buf track count =
   Buffer.add_string buf magic;
   Buffer.add_char buf (Char.chr version);
@@ -115,8 +99,6 @@ let encode track =
       put_u32 record (crc32 (Buffer.contents record));
       Buffer.add_buffer buf record)
     track.Track.entries;
-  Obs.Metrics.Counter.incr obs_tracks;
-  Obs.Metrics.Counter.incr obs_track_bytes ~by:(Buffer.length buf);
   Buffer.contents buf
 
 let encoded_size track = String.length (encode track)
@@ -235,10 +217,8 @@ let get_entries c count =
     let body_pos = c.pos in
     let entry = get_entry c in
     let stored = get_u32 c in
-    if stored <> crc32_sub c.data ~pos:body_pos ~len:(record_size - 4) then begin
-      Obs.Metrics.Counter.incr obs_corrupt_records;
-      raise (Parse_error "record CRC mismatch")
-    end;
+    if stored <> crc32_sub c.data ~pos:body_pos ~len:(record_size - 4) then
+      raise (Parse_error "record CRC mismatch");
     entries.(i) <- entry
   done;
   entries
@@ -299,8 +279,7 @@ let decode_partial ?byte_ok data =
       let pos = c.pos in
       if not (span_ok byte_ok ~pos ~len:record_size) then begin
         c.pos <- pos + record_size;
-        incr missing;
-        Obs.Metrics.Counter.incr obs_missing_records
+        incr missing
       end
       else begin
         let entry = get_entry c in
@@ -317,10 +296,7 @@ let decode_partial ?byte_ok data =
           next := entry.Track.first_frame + entry.Track.frame_count;
           entries.(i) <- Some entry
         end
-        else begin
-          incr corrupt;
-          Obs.Metrics.Counter.incr obs_corrupt_records
-        end
+        else incr corrupt
       end
     done;
     Ok

@@ -12,21 +12,19 @@ let warn ~file code message =
 
 type known_metrics = { histograms : string list; names : string list }
 
+(* A quantile selector reads a registry histogram; every other
+   selector reads a monitor series, which the monitor never looks up
+   in the registry — so a counter family is no valid target for it. *)
 let known_metrics () =
-  let snapshot = Obs.Registry.snapshot () in
   let histograms =
     List.filter_map
       (fun (f : Obs.Registry.family_snapshot) ->
         if f.Obs.Registry.kind = Obs.Registry.Histogram then
           Some f.Obs.Registry.family
         else None)
-      snapshot
+      (Obs.Registry.snapshot ())
   in
-  let families = List.map (fun f -> f.Obs.Registry.family) snapshot in
-  {
-    histograms;
-    names = List.sort_uniq String.compare (families @ Obs.Monitor.declared_series ());
-  }
+  { histograms; names = Obs.Monitor.declared_series () }
 
 (* --- annotation streams ------------------------------------------------ *)
 

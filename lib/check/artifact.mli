@@ -32,12 +32,12 @@ type known_metrics = {
   histograms : string list;
       (** registry histogram families — what [_pNN] selectors read *)
   names : string list;
-      (** every registry family plus every declared monitor window
-          series — what the other selectors read *)
+      (** every declared monitor series — what the other selectors
+          read; a registry counter or gauge is not one *)
 }
 
 val known_metrics : unit -> known_metrics
-(** Snapshot of the live process: registry families plus
+(** Snapshot of the live process: registry histogram families plus
     {!Obs.Monitor.declared_series}. Complete only in an executable
     linked with [-linkall] (as [bin/lint] is), since declarations run
     at module initialisation. *)

@@ -56,27 +56,32 @@ type rule_stats = {
       (* owned_by: lock-required helpers under t.mutex; newest first, capped *)
 }
 
+(* One windowed series: the open window's accumulation, the last
+   gauge value (carried across windows until overwritten) and the
+   lifetime total over every window. Sealing a window zeroes
+   [open_total] and nothing else. *)
+type series = {
+  mutable open_total : float;  (* owned_by: lock-required helpers under t.mutex *)
+  mutable last : float option;  (* owned_by: lock-required helpers under t.mutex *)
+  mutable lifetime : float;  (* owned_by: lock-required helpers under t.mutex *)
+}
+
+(* Windows close every simulated second, and early at scene cuts. *)
+let window_len = 1.0
+
 type t = {
-  window_len : float;
-  history : int;
   registry : Registry.t;
   rule_list : Slo.rule list;
   stats : rule_stats array;
-  series : (string, Window.t) Hashtbl.t;  (* owned_by: lock-required helpers under t.mutex *)
+  series : (string, series) Hashtbl.t;  (* owned_by: lock-required helpers under t.mutex *)
   mutable now_s : float;  (* owned_by: lock-required helpers under t.mutex *)
   mutable window_start_s : float;  (* owned_by: lock-required helpers under t.mutex *)
   mutable window_index : int;  (* owned_by: lock-required helpers under t.mutex *)
   mutex : Mutex.t;
 }
 
-let create ?(window_s = 1.0) ?(history = 64) ?(registry = Registry.default)
-    ?(rules = []) () =
-  if window_s <= 0. then
-    invalid_arg "Obs.Monitor.create: window_s must be positive";
-  if history <= 0 then invalid_arg "Obs.Monitor.create: history must be positive";
+let create ?(registry = Registry.default) ?(rules = []) () =
   {
-    window_len = window_s;
-    history;
     registry;
     rule_list = rules;
     stats =
@@ -90,24 +95,27 @@ let create ?(window_s = 1.0) ?(history = 64) ?(registry = Registry.default)
   }
 
 let rules t = t.rule_list
-let window_s t = t.window_len
 
 let series t name =
   match Hashtbl.find_opt t.series name with
-  | Some w -> w
+  | Some se -> se
   | None ->
-    let w = Window.create ~history:t.history () in
-    Hashtbl.add t.series name w;
-    w
+    let se = { open_total = 0.; last = None; lifetime = 0. } in
+    Hashtbl.add t.series name se;
+    se
 
 let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 let incr t ?(by = 1) name =
-  with_lock t (fun () -> Window.add (series t name) (float_of_int by))
+  let by = float_of_int by in
+  with_lock t (fun () ->
+      let se = series t name in
+      se.open_total <- se.open_total +. by;
+      se.lifetime <- se.lifetime +. by)
 
-let set_gauge t name v = with_lock t (fun () -> Window.set (series t name) v)
+let set_gauge t name v = with_lock t (fun () -> (series t name).last <- Some v)
 
 (* A window is "worse" the further it moves against the operator: for
    upper bounds (< / <=) that is the maximum reading, for lower bounds
@@ -133,24 +141,24 @@ let window_reading t (rule : Slo.rule) ~duration_s =
   | Slo.Rate_per_s -> (
     match Hashtbl.find_opt t.series rule.metric with
     | None -> Some 0.
-    | Some w -> Some (Window.current w /. duration_s))
+    | Some se -> Some (se.open_total /. duration_s))
   | Slo.Ratio_per_frame -> (
     match Hashtbl.find_opt t.series frames_series with
     | None -> None
     | Some frames ->
-      let n = Window.current frames in
+      let n = frames.open_total in
       if n <= 0. then None
       else
         let c =
           match Hashtbl.find_opt t.series rule.metric with
           | None -> 0.
-          | Some w -> Window.current w
+          | Some se -> se.open_total
         in
         Some (c /. n))
   | Slo.Last -> (
     match Hashtbl.find_opt t.series rule.metric with
     | None -> None
-    | Some w -> Window.last_value w)
+    | Some se -> se.last)
 
 let evaluate_window t ~at_s ~duration_s =
   List.iteri
@@ -193,22 +201,17 @@ let seal_window t ~close_at =
   let duration_s = close_at -. t.window_start_s in
   evaluate_window t ~at_s:close_at ~duration_s;
   (* lint: allow L003 closes every live window; visit order cannot reach output *)
-  Hashtbl.iter
-    (fun _ w ->
-      ignore
-        (Window.close w ~index:t.window_index ~start_s:t.window_start_s
-           ~duration_s))
-    t.series;
+  Hashtbl.iter (fun _ se -> se.open_total <- 0.) t.series;
   t.window_index <- t.window_index + 1;
   t.window_start_s <- close_at
 
 let tick t ~now_s =
   with_lock t (fun () ->
       if now_s > t.now_s then t.now_s <- now_s;
-      while t.now_s -. t.window_start_s >= t.window_len do
+      while t.now_s -. t.window_start_s >= window_len do
         (* lint: allow C004 sealing must be atomic with window rotation;
            the registry/journal/log mutexes it reaches are leaf locks *)
-        seal_window t ~close_at:(t.window_start_s +. t.window_len)
+        seal_window t ~close_at:(t.window_start_s +. window_len)
       done)
 
 let cut t ~now_s =
@@ -227,26 +230,26 @@ let final_reading t (rule : Slo.rule) ~duration_s =
       let total =
         match Hashtbl.find_opt t.series rule.metric with
         | None -> 0.
-        | Some w -> Window.lifetime_total w
+        | Some se -> se.lifetime
       in
       Some (total /. duration_s)
   | Slo.Ratio_per_frame -> (
     match Hashtbl.find_opt t.series frames_series with
     | None -> None
     | Some frames ->
-      let n = Window.lifetime_total frames in
+      let n = frames.lifetime in
       if n <= 0. then None
       else
         let c =
           match Hashtbl.find_opt t.series rule.metric with
           | None -> 0.
-          | Some w -> Window.lifetime_total w
+          | Some se -> se.lifetime
         in
         Some (c /. n))
   | Slo.Last -> (
     match Hashtbl.find_opt t.series rule.metric with
     | None -> None
-    | Some w -> Window.last_value w)
+    | Some se -> se.last)
 
 let report t =
   with_lock t (fun () ->
@@ -276,7 +279,7 @@ let report t =
             })
           t.rule_list
       in
-      { window_s = t.window_len; windows = t.window_index; duration_s; verdicts })
+      { window_s = window_len; windows = t.window_index; duration_s; verdicts })
 
 let verdict_ok (v : verdict) = v.breached = 0 && not v.final_breach
 

@@ -1,12 +1,12 @@
 (** Online health monitoring: sliding windows + SLO verdicts.
 
     A monitor advances on the {e simulated} session clock (callers
-    tick it with frame timestamps), closes a window every [window_s]
-    simulated seconds — or early, at a scene cut — and evaluates a
-    set of declarative {!Slo} rules against each closed window:
-    windowed rates read the monitor's own ring-buffered series,
-    quantile rules read the sketches the registry histograms carry
-    while monitoring is on. Because nothing reads the wall clock, a
+    tick it with frame timestamps), closes a window every simulated
+    second — or early, at a scene cut — and evaluates a set of
+    declarative {!Slo} rules against each closed window: windowed
+    rates read the monitor's own series (open-window total, last
+    gauge value, lifetime total), quantile rules read the sketches
+    the registry histograms carry while monitoring is on. Because nothing reads the wall clock, a
     seeded run produces the same health report every time.
 
     At the end of a run {!report} additionally evaluates every
@@ -22,19 +22,10 @@
 
 type t
 
-val create :
-  ?window_s:float ->
-  ?history:int ->
-  ?registry:Registry.t ->
-  ?rules:Slo.rule list ->
-  unit ->
-  t
-(** Defaults: 1-second windows, 64-window ring, the default registry,
-    no rules. Raises [Invalid_argument] on a non-positive window or
-    history. *)
+val create : ?registry:Registry.t -> ?rules:Slo.rule list -> unit -> t
+(** Defaults: the default registry, no rules. *)
 
 val rules : t -> Slo.rule list
-val window_s : t -> float
 
 (** {1 Feeding (explicit instance)} *)
 
@@ -42,6 +33,8 @@ val incr : t -> ?by:int -> string -> unit
 (** Bump a windowed counter series (created on first use). *)
 
 val set_gauge : t -> string -> float -> unit
+(** Set a gauge series; the value carries into later windows until it
+    is set again. *)
 
 val tick : t -> now_s:float -> unit
 (** Advance the simulated clock; closes and evaluates every window

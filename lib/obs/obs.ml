@@ -14,11 +14,9 @@ module Registry = Registry
 module Trace = Trace
 module Log = Log
 module Sketch = Sketch
-module Window = Window
 module Slo = Slo
 module Monitor = Monitor
 module Openmetrics = Openmetrics
-module Timeseries = Timeseries
 module Profile = Profile
 module Journal = Journal
 module Explain = Explain
@@ -46,8 +44,6 @@ let with_enabled f =
 (* Shorthands for the common get-or-create calls, so instrumented
    libraries read [Obs.counter "..." []] instead of the full path. *)
 let counter = Registry.counter ?registry:None
-
-let gauge = Registry.gauge ?registry:None
 
 let histogram = Registry.histogram ?registry:None
 

@@ -4,26 +4,23 @@
    [Power.Meter.publish] and the per-scene attribution hook in the
    streaming session. Each sample is filed under the attribution path
    [open span stack ++ scene? ++ component], so the same joule shows
-   up three ways: hierarchically (collapsed-stack flame graph of
-   where energy went), over simulated time ([Timeseries] per
-   component), and cumulatively (registry gauge + Chrome counter
-   track). Purely observational: nothing in here feeds back into
-   control decisions, and with no profiler installed [record] is a
-   single option load. *)
+   up two ways: hierarchically (collapsed-stack flame graph of where
+   energy went) and cumulatively (registry gauge + Chrome counter
+   track, the time view). Purely observational: nothing in here feeds
+   back into control decisions, and with no profiler installed
+   [record] is a single option load. *)
 
 type t = {
   mutex : Mutex.t;
-  store : Timeseries.t;
   stacks : (string list, float ref) Hashtbl.t;  (* guarded_by: mutex *)
   components : (string, float ref) Hashtbl.t;  (* guarded_by: mutex, cumulative mJ *)
   mutable counters : Trace.counter list;  (* guarded_by: mutex, newest first *)
   mutable samples : int;  (* guarded_by: mutex *)
 }
 
-let create ?(interval_s = 1.) ?(max_series = 64) () =
+let create () =
   {
     mutex = Mutex.create ();
-    store = Timeseries.create ~interval_s ~max_series ();
     stacks = Hashtbl.create 32;
     components = Hashtbl.create 8;
     counters = [];
@@ -66,7 +63,7 @@ let bump tbl key mj =
   | Some cell -> cell := !cell +. mj
   | None -> Hashtbl.add tbl key (ref mj)
 
-let record_in p ?(t_s = 0.) ?scene ~component mj =
+let record_in p ?scene ~component mj =
   if Float.is_finite mj then begin
     let base = Trace.current_path () in
     let path =
@@ -84,14 +81,6 @@ let record_in p ?(t_s = 0.) ?scene ~component mj =
         p.samples <- p.samples + 1;
         bump p.stacks path mj;
         bump p.components component mj;
-        (match
-           (* lint: allow C004 the store mutex is a leaf lock below the
-              profile mutex; the order is global *)
-           Timeseries.series p.store ~merge:Timeseries.Sum "energy_mj"
-             [ ("component", component) ]
-         with
-        | Some se -> Timeseries.observe se ~t_s mj
-        | None -> ());
         Metrics.Gauge.add energy_gauge mj;
         (* One counter sample per recording, carrying every
            component's cumulative total: Perfetto stacks the args
@@ -105,11 +94,11 @@ let record_in p ?(t_s = 0.) ?scene ~component mj =
           :: p.counters)
   end
 
-let record ?t_s ?scene ~component mj =
+let record ?scene ~component mj =
   if Control.on () then
     match Atomic.get instance with
     | None -> ()
-    | Some p -> record_in p ?t_s ?scene ~component mj
+    | Some p -> record_in p ?scene ~component mj
 
 (* --- readbacks ---------------------------------------------------------- *)
 
@@ -132,8 +121,6 @@ let total_mj p =
 
 let counter_events p = with_lock p (fun () -> List.rev p.counters)
 
-let timeseries p = p.store
-
 (* --- rendering ---------------------------------------------------------- *)
 
 (* Collapsed-stack format: one [seg;seg;... value] line per path,
@@ -152,27 +139,6 @@ let flamegraph p =
       Buffer.add_char buf '\n')
     (stacks p);
   Buffer.contents buf
-
-let to_json p =
-  let components = by_component p in
-  Json.Obj
-    [
-      ("total_mj", Json.Float (total_mj p));
-      ("samples", Json.Int (samples p));
-      ( "components",
-        Json.Obj (List.map (fun (c, mj) -> (c, Json.Float mj)) components) );
-      ( "stacks",
-        Json.List
-          (List.map
-             (fun (path, mj) ->
-               Json.Obj
-                 [
-                   ("path", Json.String (String.concat ";" path));
-                   ("mj", Json.Float mj);
-                 ])
-             (stacks p)) );
-      ("series", Timeseries.to_json p.store);
-    ]
 
 let pp_summary ppf p =
   let components = by_component p in

@@ -7,9 +7,9 @@
     the attribution path formed by the currently open span stack,
     an optional scene segment, and the component name — yielding a
     session → stage → scene → component hierarchy. The same sample
-    also feeds a per-component {!Timeseries} on the simulated clock,
-    a cumulative [profile_energy_mj{component}] registry gauge, and a
-    Chrome [trace_event] counter track.
+    also feeds a cumulative [profile_energy_mj{component}] registry
+    gauge and a Chrome [trace_event] counter track, which is the
+    profile's view over time.
 
     Attribution is observational only: no consumer of the profiler
     influences pipeline behaviour, and when no profiler is installed
@@ -18,8 +18,7 @@
 
 type t
 
-val create : ?interval_s:float -> ?max_series:int -> unit -> t
-(** Defaults: 1 s time-series buckets, at most 64 series. *)
+val create : unit -> t
 
 (** {1 Process-global instance}
 
@@ -35,14 +34,12 @@ val current : unit -> t option
 
 val installed : unit -> bool
 
-val record : ?t_s:float -> ?scene:int -> component:string -> float -> unit
+val record : ?scene:int -> component:string -> float -> unit
 (** [record ~component mj] attributes [mj] millijoules to [component]
     under the currently open span path on the installed profiler.
-    [t_s] places the sample on the simulated clock for the time
-    series (default 0); [scene] inserts a [scene.N] path segment
-    between the span stack and the component. No-op when
-    observability is off or no profiler is installed; non-finite
-    samples are dropped. *)
+    [scene] inserts a [scene.N] path segment between the span stack
+    and the component. No-op when observability is off or no
+    profiler is installed; non-finite samples are dropped. *)
 
 (** {1 Readbacks}
 
@@ -61,15 +58,11 @@ val counter_events : t -> Trace.counter list
 (** One Chrome counter sample per recording (cumulative per-component
     totals), oldest first — pass to {!Trace.to_chrome_json}. *)
 
-val timeseries : t -> Timeseries.t
-
 (** {1 Rendering} *)
 
 val flamegraph : t -> string
 (** Collapsed-stack text ([path;to;component value] lines, one per
     attribution path, values in integer microjoules) — feed to any
     flamegraph.pl-compatible renderer or speedscope. *)
-
-val to_json : t -> Json.t
 
 val pp_summary : Format.formatter -> t -> unit

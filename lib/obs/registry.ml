@@ -150,22 +150,6 @@ let dropped_family () =
       };
     ]
 
-(* Same pattern for the time-series cardinality guard: creations the
-   [Timeseries] stores refused show up on the default registry as
-   [obs_series_dropped_total]. *)
-let series_dropped_family () =
-  let dropped = Timeseries.dropped_total () in
-  if dropped = 0 then []
-  else
-    [
-      {
-        family = "obs_series_dropped_total";
-        help = "Time-series creations refused by the cardinality guard";
-        kind = Counter;
-        series = [ { labels = []; value = Counter_v dropped } ];
-      };
-    ]
-
 let snapshot ?(registry = default) () =
   with_lock registry (fun () ->
       Hashtbl.fold
@@ -179,8 +163,7 @@ let snapshot ?(registry = default) () =
           in
           { family = f.f_name; help = f.f_help; kind = f.f_kind; series } :: acc)
         registry.families
-        (if registry == default then dropped_family () @ series_dropped_family ()
-         else [])
+        (if registry == default then dropped_family () else [])
       |> List.sort (fun a b -> String.compare a.family b.family))
 
 let reset ?(registry = default) () =
@@ -300,12 +283,6 @@ let pp_text ppf (snap : snapshot) =
     snap;
   Format.fprintf ppf "@]"
 
-let kind_of_string = function
-  | "counter" -> Ok Counter
-  | "gauge" -> Ok Gauge
-  | "histogram" -> Ok Histogram
-  | other -> Error ("unknown metric kind " ^ other)
-
 let json_of_value = function
   | Counter_v n -> Json.Obj [ ("counter", Json.Int n) ]
   | Gauge_v v -> Json.Obj [ ("gauge", Json.Float v) ]
@@ -351,84 +328,3 @@ let to_json (snap : snapshot) =
                     f.series) );
            ])
        snap)
-
-(* A tiny applicative decoding layer keeps of_json readable. *)
-let ( let* ) r f = Result.bind r f
-
-let field name json =
-  match Json.member name json with
-  | Some v -> Ok v
-  | None -> Error ("missing field " ^ name)
-
-let as_string = function
-  | Json.String s -> Ok s
-  | _ -> Error "expected string"
-
-let as_int = function Json.Int i -> Ok i | _ -> Error "expected int"
-
-let as_float = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> Error "expected number"
-
-let as_list = function Json.List l -> Ok l | _ -> Error "expected list"
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest -> (
-      match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
-  in
-  go [] l
-
-let value_of_json json =
-  match json with
-  | Json.Obj [ ("counter", Json.Int n) ] -> Ok (Counter_v n)
-  | Json.Obj [ ("gauge", v) ] ->
-    let* v = as_float v in
-    Ok (Gauge_v v)
-  | Json.Obj [ ("histogram", h) ] ->
-    let* buckets = field "buckets" h in
-    let* buckets = as_list buckets in
-    let* buckets =
-      map_result
-        (fun b ->
-          let* le = field "le" b in
-          let* le = as_float le in
-          let* count = field "count" b in
-          let* count = as_int count in
-          Ok (le, count))
-        buckets
-    in
-    let* overflow = Result.bind (field "overflow" h) as_int in
-    let* count = Result.bind (field "count" h) as_int in
-    let* sum = Result.bind (field "sum" h) as_float in
-    Ok (Histogram_v { buckets; overflow; count; sum })
-  | _ -> Error "bad metric value"
-
-let series_of_json json =
-  let* labels = field "labels" json in
-  let* labels =
-    match labels with
-    | Json.Obj fields ->
-      map_result
-        (fun (k, v) ->
-          let* v = as_string v in
-          Ok (k, v))
-        fields
-    | _ -> Error "labels must be an object"
-  in
-  let* value = Result.bind (field "value" json) value_of_json in
-  Ok { labels; value }
-
-let of_json json =
-  let* families = as_list json in
-  map_result
-    (fun f ->
-      let* family = Result.bind (field "name" f) as_string in
-      let* help = Result.bind (field "help" f) as_string in
-      let* kind = Result.bind (Result.bind (field "kind" f) as_string) kind_of_string in
-      let* series = Result.bind (field "series" f) as_list in
-      let* series = map_result series_of_json series in
-      Ok { family; help; kind; series })
-    families

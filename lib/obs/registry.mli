@@ -58,11 +58,9 @@ type snapshot = family_snapshot list
 
 val snapshot : ?registry:t -> unit -> snapshot
 (** Families sorted by name, series sorted by labels — deterministic.
-    On the default registry the snapshot also carries synthetic
-    counter families once their counts are nonzero:
-    [obs_dropped_samples_total] (histogram samples clamped by the
-    NaN/negative guard) and [obs_series_dropped_total] (time-series
-    creations refused by the {!Timeseries} cardinality guard). *)
+    On the default registry the snapshot also carries the synthetic
+    counter family [obs_dropped_samples_total] (histogram samples
+    clamped by the NaN/negative guard) once its count is nonzero. *)
 
 val reset : ?registry:t -> unit -> unit
 (** Zero every series in place. Cached handles stay valid. *)
@@ -100,6 +98,3 @@ val pp_text : Format.formatter -> snapshot -> unit
 (** Human-readable summary table. *)
 
 val to_json : snapshot -> Json.t
-
-val of_json : Json.t -> (snapshot, string) result
-(** Inverse of {!to_json}; [of_json (to_json s) = Ok s]. *)

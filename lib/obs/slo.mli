@@ -18,15 +18,19 @@
       name ([_p50] → 0.50, [_p99] → 0.99, [_p999] → 0.999), read from
       the sketches monitoring attaches; the worst labelled series is
       gated.
-    - [_per_s] — windowed counter of that name divided by the window
-      duration in simulated seconds.
+    - [_per_s] — the monitor's windowed counter series of that name
+      divided by the window duration in simulated seconds.
     - [_rate] — windowed counter divided by the windowed [frames]
       counter (a per-frame miss ratio); skipped in windows with no
       frames.
-    - no suffix — the monitor gauge of that name, most recent value.
+    - no suffix — the monitor gauge series of that name, most recent
+      value.
+
+    Only [_pNN] reads the registry; every other selector names a
+    {!Monitor} series ({!Monitor.declared_series}).
 
     Operators: [<], [<=], [>], [>=], [==] (exact equality, for
-    integer-valued counters like [annot_records_corrupt_total == 0]).
+    integer-valued gauges like [annot_records_corrupt_total == 0]).
     The rule holds when [reading op threshold] is true. *)
 
 type stat =

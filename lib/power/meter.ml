@@ -15,23 +15,13 @@ let create ?(sample_rate_hz = 2000.) () =
 
 let sample_rate_hz m = m.sample_rate_hz
 
-let obs_readings =
-  Obs.counter ~help:"Meter integrations performed" "power_meter_readings_total" []
-
-let obs_energy component =
-  Obs.gauge ~help:"Last measured energy per accounted component (mJ)"
-    "power_energy_mj"
-    [ ("component", component) ]
-
 let publish ?component reading =
   if Obs.enabled () then begin
-    Obs.Metrics.Counter.incr obs_readings;
     match component with
     | Some c ->
-      Obs.Metrics.Gauge.set (obs_energy c) reading.energy_mj;
-      (* Also feed the health monitor so per-component power-budget
-         rules ([power_<component>_mj < X]) can gate on it. The name
-         is declared on first use: component names only exist at
+      (* Feed the health monitor so per-component power-budget rules
+         ([power_<component>_mj < X]) can gate on it. The name is
+         declared on first use: component names only exist at
          measurement time. *)
       Obs.Monitor.gauge
         (Obs.Monitor.declare_series ("power_" ^ c ^ "_mj"))

@@ -26,10 +26,11 @@ val sample_rate_hz : t -> float
 val measure : ?component:string -> t -> duration_s:float -> (float -> float) -> reading
 (** [measure meter ~duration_s power] samples [power t] (milliwatts at
     time [t] seconds) over [0, duration_s) and integrates. Duration
-    must be positive. When [component] is given, the resulting energy
-    is also published to the [power_energy_mj{component=...}]
-    observability gauge and, when a health monitor is installed, to
-    its [power_<component>_mj] gauge for SLO power budgets. *)
+    must be positive. When [component] is given and observability is
+    on, the resulting energy is also published to the installed
+    health monitor's [power_<component>_mj] gauge for SLO power
+    budgets and attributed to [component] by the installed energy
+    profiler ({!Obs.Profile.record}). *)
 
 val measure_trace : ?component:string -> t -> dt_s:float -> float array -> reading
 (** [measure_trace meter ~dt_s trace] integrates a pre-sampled power

@@ -1,7 +1,7 @@
 (* Closed / Open / Half-open circuit breaker on the simulated clock.
-   Failure rates are measured over an Obs.Window of recent outcomes;
-   every transition is journaled and counted, so a breaker trip is a
-   first-class, reproducible decision rather than an emergent hiccup.
+   Failure rates are measured over a window of recent outcomes; every
+   transition is journaled, so a breaker trip is a first-class,
+   reproducible decision rather than an emergent hiccup.
    Nothing here reads ambient time — callers pass [now_s] — which is
    what makes equal seeds give equal transition sequences. *)
 
@@ -54,9 +54,8 @@ type transition = {
 type t = {
   name : string;
   config : config;
-  failures : Obs.Window.t;  (* open accumulation = failures this window *)
-  mutable seen : int;  (* owned_by: the session control plane, single-threaded (L012 gates every mutator) *)
-  mutable window_started_s : float;  (* owned_by: session control plane *)
+  mutable failures : int;  (* owned_by: the session control plane, single-threaded (L012 gates every mutator); failures this window *)
+  mutable seen : int;  (* owned_by: session control plane; outcomes this window *)
   mutable state : state;  (* owned_by: session control plane *)
   mutable opened_at_s : float;  (* owned_by: session control plane *)
   mutable probes_issued : int;  (* owned_by: session control plane *)
@@ -64,30 +63,14 @@ type t = {
   mutable transitions : transition list;  (* owned_by: session control plane; newest first *)
 }
 
-let obs_transitions =
-  let family st =
-    Obs.counter ~help:"Circuit-breaker state transitions"
-      "resilience_breaker_transitions_total"
-      [ ("to", state_label st) ]
-  in
-  let closed = family Closed
-  and half_open = family Half_open
-  and opened = family Open in
-  function Closed -> closed | Half_open -> half_open | Open -> opened
-
-let obs_rejected =
-  Obs.counter ~help:"Attempts rejected by an open or probing breaker"
-    "resilience_breaker_rejected_total" []
-
 let s_breaker_state = Obs.Monitor.declare_series "breaker_state"
 
 let create ?(config = default_config) ~name () =
   {
     name;
     config = clamp config;
-    failures = Obs.Window.create ~history:16 ();
+    failures = 0;
     seen = 0;
-    window_started_s = 0.;
     state = Closed;
     opened_at_s = 0.;
     probes_issued = 0;
@@ -105,7 +88,8 @@ let failure_permille t =
   if t.seen = 0 then 0
   else
     int_of_float
-      (Float.round (1000. *. Obs.Window.current t.failures /. float_of_int t.seen))
+      (Float.round
+         (1000. *. float_of_int t.failures /. float_of_int t.seen))
 
 let transition t ~now_s to_state =
   let tr =
@@ -117,7 +101,6 @@ let transition t ~now_s to_state =
     }
   in
   t.transitions <- tr :: t.transitions;
-  Obs.Metrics.Counter.incr (obs_transitions to_state);
   Obs.Monitor.gauge s_breaker_state (float_of_int (state_code to_state));
   Obs.Journal.record ~t_s:now_s
     (Obs.Journal.Breaker_transition
@@ -139,14 +122,8 @@ let transition t ~now_s to_state =
   | Closed ->
     (* Fresh window: the breaker forgets the incident it just
        survived instead of instantly re-tripping on stale samples. *)
-    if t.seen > 0 then begin
-      ignore
-        (Obs.Window.close t.failures ~index:(Obs.Window.closed_count t.failures)
-           ~start_s:t.window_started_s
-           ~duration_s:(Float.max 1e-9 (now_s -. t.window_started_s)));
-      t.seen <- 0;
-      t.window_started_s <- now_s
-    end)
+    t.failures <- 0;
+    t.seen <- 0)
 
 let cooldown_remaining t ~now_s =
   match t.state with
@@ -162,19 +139,13 @@ let allow t ~now_s =
       t.probes_issued <- 1;
       true
     end
-    else begin
-      Obs.Metrics.Counter.incr obs_rejected;
-      false
-    end
+    else false
   | Half_open ->
     if t.probes_issued < t.config.probe_quota then begin
       t.probes_issued <- t.probes_issued + 1;
       true
     end
-    else begin
-      Obs.Metrics.Counter.incr obs_rejected;
-      false
-    end
+    else false
 
 let record t ~now_s ~ok =
   match t.state with
@@ -186,18 +157,13 @@ let record t ~now_s ~ok =
       if t.probes_ok >= t.config.probe_quota then transition t ~now_s Closed
     end
   | Closed ->
-    if t.seen = 0 then t.window_started_s <- now_s;
     t.seen <- t.seen + 1;
-    Obs.Window.add t.failures (if ok then 0. else 1.);
-    let rate = Obs.Window.current t.failures /. float_of_int t.seen in
+    if not ok then t.failures <- t.failures + 1;
+    let rate = float_of_int t.failures /. float_of_int t.seen in
     if t.seen >= t.config.min_samples && rate >= t.config.failure_threshold
     then transition t ~now_s Open
     else if t.seen >= t.config.window then begin
       (* Rotate the sliding window so ancient outcomes age out. *)
-      ignore
-        (Obs.Window.close t.failures ~index:(Obs.Window.closed_count t.failures)
-           ~start_s:t.window_started_s
-           ~duration_s:(Float.max 1e-9 (now_s -. t.window_started_s)));
-      t.seen <- 0;
-      t.window_started_s <- now_s
+      t.failures <- 0;
+      t.seen <- 0
     end

@@ -1,7 +1,7 @@
 (** Closed / open / half-open circuit breaker on the simulated clock.
 
-    Outcome rates are measured over a sliding {!Obs.Window} of recent
-    samples; when the failure rate over at least [min_samples]
+    Outcome rates are measured over windows of up to [window]
+    admitted outcomes; when the failure rate over at least [min_samples]
     outcomes reaches [failure_threshold] the breaker opens, rejects
     work for [cooldown_s] of simulated time, then half-opens and
     admits exactly [probe_quota] probes: one probe failure reopens it,
@@ -59,8 +59,7 @@ val allow : t -> now_s:float -> bool
 (** May a unit of work proceed at [now_s]? Closed: always. Open: no,
     until [cooldown_s] has elapsed — at which point the breaker
     half-opens and this call admits the first probe. Half-open: yes
-    for the remaining probe quota, no after. Rejections count into
-    [resilience_breaker_rejected_total]. *)
+    for the remaining probe quota, no after. *)
 
 val record : t -> now_s:float -> ok:bool -> unit
 (** Report the outcome of admitted work. Ignored while {!Open} (the

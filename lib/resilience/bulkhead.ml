@@ -33,17 +33,6 @@ type t = {
   mutable shed_total : int;  (* guarded_by: lock *)
 }
 
-let obs_decisions =
-  let family d =
-    Obs.counter ~help:"Bulkhead admission decisions"
-      "resilience_bulkhead_decisions_total"
-      [ ("decision", decision_label d) ]
-  in
-  let admitted = family Admitted
-  and queued = family Queued
-  and shed = family Shed in
-  function Admitted -> admitted | Queued -> queued | Shed -> shed
-
 let create ?(config = default_config) ~name () =
   {
     name;
@@ -70,7 +59,6 @@ let config t = t.config
    them inside its locked region, and this function touches no
    guarded state itself. *)
 let journal t decision ~in_flight ~queued =
-  Obs.Metrics.Counter.incr (obs_decisions decision);
   Obs.Journal.record
     (Obs.Journal.Bulkhead_decision
        { name = t.name; decision = decision_label decision; in_flight; queued })

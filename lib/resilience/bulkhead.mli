@@ -4,9 +4,8 @@
     At most [capacity] units of work run at once; up to [queue_limit]
     more wait; anything beyond is {e shed} — refused immediately so
     the caller can fall back down the degradation ladder instead of
-    piling onto a saturated stage. Every decision is counted in
-    [resilience_bulkhead_decisions_total] and journaled as
-    {!Obs.Journal.Bulkhead_decision}. Sequential callers (all the
+    piling onto a saturated stage. Every decision is counted
+    ({!stats}) and journaled as {!Obs.Journal.Bulkhead_decision}. Sequential callers (all the
     deterministic test and chaos paths) see decisions as a pure
     function of the call sequence; under a domain pool only the totals
     are schedule-independent. *)

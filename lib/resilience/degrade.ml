@@ -37,15 +37,6 @@ type t = {
   counts : int array;  (* indexed by rank *)
 }
 
-let obs_steps =
-  let family s =
-    Obs.counter ~help:"Degradation-ladder steps taken"
-      "resilience_ladder_steps_total"
-      [ ("step", label s) ]
-  in
-  let handles = List.map (fun s -> (rank s, family s)) all in
-  fun s -> List.assoc (rank s) handles
-
 let s_ladder_depth = Obs.Monitor.declare_series "ladder_depth"
 
 let create ?(steps = default_steps) () =
@@ -75,11 +66,9 @@ let note t ?(t_s = 0.) ~scene step =
   t.counts.(r) <- t.counts.(r) + 1;
   if r > t.max_depth then t.max_depth <- r;
   Obs.Monitor.gauge s_ladder_depth (float_of_int t.max_depth);
-  if r > 0 then begin
-    Obs.Metrics.Counter.incr (obs_steps step);
+  if r > 0 then
     Obs.Journal.record ~t_s
       (Obs.Journal.Ladder_step { scene; depth = r; step = label step })
-  end
 
 let depth t = t.max_depth
 

@@ -12,9 +12,9 @@
     same clip from {!Streaming.Server}'s prepared cache) →
     neighbour-clamped per-scene reconstruction → full-backlight
     passthrough, the rung that cannot fail. Every non-fresh step taken
-    is journaled as {!Obs.Journal.Ladder_step} and counted in
-    [resilience_ladder_steps_total]; the deepest rung reached feeds
-    the [ladder_depth] monitor series SLO rules gate on. *)
+    is journaled as {!Obs.Journal.Ladder_step} and counted per rung
+    ({!taken}); the deepest rung reached feeds the [ladder_depth]
+    monitor series SLO rules gate on. *)
 
 type step = Fresh | Stale_cache | Neighbour_clamp | Full_backlight
 
@@ -52,8 +52,9 @@ val next_step : t -> from:step -> step
 
 val note : t -> ?t_s:float -> scene:int -> step -> unit
 (** Record that [scene] (-1: the whole track) resolved at [step].
-    Non-fresh steps are journaled and counted; every step updates the
-    [ladder_depth] gauge with the deepest rank so far. *)
+    Every step is counted ({!taken}) and updates the [ladder_depth]
+    gauge with the deepest rank so far; non-fresh steps are also
+    journaled. *)
 
 val depth : t -> int
 (** Deepest rank reached so far (0 if only fresh). *)

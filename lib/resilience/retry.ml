@@ -54,14 +54,6 @@ let backoff_s policy ~seed ~round =
     in
     base +. Image.Prng.float rng (policy.jitter *. base)
 
-let obs_attempts =
-  Obs.counter ~help:"Retry attempts executed by resilience schedules"
-    "resilience_retry_attempts_total" []
-
-let obs_exhausted =
-  Obs.counter ~help:"Retry schedules that ran out of deadline budget"
-    "resilience_retry_exhausted_total" []
-
 let run ?(admit = fun _ ~now_s:_ _ -> Admit) policy ~seed ~init ~pending ~cost
     ~step =
   let spent = ref 0. in
@@ -103,12 +95,10 @@ let run ?(admit = fun _ ~now_s:_ _ -> Admit) policy ~seed ~init ~pending ~cost
         else begin
           spent := !spent +. c;
           incr attempts;
-          Obs.Metrics.Counter.incr obs_attempts;
           state := step a ~now_s:!spent !state
         end
     end
   done;
-  if !exhausted then Obs.Metrics.Counter.incr obs_exhausted;
   ( !state,
     {
       attempts = !attempts;

@@ -58,19 +58,6 @@ let salt_jitter = 0xc2b2a
 
 let rng ~seed ~salt = Image.Prng.create ~seed:((seed * 0x2545f49) lxor salt)
 
-let obs_lost =
-  let family cause =
-    Obs.counter ~help:"Deliveries killed by the fault injector"
-      "fault_deliveries_lost_total"
-      [ ("cause", cause) ]
-  in
-  let loss = family "loss" and reorder = family "reorder" in
-  fun cause -> if cause = `Loss then loss else reorder
-
-let obs_corrupted_bytes =
-  Obs.counter ~help:"Delivered bytes flipped by the fault injector"
-    "fault_bytes_corrupted_total" []
-
 let loss_mask t ~seed ~n =
   if n < 0 then invalid_arg "Fault.loss_mask: negative length";
   match t.loss with
@@ -110,8 +97,7 @@ let corrupt_packet r rate packet =
         (* XOR with a non-zero byte: a "corruption" always changes the
            byte, so the injected rate is the observed flip rate. *)
         Bytes.set bytes i
-          (Char.chr (Char.code c lxor (1 + Image.Prng.int r 255)));
-        Obs.Metrics.Counter.incr obs_corrupted_bytes
+          (Char.chr (Char.code c lxor (1 + Image.Prng.int r 255)))
       end)
     packet;
   match !out with None -> packet | Some b -> Bytes.to_string b
@@ -123,18 +109,13 @@ let apply ?(t_s = 0.) t ~seed packets =
   let corrupt_rng = rng ~seed ~salt:salt_corrupt in
   let out =
     Array.init n (fun i ->
-        if lost.(i) then begin
-          Obs.Metrics.Counter.incr (obs_lost `Loss);
-          None
-        end
+        if lost.(i) then None
         else if
           t.reorder_rate > 0. && Image.Prng.float reorder_rng 1. < t.reorder_rate
-        then begin
+        then
           (* Displaced past its decode deadline: gone as far as playback
              is concerned, though a retransmission can still repair it. *)
-          Obs.Metrics.Counter.incr (obs_lost `Reorder);
           None
-        end
         else if t.corrupt_rate > 0. then
           Some (corrupt_packet corrupt_rng t.corrupt_rate packets.(i))
         else Some packets.(i))

@@ -14,23 +14,6 @@ let xor_accumulate acc packet =
       Bytes.set acc i (Char.chr (Char.code (Bytes.get acc i) lxor Char.code c)))
     packet
 
-let obs_packets =
-  let family kind =
-    Obs.counter ~help:"FEC packets built for the annotation side channel"
-      "streaming_fec_packets_total"
-      [ ("kind", kind) ]
-  in
-  let data = family "data" and parity = family "parity" in
-  fun kind -> if kind = `Data then data else parity
-
-let obs_recoveries =
-  Obs.counter ~help:"Data packets reconstructed from parity"
-    "streaming_fec_recoveries_total" []
-
-let obs_failures =
-  Obs.counter ~help:"FEC groups that lost more than parity could repair"
-    "streaming_fec_failures_total" []
-
 let protect ?(packet_size = 64) ?(group_size = 4) payload =
   if packet_size <= 0 then invalid_arg "Fec.protect: packet size must be positive";
   if group_size <= 0 then invalid_arg "Fec.protect: group size must be positive";
@@ -52,8 +35,6 @@ let protect ?(packet_size = 64) ?(group_size = 4) payload =
         done;
         Bytes.to_string acc)
   in
-  Obs.Metrics.Counter.incr (obs_packets `Data) ~by:data_packets;
-  Obs.Metrics.Counter.incr (obs_packets `Parity) ~by:groups;
   {
     packets = Array.append data parities;
     data_packets;
@@ -102,16 +83,13 @@ let recover t ~present =
         for i = first to last do
           if i <> lone then xor_accumulate acc recovered.(i)
         done;
-        Obs.Metrics.Counter.incr obs_recoveries;
         recovered.(lone) <- Bytes.sub_string acc 0 (data_length t lone))
     | _ :: _ :: _ ->
       if !failure = None then
         failure := Some (Printf.sprintf "group %d lost %d packets" g (List.length !missing))
   done;
   match !failure with
-  | Some msg ->
-    Obs.Metrics.Counter.incr obs_failures;
-    Error msg
+  | Some msg -> Error msg
   | None -> Ok (String.concat "" (Array.to_list recovered))
 
 type recovery = {
@@ -141,9 +119,7 @@ let recover_detail t ~present =
     | [] -> ()
     | [ lone ] -> (
       match present.(t.data_packets + g) with
-      | None ->
-        Obs.Metrics.Counter.incr obs_failures;
-        failed := g :: !failed
+      | None -> failed := g :: !failed
       | Some parity ->
         let acc = Bytes.of_string parity in
         for i = first to last do
@@ -152,12 +128,9 @@ let recover_detail t ~present =
             | Some p -> xor_accumulate acc p
             | None -> ()
         done;
-        Obs.Metrics.Counter.incr obs_recoveries;
         incr repaired;
         recovered.(lone) <- Some (Bytes.sub_string acc 0 (data_length t lone)))
-    | _ :: _ :: _ ->
-      Obs.Metrics.Counter.incr obs_failures;
-      failed := g :: !failed
+    | _ :: _ :: _ -> failed := g :: !failed
   done;
   (* Zero-fill unrecovered spans so the payload keeps its exact length
      and surviving records stay at their true offsets; [byte_ok] tells

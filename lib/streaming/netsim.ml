@@ -22,19 +22,7 @@ let packet_count link bytes =
 let wire_bytes link bytes =
   bytes + (packet_count link bytes * link.per_packet_overhead_bytes)
 
-let obs_wire_packets =
-  Obs.counter ~help:"Packets accounted for simulated transfers"
-    "streaming_wire_packets_total" []
-
-let obs_wire_bytes =
-  Obs.counter ~help:"Wire bytes (payload + per-packet overhead) transferred"
-    "streaming_wire_bytes_total" []
-
 let transfer_time_s link bytes =
-  if Obs.enabled () then begin
-    Obs.Metrics.Counter.incr obs_wire_packets ~by:(packet_count link bytes);
-    Obs.Metrics.Counter.incr obs_wire_bytes ~by:(wire_bytes link bytes)
-  end;
   float_of_int (wire_bytes link bytes) *. 8. /. link.bandwidth_bps
 
 let annotation_overhead_ratio link ~video_bytes ~annotation_bytes =

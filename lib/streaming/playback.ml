@@ -63,21 +63,6 @@ let count_switches registers =
   done;
   !switches
 
-let obs_runs =
-  Obs.counter ~help:"Playback simulations executed" "streaming_playback_runs_total"
-    []
-
-let obs_frames =
-  Obs.counter ~help:"Frames played back" "streaming_frames_played_total" []
-
-let obs_switches =
-  Obs.counter ~help:"Backlight register changes during playback"
-    "streaming_backlight_switches_total" []
-
-let obs_mean_register =
-  Obs.gauge ~help:"Mean backlight register of the last playback run"
-    "streaming_mean_register" []
-
 let s_backlight_switches = Obs.Monitor.declare_series "backlight_switches"
 
 let run_with_registers ?(options = default_options) ~device ~quality ~clip_name
@@ -125,13 +110,9 @@ let run_with_registers ?(options = default_options) ~device ~quality ~clip_name
         end;
         Obs.Monitor.advance ~now_s:(float_of_int (i + 1) *. dt_s))
       registers;
-  Obs.Metrics.Counter.incr obs_runs;
-  Obs.Metrics.Counter.incr obs_frames ~by:frames;
-  Obs.Metrics.Counter.incr obs_switches ~by:switch_count;
   let mean_register =
     float_of_int (Array.fold_left ( + ) 0 registers) /. float_of_int frames
   in
-  Obs.Metrics.Gauge.set obs_mean_register mean_register;
   Obs.Log.info ~scope:"playback" (fun () ->
       ( "playback complete: " ^ clip_name,
         [

@@ -38,14 +38,6 @@ type t = {
   mutable misses : int;  (* guarded_by: cache_lock *)
 }
 
-let obs_cache_hits =
-  Obs.counter ~help:"Prepared-stream cache hits (clip x quality x device x mapping)"
-    "server_prepared_cache_hits_total" []
-
-let obs_cache_misses =
-  Obs.counter ~help:"Prepared-stream cache misses (clip x quality x device x mapping)"
-    "server_prepared_cache_misses_total" []
-
 let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
@@ -188,11 +180,9 @@ let prepare ?scene_params ?pool ?bulkhead t ~name ~session =
               match Hashtbl.find_opt t.cache key with
               | Some p ->
                 t.hits <- t.hits + 1;
-                Obs.Metrics.Counter.incr obs_cache_hits;
                 Some p
               | None ->
                 t.misses <- t.misses + 1;
-                Obs.Metrics.Counter.incr obs_cache_misses;
                 None)
         with
         | Some p -> p

@@ -56,9 +56,8 @@ val prepare :
 
     Results are cached by (clip name, quality, device name, mapping):
     a second session with the same key is served the already-prepared
-    stream. Hits and misses are counted per server ({!cache_stats})
-    and in the obs registry ([server_prepared_cache_hits_total] /
-    [server_prepared_cache_misses_total]). Calls with explicit
+    stream. Hits and misses are counted per server ({!cache_stats}).
+    Calls with explicit
     [scene_params] bypass the cache, since the key does not carry
     them.
 

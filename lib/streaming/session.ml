@@ -67,31 +67,10 @@ let device_energy ~config ~dt_s ~registers ~cpu_energy_mj ~radio_energy_mj =
   in
   backlight +. cpu_energy_mj +. radio_energy_mj +. constant
 
-let obs_sessions =
-  let family outcome =
-    Obs.counter ~help:"End-to-end sessions executed" "streaming_sessions_total"
-      [ ("outcome", outcome) ]
-  in
-  let ok = family "ok" and error = family "error" in
-  fun outcome -> if outcome = `Ok then ok else error
-
-let obs_annotation_outcomes =
-  let family result =
-    Obs.counter ~help:"Annotation side-channel survival over the lossy hop"
-      "streaming_annotation_outcomes_total"
-      [ ("result", result) ]
-  in
-  let recovered = family "recovered" and lost = family "lost" in
-  fun survived -> if survived then recovered else lost
-
 let obs_frame_latency =
   Obs.histogram ~help:"Simulated per-frame wire transfer time on the link"
     ~buckets:[| 1e-4; 5e-4; 1e-3; 5e-3; 1e-2; 5e-2; 0.1; 0.5 |]
     "streaming_frame_latency_seconds" []
-
-let obs_deadline_misses =
-  Obs.counter ~help:"Frames whose wire transfer exceeded the frame period"
-    "streaming_deadline_misses_total" []
 
 (* Window series this module feeds, declared up front so the offline
    SLO checker knows them without running a session. *)
@@ -106,28 +85,12 @@ let s_records_corrupt =
 
 let s_degraded_scenes = Obs.Monitor.declare_series "degraded_scenes_total"
 
-let obs_energy component =
-  Obs.gauge ~help:"Last measured energy per accounted component (mJ)"
-    "power_energy_mj"
-    [ ("component", component) ]
-
 let obs_forced_first_frame =
   Obs.counter
     ~help:"First video frames force-delivered despite the loss model"
     "forced_first_frame_deliveries_total" []
 
-let obs_degraded_scenes =
-  Obs.counter
-    ~help:"Scenes that fell back to a safe backlight level because their \
-           annotation record was lost or corrupt"
-    "degraded_scenes_total" []
-
 let span = Obs.Trace.with_span
-
-let obs_watchdog_trips =
-  Obs.counter
-    ~help:"Stage-deadline watchdog trips that forced the degradation ladder"
-    "resilience_watchdog_trips_total" []
 
 (* A stale prepared track can stand in for a missing record only when
    its scene layout matches: same frame coverage, same entry grid.
@@ -444,7 +407,6 @@ let step_transmit m (prep : prepared_input) =
     let watchdog_tripped =
       match profile.Resilience.Profile.stage_deadline_s with
       | Some d when nack.Transport.nack_time_s > d ->
-        Obs.Metrics.Counter.incr obs_watchdog_trips;
         Obs.Journal.record ~t_s:journal_t_s
           (Obs.Journal.Watchdog_trip
              {
@@ -555,9 +517,6 @@ let step_transmit m (prep : prepared_input) =
           in
           (true, mapped patched, degraded, resent, corrupt)
   in
-  Obs.Metrics.Counter.incr (obs_annotation_outcomes annotations_survived);
-  if degraded_scenes > 0 then
-    Obs.Metrics.Counter.incr obs_degraded_scenes ~by:degraded_scenes;
   m.m_stage <-
     Transmitted
       ( prep,
@@ -596,9 +555,7 @@ let step_decode m (prep : prepared_input) (trans : transmitted) =
               | None -> Codec.Decoder.decode encoded.Codec.Encoder.data)))
   in
   match setup with
-  | Error e ->
-    Obs.Metrics.Counter.incr (obs_sessions `Error);
-    m.m_stage <- Finished (Error e)
+  | Error e -> m.m_stage <- Finished (Error e)
   | Ok (received, clean) ->
     (* Client playback decisions. *)
     let registers =
@@ -678,7 +635,6 @@ let step_frame m (prep : prepared_input) (trans : transmitted)
     Obs.Metrics.Histogram.observe obs_frame_latency transfer;
     Obs.Monitor.count Obs.Monitor.frames_series;
     if transfer > dt_s then begin
-      Obs.Metrics.Counter.incr obs_deadline_misses;
       Obs.Monitor.count s_deadline_miss;
       Obs.Journal.record ~t_s:start_s
         (Obs.Journal.Deadline_miss
@@ -729,10 +685,6 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
         radio.Radio.baseline_energy_mj
     in
     if Obs.enabled () then begin
-      Obs.Metrics.Gauge.set (obs_energy "cpu") dvfs.Dvfs_playback.cpu_energy_mj;
-      Obs.Metrics.Gauge.set (obs_energy "radio") radio.Radio.radio_energy_mj;
-      Obs.Metrics.Gauge.set (obs_energy "device_total") optimised;
-      Obs.Metrics.Gauge.set (obs_energy "device_baseline") baseline;
       Obs.Monitor.gauge s_power_cpu_mj dvfs.Dvfs_playback.cpu_energy_mj;
       Obs.Monitor.gauge s_power_radio_mj radio.Radio.radio_energy_mj;
       Obs.Monitor.gauge s_power_device_total_mj optimised;
@@ -755,7 +707,6 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
       let record_scene idx ~first ~count =
         let last = min frames (first + count) - 1 in
         if count > 0 && first < frames then begin
-          let t_s = float_of_int first *. dt_s in
           let backlight = ref 0. in
           for i = first to last do
             backlight :=
@@ -765,8 +716,8 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
                  *. dt_s
           done;
           let scene_s = float_of_int (last - first + 1) *. dt_s in
-          Obs.Profile.record ~t_s ~scene:idx ~component:"backlight" !backlight;
-          Obs.Profile.record ~t_s ~scene:idx ~component:"display"
+          Obs.Profile.record ~scene:idx ~component:"backlight" !backlight;
+          Obs.Profile.record ~scene:idx ~component:"display"
             (constant_mw *. scene_s)
         end
       in
@@ -827,7 +778,6 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
       corrupt_records;
     }
   in
-  Obs.Metrics.Counter.incr (obs_sessions `Ok);
   m.m_stage <- Finished (Ok report)
 
 (* Advance the machine by one stage — one simulated frame once playing.

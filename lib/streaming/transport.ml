@@ -21,18 +21,6 @@ let packetize (encoded : Codec.Encoder.encoded) =
       { info; payloads; frame_types = encoded.Codec.Encoder.frame_types })
     (Codec.Decoder.parse_header encoded.Codec.Encoder.data)
 
-let obs_frames_lost =
-  Obs.counter ~help:"Video frames dropped by the simulated lossy hop"
-    "streaming_frames_lost_total" []
-
-let obs_concealed =
-  Obs.counter ~help:"Lost frames replaced by the concealment rule"
-    "streaming_frames_concealed_total" []
-
-let obs_drifted =
-  Obs.counter ~help:"P frames decoded against a damaged prediction chain"
-    "streaming_frames_drifted_total" []
-
 type received = {
   pictures : Image.Raster.t array;
   concealed : int;
@@ -46,9 +34,6 @@ let decode_with_concealment t ~lost =
   let n = Array.length t.payloads in
   if Array.length lost <> n then
     invalid_arg "Transport.decode_with_concealment: loss mask length mismatch";
-  if Obs.enabled () then
-    Obs.Metrics.Counter.incr obs_frames_lost
-      ~by:(Array.fold_left (fun acc l -> if l then acc + 1 else acc) 0 lost);
   let pictures = Array.make n (Image.Raster.create ~width:1 ~height:1) in
   (* Each frame is decoded into the planes of the reference before
      last: pictures and concealed frames are rasters of their own, so
@@ -71,7 +56,6 @@ let decode_with_concealment t ~lost =
          | None -> failwith "first frame lost: nothing to conceal with"
          | Some prev ->
            incr concealed;
-           Obs.Metrics.Counter.incr obs_concealed;
            chain_dirty := true;
            pictures.(i) <-
              Codec.Decoder.raster_of_reference
@@ -87,10 +71,7 @@ let decode_with_concealment t ~lost =
            (match t.frame_types.(i) with
            | Codec.Stream.I_frame -> chain_dirty := false
            | Codec.Stream.P_frame ->
-             if !chain_dirty then begin
-               incr drifted;
-               Obs.Metrics.Counter.incr obs_drifted
-             end);
+             if !chain_dirty then incr drifted);
            pictures.(i) <- picture;
            spare := !reference;
            reference := Some new_reference
@@ -117,14 +98,6 @@ let no_nack =
     nack_time_s = 0.;
     budget_exhausted = false;
   }
-
-let obs_retransmissions =
-  Obs.counter ~help:"Annotation packets re-sent after a NACK"
-    "annot_retransmissions_total" []
-
-let obs_nack_rounds =
-  Obs.counter ~help:"NACK/retransmit rounds run for the annotation side channel"
-    "annot_nack_rounds_total" []
 
 (* The NACK loop is a Resilience.Retry schedule: each attempt NACKs the
    packets still missing, waits out the backoff, and receives the burst
@@ -179,10 +152,8 @@ let nack_retransmit ?(backoff_base_s = 0.002) ?(rtt_s = 0.004) ?policy ?breaker
   in
   let step (a : Resilience.Retry.attempt) ~now_s () =
     let gaps = missing () in
-    Obs.Metrics.Counter.incr obs_nack_rounds;
     let resent = Array.of_list (List.map (fun i -> packets.(i)) gaps) in
     retransmitted := !retransmitted + Array.length resent;
-    Obs.Metrics.Counter.incr obs_retransmissions ~by:(Array.length resent);
     let delivered =
       Fault.apply ~t_s:now_s fault ~seed:a.Resilience.Retry.seed resent
     in

@@ -608,6 +608,24 @@ let test_slo_live_catalog () =
   let ds = Artifact.check_slo ~file:"default.slo" (read_file "../examples/default.slo") in
   Alcotest.(check (list string)) "examples/default.slo" [] (error_codes ds)
 
+let test_slo_counter_family_is_no_series () =
+  (* The monitor evaluates a non-quantile selector only against its own
+     series, so a rule naming a registry counter would read 0 in every
+     window ([_per_s]) or never be evaluated (no suffix): the live
+     catalog must reject both, although the family is registered. *)
+  Alcotest.(check bool) "annot_profiles_total is registered" true
+    (List.exists
+       (fun (f : Obs.Registry.family_snapshot) ->
+         f.Obs.Registry.family = "annot_profiles_total")
+       (Obs.Registry.snapshot ()));
+  let live = Artifact.check_slo ~known:(Artifact.known_metrics ()) ~file:"t.slo" in
+  check_codes "rate over a counter family" [ "V202" ]
+    (live "annot_profiles_total_per_s < 5\n");
+  check_codes "gauge over a counter family" [ "V202" ]
+    (live "codec_dct_ops_total == 0\n");
+  check_codes "quantile over a counter family" [ "V202" ]
+    (live "codec_dct_ops_total_p99 < 1\n")
+
 (* --- fault profiles ----------------------------------------------------- *)
 
 let test_fault_valid () =
@@ -736,6 +754,8 @@ let () =
           Alcotest.test_case "duplicate" `Quick test_slo_duplicate;
           Alcotest.test_case "empty" `Quick test_slo_empty;
           Alcotest.test_case "live catalog" `Quick test_slo_live_catalog;
+          Alcotest.test_case "counter family is no series" `Quick
+            test_slo_counter_family_is_no_series;
         ] );
       ( "fault",
         [

@@ -123,35 +123,51 @@ let test_sketch_sublinear_space () =
 
 (* --- sliding windows ----------------------------------------------------- *)
 
-let test_window_ring_eviction () =
-  let w = Obs.Window.create ~history:4 () in
+(* Each window reads only the counts that landed in it; the
+   whole-session reading divides the lifetime total, which spans every
+   window. *)
+let test_window_lifetime_total () =
+  let m =
+    Obs.Monitor.create ~registry:(Obs.Registry.create ())
+      ~rules:[ Obs.Slo.of_string_exn "c_per_s < 100" ]
+      ()
+  in
   for i = 0 to 5 do
-    Obs.Window.add w (float_of_int (i + 1));
-    ignore
-      (Obs.Window.close w ~index:i ~start_s:(float_of_int i) ~duration_s:1.)
+    Obs.Monitor.incr m ~by:(i + 1) "c";
+    Obs.Monitor.tick m ~now_s:(float_of_int (i + 1))
   done;
-  check int "six windows closed" 6 (Obs.Window.closed_count w);
-  let slots = Obs.Window.recent w in
-  check int "ring keeps only the last four" 4 (List.length slots);
-  check (Alcotest.list int) "oldest first, earliest evicted" [ 2; 3; 4; 5 ]
-    (List.map (fun (s : Obs.Window.slot) -> s.Obs.Window.index) slots);
-  check flt "totals travel with their slot" 3.
-    (List.hd slots).Obs.Window.total;
-  check flt "lifetime total spans evictions" 21. (Obs.Window.lifetime_total w)
+  let report = Obs.Monitor.report m in
+  check int "six windows closed" 6 report.Obs.Monitor.windows;
+  match report.Obs.Monitor.verdicts with
+  | [ v ] ->
+    check int "every window read" 6 v.Obs.Monitor.evaluated;
+    check (Alcotest.option flt) "worst window holds only its own count"
+      (Some 6.) v.Obs.Monitor.worst;
+    check (Alcotest.option flt) "lifetime total spans every window"
+      (Some (21. /. 6.)) v.Obs.Monitor.final
+  | l -> Alcotest.failf "expected 1 verdict, got %d" (List.length l)
 
 let test_window_gauge_carries_over () =
-  let w = Obs.Window.create () in
-  Obs.Window.set w 42.;
-  let s1 = Obs.Window.close w ~index:0 ~start_s:0. ~duration_s:1. in
-  let s2 = Obs.Window.close w ~index:1 ~start_s:1. ~duration_s:1. in
-  check (Alcotest.option flt) "gauge visible in its window" (Some 42.)
-    s1.Obs.Window.last;
-  check (Alcotest.option flt) "gauge carries into the next" (Some 42.)
-    s2.Obs.Window.last;
-  check flt "counter does not carry" 0. s2.Obs.Window.total;
-  Alcotest.check_raises "zero duration rejected"
-    (Invalid_argument "Obs.Window.close: duration must be positive")
-    (fun () -> ignore (Obs.Window.close w ~index:2 ~start_s:2. ~duration_s:0.))
+  let m =
+    Obs.Monitor.create ~registry:(Obs.Registry.create ())
+      ~rules:
+        [ Obs.Slo.of_string_exn "g == 42"; Obs.Slo.of_string_exn "c_per_s == 0" ]
+      ()
+  in
+  Obs.Monitor.set_gauge m "g" 42.;
+  Obs.Monitor.incr m "c";
+  Obs.Monitor.tick m ~now_s:1.;
+  Obs.Monitor.tick m ~now_s:2.;
+  match (Obs.Monitor.report m).Obs.Monitor.verdicts with
+  | [ gauge; counter ] ->
+    check int "gauge visible in its window and carried into the next" 2
+      gauge.Obs.Monitor.evaluated;
+    check int "carried gauge holds" 0 gauge.Obs.Monitor.breached;
+    check (Alcotest.option flt) "final gauge reading" (Some 42.)
+      gauge.Obs.Monitor.final;
+    check int "counter read in both windows" 2 counter.Obs.Monitor.evaluated;
+    check int "counter does not carry" 1 counter.Obs.Monitor.breached
+  | l -> Alcotest.failf "expected 2 verdicts, got %d" (List.length l)
 
 (* --- SLO parsing --------------------------------------------------------- *)
 
@@ -513,17 +529,6 @@ let test_session_monitored_breach () =
   | l -> Alcotest.failf "expected 1 verdict, got %d" (List.length l));
   check bool "unhealthy" false (Obs.Monitor.healthy report)
 
-let test_session_deadline_counter_registered () =
-  ignore (run_session_with_rules []);
-  (* The deadline-miss counter family exists (possibly at zero). *)
-  Obs.with_enabled @@ fun () ->
-  let snap = Obs.Registry.snapshot () in
-  check bool "streaming_deadline_misses_total family present" true
-    (List.exists
-       (fun (f : Obs.Registry.family_snapshot) ->
-         f.Obs.Registry.family = "streaming_deadline_misses_total")
-       snap)
-
 let test_sketches_off_without_monitoring () =
   Obs.with_enabled @@ fun () ->
   Obs.disable_monitoring ();
@@ -552,8 +557,8 @@ let () =
         ] );
       ( "window",
         [
-          Alcotest.test_case "ring eviction and ordering" `Quick
-            test_window_ring_eviction;
+          Alcotest.test_case "lifetime total spans windows" `Quick
+            test_window_lifetime_total;
           Alcotest.test_case "gauge carry-over" `Quick
             test_window_gauge_carries_over;
         ] );
@@ -592,8 +597,6 @@ let () =
             test_session_monitored_healthy;
           Alcotest.test_case "deliberate breach fails" `Quick
             test_session_monitored_breach;
-          Alcotest.test_case "deadline counter registered" `Quick
-            test_session_deadline_counter_registered;
           Alcotest.test_case "sketches off without monitoring" `Quick
             test_sketches_off_without_monitoring;
         ] );

@@ -185,10 +185,8 @@ let test_registry_json_roundtrip () =
   in
   List.iter (Obs.Metrics.Histogram.observe h) [ 0.0005; 0.05; 2.7 ];
   let snap = Obs.Registry.snapshot ~registry:r () in
-  (match Obs.Registry.of_json (Obs.Registry.to_json snap) with
-  | Error e -> Alcotest.failf "round-trip failed: %s" e
-  | Ok decoded -> check bool "snapshot round-trips exactly" true (decoded = snap));
-  (* The rendered text must also be parseable JSON at the string level. *)
+  (* The rendered text (the bench's metrics dump) must be parseable
+     JSON that reads back to the same tree. *)
   match Obs.Json.of_string (Obs.Json.to_string (Obs.Registry.to_json snap)) with
   | Error e -> Alcotest.failf "rendered JSON unparseable: %s" e
   | Ok reparsed ->
@@ -532,6 +530,74 @@ let test_chaos_warm_goldens () =
   check string "journal digest" golden_journal_md5
     (Digest.to_hex (Digest.string journal))
 
+(* --- scrape manifest ------------------------------------------------------ *)
+
+(* Every family the default registry exposes, each with the reader that
+   keeps it there. A family nothing reads does not belong in the
+   scrape: a new one comes with a reader named here. *)
+let scrape_manifest =
+  [
+    (* examples/default.slo: annot_clip_fraction_p95 *)
+    "annot_clip_fraction";
+    (* test_streaming: a clip is profiled once under contention *)
+    "annot_profiles_total";
+    (* bench work row (dct_ops); test_codec "decode counters" *)
+    "codec_dct_ops_total";
+    (* test_codec "decode counters" *)
+    "codec_decoded_bytes_total";
+    (* bench work row (encoded_bytes) *)
+    "codec_encoded_bytes_total";
+    (* test_codec "decode counters" *)
+    "codec_frames_decoded_total";
+    (* bench work row (encoded frames) *)
+    "codec_frames_encoded_total";
+    (* bench work row (quant_ops); test_codec "decode counters" *)
+    "codec_quant_ops_total";
+    (* test_streaming "forced first frame counted" *)
+    "forced_first_frame_deliveries_total";
+    (* test_monitor "NaN/negative clamp and synthetic family" *)
+    "obs_dropped_samples_total";
+    (* test_profile: the gauge tracks the profiler's component totals *)
+    "profile_energy_mj";
+    (* examples/default.slo: streaming_frame_latency_seconds_p99 *)
+    "streaming_frame_latency_seconds";
+  ]
+
+let test_scrape_manifest () =
+  (* One monitored, journaled, profiled chaos session ... *)
+  let profiler = Obs.Profile.create () in
+  Obs.Profile.install profiler;
+  Fun.protect ~finally:Obs.Profile.uninstall (fun () ->
+      ignore (with_telemetry ~rules:(default_rules ()) (chaos_warm_report ())));
+  check bool "the profiler saw the session" true (Obs.Profile.samples profiler > 0);
+  (* ... and one small fleet run ... *)
+  let clips =
+    Array.init 3 (fun i ->
+        Video.Clip_gen.render ~width:16 ~height:12 ~fps:8.
+          (Video.Workloads.parametric ~seconds:1.0 ~base_level:(40 + (30 * i))
+             ~highlight_peak:(150 + (12 * i)) ()))
+  in
+  Obs.with_enabled (fun () ->
+      let r =
+        Fleet.Scheduler.run
+          { Fleet.Scheduler.default_config with Fleet.Scheduler.shards = 2 }
+          ~session_config:
+            (Streaming.Session.default_config ~device:Display.Device.ipaq_h5555)
+          ~clips
+          ~load:{ Fleet.Load.default with Fleet.Load.sessions = 12 }
+      in
+      check int "every fleet session completed" 12 r.Fleet.Scheduler.completed;
+      (* ... plus one clamped sample on a private registry: the guard's
+         synthetic family only shows once it has counted something. *)
+      Obs.Metrics.Histogram.observe
+        (Obs.Registry.histogram ~registry:(Obs.Registry.create ())
+           "scrape_manifest_seconds" [])
+        Float.nan);
+  check (Alcotest.list string) "scrape families" scrape_manifest
+    (List.map
+       (fun (f : Obs.Registry.family_snapshot) -> f.Obs.Registry.family)
+       (Obs.Registry.snapshot ()))
+
 let () =
   Alcotest.run "obs"
     [
@@ -599,4 +665,6 @@ let () =
           Alcotest.test_case "chaos-warm journal and SLO verdicts" `Quick
             test_chaos_warm_goldens;
         ] );
+      ( "scrape",
+        [ Alcotest.test_case "family manifest" `Quick test_scrape_manifest ] );
     ]

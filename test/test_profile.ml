@@ -1,235 +1,28 @@
-(* Energy-attribution profiler and the time-series store beneath it:
-   the bucket-merge algebra (QCheck properties: associativity, sum
-   preservation, order/chunking independence), the cardinality guard
-   and its registry surfacing, profiler totals against the meter's own
-   integral, session attribution against the session report, the
-   behaviour-neutrality guarantee (reports byte-identical with the
-   profiler on and off), and the OpenMetrics / Chrome-trace
-   conformance fixes that ride along. *)
-
-module Ts = Obs.Timeseries
+(* Energy-attribution profiler: attribution paths, profiler totals
+   against the meter's own integral, session attribution against the
+   session report, the behaviour-neutrality guarantee (reports
+   byte-identical with the profiler on and off), and the OpenMetrics /
+   Chrome-trace conformance fixes that ride along. *)
 
 let check = Alcotest.check
 let flt = Alcotest.float 1e-9
 
 (* Run [f] with observability on and a fresh profiler installed;
    always uninstalls, so test order cannot leak an instance. *)
-let with_profiler ?interval_s ?max_series f =
+let with_profiler f =
   Obs.with_enabled @@ fun () ->
-  let p = Obs.Profile.create ?interval_s ?max_series () in
+  let p = Obs.Profile.create () in
   Obs.Profile.install p;
   Fun.protect ~finally:Obs.Profile.uninstall (fun () -> f p)
-
-(* --- Timeseries: unit behaviour ---------------------------------------- *)
-
-let test_bucketing () =
-  let t = Ts.create ~interval_s:1. ~capacity:8 () in
-  let se = Option.get (Ts.series t "energy_mj" [ ("component", "lcd") ]) in
-  Ts.observe se ~t_s:0.2 1.;
-  Ts.observe se ~t_s:0.7 2.;
-  Ts.observe se ~t_s:3.1 5.;
-  match Ts.snapshot t with
-  | [ sn ] ->
-    check (Alcotest.list (Alcotest.pair flt flt)) "buckets"
-      [ (0., 3.); (3., 5.) ]
-      (List.map (fun p -> (p.Ts.t_s, p.Ts.sum)) sn.Ts.sn_points);
-    check flt "total" 8. (Ts.total sn)
-  | sns -> Alcotest.failf "expected one series, got %d" (List.length sns)
-
-let test_compaction_doubles_interval () =
-  let t = Ts.create ~interval_s:1. ~capacity:4 () in
-  let se = Option.get (Ts.series t "s" []) in
-  List.iter (fun t_s -> Ts.observe se ~t_s 1.) [ 0.5; 1.5; 2.5; 3.5 ];
-  check flt "initial interval" 1. (Ts.interval_s se);
-  (* t = 9.0 lands past a 4-bucket window at 1 s and also past 2 s;
-     the series must double twice to cover it. *)
-  Ts.observe se ~t_s:9.0 1.;
-  check flt "interval doubled to 4 s" 4. (Ts.interval_s se);
-  check Alcotest.int "two compactions" 2 (Ts.downsamples se);
-  match Ts.snapshot t with
-  | [ sn ] ->
-    check flt "mass preserved" 5. (Ts.total sn);
-    check (Alcotest.list (Alcotest.pair flt flt)) "recoarsened buckets"
-      [ (0., 4.); (8., 1.) ]
-      (List.map (fun p -> (p.Ts.t_s, p.Ts.sum)) sn.Ts.sn_points)
-  | _ -> Alcotest.fail "expected one series"
-
-let test_hostile_samples () =
-  let t = Ts.create ~interval_s:1. ~capacity:4 () in
-  let se = Option.get (Ts.series t "s" []) in
-  Ts.observe se ~t_s:0. Float.nan;
-  Ts.observe se ~t_s:0. Float.infinity;
-  (match Ts.snapshot t with
-  | [ sn ] ->
-    check Alcotest.int "non-finite samples dropped" 0
-      (List.length sn.Ts.sn_points)
-  | _ -> Alcotest.fail "expected the one (empty) series");
-  Ts.observe se ~t_s:(-5.) 1.;
-  Ts.observe se ~t_s:Float.nan 2.;
-  match Ts.snapshot t with
-  | [ sn ] ->
-    check (Alcotest.list (Alcotest.pair flt flt)) "hostile times clamp to t=0"
-      [ (0., 3.) ]
-      (List.map (fun p -> (p.Ts.t_s, p.Ts.sum)) sn.Ts.sn_points)
-  | _ -> Alcotest.fail "expected one series"
-
-let test_merge_modes () =
-  let t = Ts.create ~interval_s:10. ~capacity:4 () in
-  let avg = Option.get (Ts.series t ~merge:Ts.Avg "a" []) in
-  let max_se = Option.get (Ts.series t ~merge:Ts.Max "m" []) in
-  List.iter
-    (fun v ->
-      Ts.observe avg ~t_s:1. v;
-      Ts.observe max_se ~t_s:1. v)
-    [ 2.; 4.; 9. ];
-  (match Ts.snapshot t with
-  | [ a; m ] ->
-    check flt "avg bucket" 5. (Ts.total a);
-    check flt "max bucket" 9. (Ts.total m)
-  | _ -> Alcotest.fail "expected two series");
-  Alcotest.check_raises "merge-mode conflict"
-    (Invalid_argument "Timeseries: a is a avg series, requested as max")
-    (fun () -> ignore (Ts.series t ~merge:Ts.Max "a" []))
-
-let test_labels_canonical () =
-  let t = Ts.create () in
-  let a = Option.get (Ts.series t "s" [ ("b", "2"); ("a", "1") ]) in
-  let b = Option.get (Ts.series t "s" [ ("a", "1"); ("b", "2") ]) in
-  check Alcotest.bool "label order does not split the series" true (a == b);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
-    "labels key-sorted"
-    [ ("a", "1"); ("b", "2") ]
-    (Ts.series_labels a)
-
-let test_cardinality_guard () =
-  let before_global = Ts.dropped_total () in
-  let t = Ts.create ~max_series:2 () in
-  ignore (Option.get (Ts.series t "a" []));
-  ignore (Option.get (Ts.series t "b" []));
-  check Alcotest.bool "third series refused" true (Ts.series t "c" [] = None);
-  (* Re-opening an existing key is not a creation and must still work
-     at capacity. *)
-  check Alcotest.bool "existing key still served" true
-    (Ts.series t "a" [] <> None);
-  check Alcotest.int "local refusal counted" 1 (Ts.dropped t);
-  check Alcotest.int "global refusal counted" (before_global + 1)
-    (Ts.dropped_total ());
-  (* The default registry surfaces the process-wide count as a
-     synthetic counter family. *)
-  let snap = Obs.Registry.snapshot () in
-  let fam =
-    List.find
-      (fun f -> f.Obs.Registry.family = "obs_series_dropped_total")
-      snap
-  in
-  match fam.Obs.Registry.series with
-  | [ { Obs.Registry.value = Obs.Registry.Counter_v n; _ } ] ->
-    check Alcotest.bool "registry exposes the refusals" true
-      (n >= before_global + 1)
-  | _ -> Alcotest.fail "obs_series_dropped_total has unexpected shape"
-
-let test_diff () =
-  let t = Ts.create ~interval_s:1. ~capacity:8 () in
-  let a = Option.get (Ts.series t "e" [ ("c", "lcd") ]) in
-  Ts.observe a ~t_s:0. 2.;
-  let before = Ts.snapshot t in
-  Ts.observe a ~t_s:1. 3.;
-  let b = Option.get (Ts.series t "e" [ ("c", "cpu") ]) in
-  Ts.observe b ~t_s:1. 7.;
-  let after = Ts.snapshot t in
-  let changes = Ts.diff ~before ~after in
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string flt))
-    "per-series deltas, label-sorted"
-    [ ("cpu", 7.); ("lcd", 3.) ]
-    (List.map
-       (fun c -> (List.assoc "c" c.Ts.c_labels, Ts.delta c))
-       changes)
-
-(* --- Timeseries: QCheck properties ------------------------------------- *)
-
-(* Integer-valued samples keep float addition exact, so the algebraic
-   properties hold with equality instead of a tolerance. *)
-let sample_gen = QCheck2.Gen.(map float_of_int (0 -- 1000))
-let time_gen = QCheck2.Gen.(map (fun t -> float_of_int t /. 4.) (0 -- 4000))
-let feed_gen = QCheck2.Gen.(list_size (1 -- 80) (pair time_gen sample_gen))
-
-let point_gen =
-  QCheck2.Gen.(
-    map
-      (fun (c, (s, m)) ->
-        { Ts.p_count = c; p_sum = float_of_int s; p_max = float_of_int m })
-      (pair (1 -- 5) (pair (0 -- 100) (0 -- 100))))
-
-let total_sum t =
-  List.fold_left (fun acc sn -> acc +. Ts.total sn) 0. (Ts.snapshot t)
-
-let feed t feed_list =
-  let se = Option.get (Ts.series t "s" []) in
-  List.iter (fun (t_s, v) -> Ts.observe se ~t_s v) feed_list
-
-let qtests =
-  List.map QCheck_alcotest.to_alcotest
-    [
-      QCheck2.Test.make ~name:"merge_points is associative"
-        QCheck2.Gen.(triple point_gen point_gen point_gen)
-        (fun (a, b, c) ->
-          Ts.merge_points (Ts.merge_points a b) c
-          = Ts.merge_points a (Ts.merge_points b c));
-      QCheck2.Test.make ~name:"merge_points is commutative with identity"
-        QCheck2.Gen.(pair point_gen point_gen)
-        (fun (a, b) ->
-          Ts.merge_points a b = Ts.merge_points b a
-          && Ts.merge_points a Ts.empty_point = a
-          && Ts.merge_points Ts.empty_point a = a);
-      QCheck2.Test.make ~name:"downsampling preserves the sum" feed_gen
-        (fun samples ->
-          (* Tiny capacity forces many compactions; the grand total
-             must still equal the plain sum of the feed. *)
-          let t = Ts.create ~interval_s:0.5 ~capacity:4 () in
-          feed t samples;
-          total_sum t
-          = List.fold_left (fun acc (_, v) -> acc +. v) 0. samples);
-      QCheck2.Test.make ~name:"snapshot independent of arrival order"
-        feed_gen
-        (fun samples ->
-          let run order =
-            let t = Ts.create ~interval_s:0.5 ~capacity:4 () in
-            feed t order;
-            Ts.snapshot t
-          in
-          run samples
-          = run
-              (List.sort
-                 (fun (t1, v1) (t2, v2) -> compare (t2, v2) (t1, v1))
-                 samples));
-      QCheck2.Test.make ~name:"snapshot independent of flush boundaries"
-        QCheck2.Gen.(pair feed_gen (1 -- 10))
-        (fun (samples, k) ->
-          (* Feeding through two stores and through one store must
-             agree bucket-for-bucket once the same multiset went in;
-             splitting at an arbitrary index stands in for arbitrary
-             flush boundaries in the profiler. *)
-          let one = Ts.create ~interval_s:0.5 ~capacity:4 () in
-          feed one samples;
-          let cut = k mod (List.length samples + 1) in
-          let head = List.filteri (fun i _ -> i < cut) samples in
-          let tail = List.filteri (fun i _ -> i >= cut) samples in
-          let two = Ts.create ~interval_s:0.5 ~capacity:4 () in
-          feed two head;
-          feed two tail;
-          Ts.snapshot one = Ts.snapshot two);
-    ]
 
 (* --- Profiler ----------------------------------------------------------- *)
 
 let test_attribution_paths () =
   with_profiler @@ fun p ->
   Obs.Trace.with_span "session.playback" (fun () ->
-      Obs.Profile.record ~t_s:0. ~scene:3 ~component:"backlight" 10.;
-      Obs.Profile.record ~t_s:1. ~scene:3 ~component:"backlight" 5.;
-      Obs.Profile.record ~t_s:1. ~component:"decode" 2.);
+      Obs.Profile.record ~scene:3 ~component:"backlight" 10.;
+      Obs.Profile.record ~scene:3 ~component:"backlight" 5.;
+      Obs.Profile.record ~component:"decode" 2.);
   Obs.Profile.record ~component:"radio" 1.;
   check
     (Alcotest.list (Alcotest.pair (Alcotest.list Alcotest.string) flt))
@@ -466,18 +259,6 @@ let test_openmetrics_escaping () =
 let () =
   Alcotest.run "profile"
     [
-      ( "timeseries",
-        [
-          Alcotest.test_case "bucketing" `Quick test_bucketing;
-          Alcotest.test_case "compaction doubles interval" `Quick
-            test_compaction_doubles_interval;
-          Alcotest.test_case "hostile samples" `Quick test_hostile_samples;
-          Alcotest.test_case "merge modes" `Quick test_merge_modes;
-          Alcotest.test_case "labels canonical" `Quick test_labels_canonical;
-          Alcotest.test_case "cardinality guard" `Quick test_cardinality_guard;
-          Alcotest.test_case "diff" `Quick test_diff;
-        ] );
-      ("timeseries properties", qtests);
       ( "profiler",
         [
           Alcotest.test_case "attribution paths" `Quick test_attribution_paths;

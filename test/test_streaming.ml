@@ -704,6 +704,43 @@ let test_session_lossy_run () =
   done;
   check bool "some frames concealed" true (!concealed > 0)
 
+let test_session_forced_first_frame_counted () =
+  (* With nothing decoded yet a lost first frame cannot be concealed:
+     the session delivers it anyway and counts the forced delivery.
+     The session draws its video loss mask with [seed + 1]; the
+     concealment count below ties that draw to the run. *)
+  Obs.with_enabled @@ fun () ->
+  let clip = moving_clip () in
+  let fault = Streaming.Fault.bernoulli ~rate:0.5 in
+  let frames = clip.Video.Clip.frame_count in
+  let mask seed = Streaming.Fault.loss_mask fault ~seed:(seed + 1) ~n:frames in
+  let rec find_seed first_lost seed =
+    if seed > 200 then Alcotest.fail "no seed found"
+    else if (mask seed).(0) = first_lost then seed
+    else find_seed first_lost (seed + 1)
+  in
+  let forced = Obs.counter "forced_first_frame_deliveries_total" [] in
+  let bumps seed =
+    let before = Obs.Metrics.Counter.value forced in
+    let config =
+      { (Streaming.Session.default_config ~device) with
+        Streaming.Session.fault = Some fault;
+        seed }
+    in
+    match Streaming.Session.run config clip with
+    | Error e -> Alcotest.fail e
+    | Ok r ->
+      let lost_after_first =
+        Array.fold_left (fun n l -> if l then n + 1 else n) 0 (mask seed)
+        - if (mask seed).(0) then 1 else 0
+      in
+      check int "every later lost frame concealed" lost_after_first
+        r.Streaming.Session.concealed_frames;
+      Obs.Metrics.Counter.value forced - before
+  in
+  check int "frame 0 lost: one forced delivery" 1 (bumps (find_seed true 1));
+  check int "frame 0 kept: no forced delivery" 0 (bumps (find_seed false 1))
+
 let test_session_annotation_loss_falls_back () =
   let clip = moving_clip () in
   (* A brutal side-channel loss rate: FEC cannot recover, the client
@@ -1529,6 +1566,8 @@ let () =
         [
           Alcotest.test_case "clean run" `Quick test_session_clean_run;
           Alcotest.test_case "lossy run" `Quick test_session_lossy_run;
+          Alcotest.test_case "forced first frame counted" `Quick
+            test_session_forced_first_frame_counted;
           Alcotest.test_case "annotation loss fallback" `Quick
             test_session_annotation_loss_falls_back;
           Alcotest.test_case "client mapping equivalent" `Quick
