@@ -678,7 +678,6 @@ let loss () =
       let encoded =
         Codec.Encoder.encode_clip ~params:{ Codec.Stream.default_params with gop } clip
       in
-      let clean = Codec.Decoder.decode_exn encoded.Codec.Encoder.data in
       let packetized =
         match Streaming.Transport.packetize encoded with
         | Ok p -> p
@@ -691,14 +690,12 @@ let loss () =
               ~n:clip.Video.Clip.frame_count
           in
           lost.(0) <- false (* keep the session bootstrappable *);
-          match Streaming.Transport.decode_with_concealment packetized ~lost with
+          match Streaming.Transport.receive packetized ~lost with
           | Error e -> Printf.printf "%-6d %-6.2f decode failed: %s\n" gop rate e
           | Ok received ->
             Printf.printf "%-6d %-5.0f%% %10.1f %10d %10d %12d\n" gop
               (100. *. rate)
-              (Streaming.Transport.mean_psnr
-                 ~reference:clean.Codec.Decoder.frames
-                 received.Streaming.Transport.pictures)
+              (Streaming.Transport.mean_psnr received)
               received.Streaming.Transport.concealed
               received.Streaming.Transport.drifted
               (Codec.Encoder.total_bytes encoded / 1024))
@@ -753,7 +750,7 @@ let gop_plan () =
           ~n:clip.Video.Clip.frame_count
       in
       lost.(0) <- false;
-      (match Streaming.Transport.decode_with_concealment packetized ~lost with
+      (match Streaming.Transport.receive packetized ~lost with
       | Error msg -> failwith msg
       | Ok received -> received.Streaming.Transport.drifted)
   in
@@ -1312,6 +1309,18 @@ let micro () =
 
 (* --- Codec work rows ---------------------------------------------------------- *)
 
+(* examples/chaos.fault, inline so the bench runs from any directory:
+   bursty loss, byte corruption, late arrivals, jitter, and a
+   mid-stream bandwidth collapse. *)
+let chaos_fault =
+  {
+    (Streaming.Fault.gilbert ~mean_loss:0.08 ~burst_length:3. ()) with
+    Streaming.Fault.corrupt_rate = 0.002;
+    reorder_rate = 0.02;
+    jitter_s = 0.005;
+    collapse = Some { Streaming.Fault.at_fraction = 0.5; factor = 0.25 };
+  }
+
 (* Rows for the report's "work" section: the codec's work on one fixed
    clip, encoded and then decoded on the calling domain. Operation
    counts are deltas of the codec_* counters. Allocation comes from
@@ -1320,7 +1329,10 @@ let micro () =
    codec's allocation and not the telemetry's (span records).
    The counted pass runs first, so no first-use initialisation lands
    in the allocation pass. Allocation depends on the compiler, so the
-   row records its version. *)
+   row records its version. The decoder's frame counts around one
+   [prepare_input] and two sessions of the clip pin how often a
+   session decodes: never in prepare, once per frame without loss, and
+   once more per drifted frame under loss. *)
 let work_rows : Obs.Json.t list ref = ref []
 
 let work () =
@@ -1335,8 +1347,8 @@ let work () =
     Video.Clip.make ~name:"officexp-48" ~width ~height ~fps:12. ~frame_count
       (Array.get rasters)
   in
+  let c name labels = Obs.Metrics.Counter.value (Obs.counter name labels) in
   let counts () =
-    let c name labels = Obs.Metrics.Counter.value (Obs.counter name labels) in
     ( c "codec_frames_encoded_total" [ ("type", "I") ]
       + c "codec_frames_encoded_total" [ ("type", "P") ],
       c "codec_encoded_bytes_total" [],
@@ -1361,6 +1373,25 @@ let work () =
     minor_kw (fun () -> Codec.Decoder.decode_exn encoded.Codec.Encoder.data)
   in
   let decoded_frames = Array.length decoded.Codec.Decoder.frames in
+  let decodes f =
+    let total () =
+      c "codec_frames_decoded_total" [ ("type", "I") ]
+      + c "codec_frames_decoded_total" [ ("type", "P") ]
+    in
+    let d0 = total () in
+    ignore (f ());
+    total () - d0
+  in
+  let config = Streaming.Session.default_config ~device in
+  let session config () =
+    match Streaming.Session.run config clip with Ok r -> r | Error e -> failwith e
+  in
+  let prepare_decodes = decodes (fun () -> Streaming.Session.prepare_input config clip) in
+  let lossless_decodes = decodes (session config) in
+  let chaos_decodes =
+    decodes
+      (session { config with Streaming.Session.fault = Some chaos_fault; seed = 1 })
+  in
   let per_encoded = encode_kw /. float_of_int frames in
   let per_decoded = decode_kw /. float_of_int decoded_frames in
   Printf.printf
@@ -1381,6 +1412,9 @@ let work () =
           ("quant_ops", Obs.Json.Int quant_ops);
           ("minor_kw_per_encoded_frame", Obs.Json.Float per_encoded);
           ("minor_kw_per_decoded_frame", Obs.Json.Float per_decoded);
+          ("decoded_frames_prepare", Obs.Json.Int prepare_decodes);
+          ("decoded_frames_lossless_session", Obs.Json.Int lossless_decodes);
+          ("decoded_frames_chaos_session", Obs.Json.Int chaos_decodes);
         ];
     ]
 
@@ -1574,17 +1608,7 @@ let resilience_ladder () =
        ladder = fresh, clamp, full\n\
        stage_deadline_ms = 20\n"
   in
-  (* examples/chaos.fault, inline: bursty loss, byte corruption, late
-     arrivals, jitter, and a mid-stream bandwidth collapse. *)
-  let fault =
-    {
-      (Streaming.Fault.gilbert ~mean_loss:0.08 ~burst_length:3. ()) with
-      Streaming.Fault.corrupt_rate = 0.002;
-      reorder_rate = 0.02;
-      jitter_s = 0.005;
-      collapse = Some { Streaming.Fault.at_fraction = 0.5; factor = 0.25 };
-    }
-  in
+  let fault = chaos_fault in
   let clip_profile =
     let scene level =
       Video.Profile.scene ~seconds:0.75 ~noise_sigma:0. (Video.Profile.Flat level)

@@ -50,7 +50,7 @@ let capture rig device ~backlight_register frame =
     if rig.noise_sigma <= 0. then v
     else
       Image.Pixel.clamp_channel
-        (v + int_of_float (Image.Prng.gaussian rng ~mu:0. ~sigma:rig.noise_sigma))
+        (v + Image.Prng.gaussian_int rng ~mu:0. ~sigma:rig.noise_sigma)
   in
   Image.Raster.map
     (fun p -> Image.Pixel.gray (noisy table.(Image.Pixel.luminance p)))
@@ -65,7 +65,7 @@ let capture_histogram rig device ~backlight_register frame =
     if rig.noise_sigma <= 0. then v
     else
       Image.Pixel.clamp_channel
-        (v + int_of_float (Image.Prng.gaussian rng ~mu:0. ~sigma:rig.noise_sigma))
+        (v + Image.Prng.gaussian_int rng ~mu:0. ~sigma:rig.noise_sigma)
   in
   Bytes.iter
     (fun c -> Image.Histogram.add_sample hist (noisy table.(Char.code c)))

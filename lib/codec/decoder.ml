@@ -124,7 +124,7 @@ let decode_chroma_p r s q ~luma_modes ~luma_bw ~luma_bh ~(reference : Plane.t)
     done
   done
 
-let fresh_planes info =
+let reference_planes info =
   Plane.create_ycbcr ~width:info.info_width ~height:info.info_height ~multiple:8
 
 let raster_of_planes info planes =
@@ -164,39 +164,26 @@ let decode_frame_body r s ~planes ~reference =
     ~by:((Bitio.Reader.position_bits r - obs_start_bits + 7) / 8);
   planes
 
-let reference_of_raster raster = Plane.of_raster raster
-
-let raster_of_reference ~width ~height planes =
-  Plane.to_raster_cropped planes ~width ~height
-
-let decode_frame_into ~into:planes ~info ~reference payload =
-  if not
-       (Plane.has_ycbcr_geometry planes ~width:info.info_width ~height:info.info_height
-          ~multiple:8)
-  then invalid_arg "Decoder.decode_frame_into: planes are not the stream's padded geometry";
-  let r = Bitio.Reader.of_string payload in
-  (* The reference picture may come from concealment at display size;
-     re-pad it to the codec's working geometry. *)
-  let reference =
-    Option.map
-      (fun (planes : Plane.ycbcr) ->
-        {
-          Plane.y = Plane.pad_to_multiple planes.Plane.y 8;
-          cb = Plane.pad_to_multiple planes.Plane.cb 8;
-          cr = Plane.pad_to_multiple planes.Plane.cr 8;
-        })
-      reference
+let decode_frame_into ~scratch ~into:planes ~info ~reference payload =
+  let padded p =
+    Plane.has_ycbcr_geometry p ~width:info.info_width ~height:info.info_height
+      ~multiple:8
   in
-  match
-    decode_frame_body r (Block_codec.scratch ()) ~planes ~reference
-  with
-  | planes -> Ok (raster_of_planes info planes, planes)
+  if not (padded planes && Option.fold ~none:true ~some:padded reference) then
+    invalid_arg "Decoder.decode_frame_into: planes are not the stream's padded geometry";
+  let r = Bitio.Reader.of_string payload in
+  match decode_frame_body r scratch ~planes ~reference with
+  | _ -> Ok ()
   | exception Corrupt msg -> Error msg
   | exception Bitio.Reader.Out_of_bits -> Error "truncated frame"
   | exception Invalid_argument msg -> Error msg
 
 let decode_frame ~info ~reference payload =
-  decode_frame_into ~into:(fresh_planes info) ~info ~reference payload
+  let planes = reference_planes info in
+  Result.map
+    (fun () -> (raster_of_planes info planes, planes))
+    (decode_frame_into ~scratch:(Block_codec.scratch ()) ~into:planes ~info ~reference
+       payload)
 
 let decode_body r =
   let info = read_header r in
@@ -211,10 +198,10 @@ let decode_body r =
   let s = Block_codec.scratch () in
   (* Each frame is reconstructed into the planes of the reference
      before last, which nothing reads any more. *)
-  let reference = ref None and spare = ref (fresh_planes info) in
+  let reference = ref None and spare = ref (reference_planes info) in
   for i = 0 to info.info_frame_count - 1 do
     let planes = decode_frame_body r s ~planes:!spare ~reference:!reference in
-    spare := (match !reference with Some prev -> prev | None -> fresh_planes info);
+    spare := (match !reference with Some prev -> prev | None -> reference_planes info);
     reference := Some planes;
     frames.(i) <- raster_of_planes info planes
   done;

@@ -2,11 +2,13 @@
     playback experiments.
 
     Two entry points: {!decode} consumes a whole bitstream; the
-    frame-level API ({!parse_header}, {!decode_frame}) lets a transport
-    layer drive decoding frame by frame with explicit reference
-    injection, which is what loss concealment needs (a lost frame is
-    replaced by the previous picture, and later frames predict from
-    the *concealed* picture, drifting until the next I-frame). *)
+    frame-level API ({!parse_header}, {!decode_frame_into}) lets a
+    transport layer drive decoding frame by frame with explicit
+    reference injection, which is what loss concealment needs (a lost
+    frame is replaced by the previous picture, and later frames
+    predict from the *concealed* picture, drifting until the next
+    I-frame). A reference is a frame's padded planes;
+    {!Plane.to_raster_cropped} at the stream's size displays it. *)
 
 type decoded = {
   width : int;
@@ -37,18 +39,14 @@ type stream_info = {
 
 val parse_header : string -> (stream_info, string) result
 
-type reference
-(** A decoded picture in the decoder's internal (padded-plane) form,
-    usable as the prediction reference for the next frame. *)
+type reference = Plane.ycbcr
+(** A decoded picture in the decoder's internal form, planes padded to
+    multiples of 8, usable as the prediction reference for the next
+    frame. *)
 
-val reference_of_raster : Image.Raster.t -> reference
-(** Converts any picture into a reference — the concealment path: when
-    a frame is lost, the transport repeats the previous picture and
-    injects it as the reference for what follows. *)
-
-val raster_of_reference : width:int -> height:int -> reference -> Image.Raster.t
-(** The displayable picture of a reference (cropped to the stream
-    dimensions). *)
+val reference_planes : stream_info -> reference
+(** [reference_planes info] is a fresh zeroed set of planes of the
+    stream's padded geometry, for {!decode_frame_into}. *)
 
 val decode_frame :
   info:stream_info ->
@@ -61,17 +59,17 @@ val decode_frame :
     [reference]; I-frames ignore it. *)
 
 val decode_frame_into :
+  scratch:Block_codec.scratch ->
   into:reference ->
   info:stream_info ->
   reference:reference option ->
   string ->
-  (Image.Raster.t * reference, string) result
-(** [decode_frame_into ~into ~info ~reference payload] is
-    {!decode_frame} reconstructed into [into] instead of fresh planes,
-    so a caller that decodes frame after frame can reuse the planes of
-    its reference before last; the picture is the same. On success the
-    returned reference is [into], every sample of it rewritten; on
-    [Error] its contents are unspecified. [into] must not be
-    [reference] and must have the stream's padded geometry (that of
-    {!Plane.create_ycbcr} at multiple 8), else [Invalid_argument] is
-    raised. *)
+  (unit, string) result
+(** [decode_frame_into ~scratch ~into ~info ~reference payload]
+    reconstructs the frame {!decode_frame} decodes into [into] instead
+    of fresh planes, and converts no picture, so a caller that decodes
+    frame after frame can reuse both its planes and one [scratch]. On
+    [Ok ()] [into] holds the frame's reference, every sample of it
+    rewritten; on [Error] its contents are unspecified. [into] must not
+    be [reference]; both must have the geometry of
+    {!reference_planes}, else [Invalid_argument] is raised. *)

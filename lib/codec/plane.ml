@@ -137,28 +137,62 @@ let of_raster img =
   planes
 
 (* Every chroma site [(x / 2, y / 2)] of the crop lies inside chroma
-   planes of at least [chroma_dim width] x [chroma_dim height], so the
-   samples are read directly and nothing is ever clamped. *)
-let to_raster_cropped { y = yp; cb = cbp; cr = crp } ~width ~height =
+   planes of at least [chroma_dim width] x [chroma_dim height], so once
+   [check_covers] holds the samples are read directly and nothing is
+   ever clamped. *)
+let check_covers name { y = yp; cb = cbp; cr = crp } ~width ~height =
   let covers (p : t) w h = w <= p.width && h <= p.height in
   if width <= 0 || height <= 0
      || not (covers yp width height)
      || not (covers cbp (chroma_dim width) (chroma_dim height))
      || not (covers crp (chroma_dim width) (chroma_dim height))
-  then invalid_arg "Plane.to_raster: planes do not cover the picture";
+  then invalid_arg (name ^ ": planes do not cover the picture")
+
+let to_raster_cropped ({ y = yp; cb = cbp; cr = crp } as planes) ~width ~height =
+  check_covers "Plane.to_raster" planes ~width ~height;
   let img = Image.Raster.create ~width ~height in
+  let d = Image.Raster.data img in
   let ys = yp.samples and cbs = cbp.samples and crs = crp.samples in
   for y = 0 to height - 1 do
     let yo = y * yp.width and cbo = y / 2 * cbp.width and cro = y / 2 * crp.width in
     for x = 0 to width - 1 do
-      let ly = ys.(yo + x) and cb = cbs.(cbo + (x / 2)) and cr = crs.(cro + (x / 2)) in
+      let ly = Array.unsafe_get ys (yo + x)
+      and cb = Array.unsafe_get cbs (cbo + (x / 2))
+      and cr = Array.unsafe_get crs (cro + (x / 2)) in
       let o = 3 * ((y * width) + x) in
-      Image.Raster.set_byte img o (red ly cr);
-      Image.Raster.set_byte img (o + 1) (green ly cb cr);
-      Image.Raster.set_byte img (o + 2) (blue ly cb)
+      Bytes.unsafe_set d o (Char.unsafe_chr (red ly cr));
+      Bytes.unsafe_set d (o + 1) (Char.unsafe_chr (green ly cb cr));
+      Bytes.unsafe_set d (o + 2) (Char.unsafe_chr (blue ly cb))
     done
   done;
   img
+
+(* The channel differences of [to_raster_cropped a] and
+   [to_raster_cropped b], pixel by pixel, with the same conversion
+   functions: the same integers, and no raster. *)
+let squared_error_cropped a b ~width ~height =
+  check_covers "Plane.squared_error_cropped" a ~width ~height;
+  check_covers "Plane.squared_error_cropped" b ~width ~height;
+  let ays = a.y.samples and acbs = a.cb.samples and acrs = a.cr.samples in
+  let bys = b.y.samples and bcbs = b.cb.samples and bcrs = b.cr.samples in
+  let sum = ref 0 in
+  for y = 0 to height - 1 do
+    let ayo = y * a.y.width and acbo = y / 2 * a.cb.width and acro = y / 2 * a.cr.width in
+    let byo = y * b.y.width and bcbo = y / 2 * b.cb.width and bcro = y / 2 * b.cr.width in
+    for x = 0 to width - 1 do
+      let aly = Array.unsafe_get ays (ayo + x)
+      and acb = Array.unsafe_get acbs (acbo + (x / 2))
+      and acr = Array.unsafe_get acrs (acro + (x / 2)) in
+      let bly = Array.unsafe_get bys (byo + x)
+      and bcb = Array.unsafe_get bcbs (bcbo + (x / 2))
+      and bcr = Array.unsafe_get bcrs (bcro + (x / 2)) in
+      let dr = red aly acr - red bly bcr
+      and dg = green aly acb acr - green bly bcb bcr
+      and db = blue aly acb - blue bly bcb in
+      sum := !sum + (dr * dr) + (dg * dg) + (db * db)
+    done
+  done;
+  !sum
 
 let to_raster planes =
   to_raster_cropped planes ~width:planes.y.width ~height:planes.y.height

@@ -66,5 +66,15 @@ val to_raster_cropped : ycbcr -> width:int -> height:int -> Image.Raster.t
     (possibly padded) planes with no cropped copies. Raises
     [Invalid_argument] unless the planes cover it. *)
 
+val squared_error_cropped : ycbcr -> ycbcr -> width:int -> height:int -> int
+(** [squared_error_cropped a b ~width ~height] is the sum, over every
+    channel byte, of the squared difference between
+    [to_raster_cropped a ~width ~height] and
+    [to_raster_cropped b ~width ~height], computed from the samples
+    with the same conversion and no raster; it allocates nothing.
+    [Image.Metrics.psnr_of_squared_error ~samples:(3 * width * height)]
+    of it is [Image.Metrics.psnr] of the two pictures. Raises
+    [Invalid_argument] unless both plane sets cover the picture. *)
+
 val mean_absolute_difference : t -> t -> float
 (** Over the common dimensions, which must match. *)

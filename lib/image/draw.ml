@@ -138,7 +138,7 @@ let glow img ~cx ~cy ~radius ~intensity =
 let add_noise img ~rng ~sigma =
   let data = Raster.data img in
   for i = 0 to Raster.pixel_count img - 1 do
-    let d = int_of_float (Prng.gaussian rng ~mu:0. ~sigma) in
+    let d = Prng.gaussian_int rng ~mu:0. ~sigma in
     let o = 3 * i in
     put data o (add d (get data o));
     put data (o + 1) (add d (get data (o + 1)));

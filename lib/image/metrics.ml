@@ -2,28 +2,40 @@ let check_dims name a b =
   if Raster.width a <> Raster.width b || Raster.height a <> Raster.height b
   then invalid_arg (name ^ ": dimension mismatch")
 
-(* Sums [f] over corresponding bytes of the packed buffers, one per
-   channel sample, with no pixel record per sample. *)
-let sum_bytes f a b =
+(* The kernels below run over the packed buffers of two images whose
+   dimensions [check_dims] has matched, so both hold
+   [3 * pixel_count] bytes and every index is in range. *)
+let[@inline] sample d i = Char.code (Bytes.unsafe_get d i)
+
+let squared_error a b =
+  let da = Raster.data a and db = Raster.data b in
   let acc = ref 0 in
   for i = 0 to (3 * Raster.pixel_count a) - 1 do
-    acc := !acc + f (Raster.byte a i - Raster.byte b i)
+    let d = sample da i - sample db i in
+    acc := !acc + (d * d)
   done;
   !acc
 
-let square d = d * d
-
 let mse a b =
   check_dims "Metrics.mse" a b;
-  float_of_int (sum_bytes square a b) /. float_of_int (3 * Raster.pixel_count a)
+  float_of_int (squared_error a b) /. float_of_int (3 * Raster.pixel_count a)
+
+let psnr_of_squared_error ~samples sse =
+  let e = float_of_int sse /. float_of_int samples in
+  if e <= 0. then infinity else 10. *. log10 (255. *. 255. /. e)
 
 let psnr a b =
-  let e = mse a b in
-  if e <= 0. then infinity else 10. *. log10 (255. *. 255. /. e)
+  check_dims "Metrics.psnr" a b;
+  psnr_of_squared_error ~samples:(3 * Raster.pixel_count a) (squared_error a b)
 
 let mean_absolute_error a b =
   check_dims "Metrics.mean_absolute_error" a b;
-  float_of_int (sum_bytes abs a b) /. float_of_int (3 * Raster.pixel_count a)
+  let da = Raster.data a and db = Raster.data b in
+  let acc = ref 0 in
+  for i = 0 to (3 * Raster.pixel_count a) - 1 do
+    acc := !acc + abs (sample da i - sample db i)
+  done;
+  float_of_int !acc /. float_of_int (3 * Raster.pixel_count a)
 
 let ssim a b =
   check_dims "Metrics.ssim" a b;
@@ -69,8 +81,9 @@ let ssim a b =
 
 let max_absolute_error a b =
   check_dims "Metrics.max_absolute_error" a b;
+  let da = Raster.data a and db = Raster.data b in
   let m = ref 0 in
   for i = 0 to (3 * Raster.pixel_count a) - 1 do
-    m := max !m (abs (Raster.byte a i - Raster.byte b i))
+    m := max !m (abs (sample da i - sample db i))
   done;
   !m

@@ -13,6 +13,14 @@ val psnr : Raster.t -> Raster.t -> float
 (** [psnr a b] is the peak signal-to-noise ratio in dB (peak 255).
     Identical images give [infinity]. Dimensions must match. *)
 
+val psnr_of_squared_error : samples:int -> int -> float
+(** [psnr_of_squared_error ~samples sse] is the PSNR of a comparison
+    whose squared channel differences sum to [sse] over [samples]
+    channel samples: [psnr a b] is
+    [psnr_of_squared_error ~samples:(3 * pixel_count a) sse] with the
+    same float arithmetic, so a kernel that sums the same integers
+    without building the rasters gets the same double. *)
+
 val mean_absolute_error : Raster.t -> Raster.t -> float
 (** [mean_absolute_error a b] is the mean per-channel absolute
     difference. Dimensions must match. *)

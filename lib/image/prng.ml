@@ -41,13 +41,18 @@ let[@inline] float t bound =
   r /. 9007199254740992. *. bound
 
 (* Redraws [u1] until it exceeds 1e-12, then draws [u2]: the same
-   draws, in the same order, as a recursive retry. *)
-let gaussian t ~mu ~sigma =
+   draws, in the same order, as a recursive retry. Inlined into both
+   draws below, so [gaussian_int] truncates the double unboxed. *)
+let[@inline] box_muller t ~mu ~sigma =
   let u1 = ref (float t 1.) in
   while !u1 <= 1e-12 do
     u1 := float t 1.
   done;
   let u2 = float t 1. in
   mu +. (sigma *. sqrt (-2. *. log !u1) *. cos (2. *. Float.pi *. u2))
+
+let gaussian t ~mu ~sigma = box_muller t ~mu ~sigma
+
+let gaussian_int t ~mu ~sigma = int_of_float (box_muller t ~mu ~sigma)
 
 let bool t = Int64.logand (next t) 1L = 1L

@@ -30,4 +30,9 @@ val gaussian : t -> mu:float -> sigma:float -> float
 (** [gaussian t ~mu ~sigma] draws from a normal distribution
     (Box–Muller). *)
 
+val gaussian_int : t -> mu:float -> sigma:float -> int
+(** [gaussian_int t ~mu ~sigma] is [int_of_float (gaussian t ~mu ~sigma)]:
+    the same draws and the same double, truncated without boxing it,
+    so a per-pixel noise loop allocates nothing. *)
+
 val bool : t -> bool

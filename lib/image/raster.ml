@@ -56,10 +56,6 @@ let init ~width ~height f =
 
 let data img = img.data
 
-let byte img i = Char.code (Bytes.get img.data i)
-
-let set_byte img i v = Bytes.set img.data i (Char.chr v)
-
 let unsafe_get_index img i =
   let o = i * 3 in
   {

@@ -30,21 +30,13 @@ val set : t -> x:int -> y:int -> Pixel.t -> unit
 (** [set img ~x ~y p] writes a pixel. Raises [Invalid_argument] when out
     of bounds. *)
 
-val byte : t -> int -> int
-(** [byte img i] is byte [i] of the packed buffer: channel [i mod 3]
-    (red, green, blue) of pixel [i / 3] in row-major order. Raises
-    [Invalid_argument] unless [0 <= i < 3 * pixel_count img]. *)
-
 val data : t -> Bytes.t
-(** [data img] is the packed buffer itself, not a copy, laid out as
-    {!byte} describes. It is for whole-image kernels that read or write
-    every pixel and must not build a {!Pixel.t} per pixel; every byte
-    is a valid channel value, so any write keeps the image valid. *)
-
-val set_byte : t -> int -> int -> unit
-(** [set_byte img i v] writes byte [i] (see {!byte}). Raises
-    [Invalid_argument] when [i] is out of range or [v] is outside
-    [0, 255]. *)
+(** [data img] is the packed buffer itself, not a copy: byte [i] is
+    channel [i mod 3] (red, green, blue) of pixel [i / 3] in row-major
+    order, and the buffer holds [3 * pixel_count img] bytes. It is for
+    whole-image kernels that read or write every pixel and must not
+    build a {!Pixel.t} per pixel; every byte is a valid channel value,
+    so any write keeps the image valid. *)
 
 val in_bounds : t -> x:int -> y:int -> bool
 

@@ -238,7 +238,6 @@ type playing = {
          a [playing] record lives inside one machine's stage and is
          never shared across domains *)
   received : Transport.received;
-  clean : Codec.Decoder.decoded;
 }
 
 type stage =
@@ -292,10 +291,11 @@ let dt_s m = m.m_dt_s
 
 (* The server-side pipeline: encode the video, profiling each frame as
    the encoder renders it, annotate for the mapping site, encode and
-   FEC-protect the track, and decode the video once as the PSNR
-   reference. Every frame is rendered once. [traced] runs the stages
-   under the session spans; a cache fill runs untraced, because it is
-   the cache owner's work, not any one session's. *)
+   FEC-protect the track. Every frame is rendered once, and nothing is
+   decoded: the client scores its own pictures (Transport.receive).
+   [traced] runs the stages under the session spans; a cache fill runs
+   untraced, because it is the cache owner's work, not any one
+   session's. *)
 let prepare ~traced config clip =
   let span name f = if traced then span name f else f () in
   let tapped, profiled = Annotation.Annotator.histogram_tap clip in
@@ -321,8 +321,7 @@ let prepare ~traced config clip =
       annotation_payload,
       Fec.protect ~packet_size:24 ~group_size:3 annotation_payload )
   in
-  let clean = Result.to_option (Codec.Decoder.decode encoded.Codec.Encoder.data) in
-  { track; annotation_payload; protected; encoded; clean }
+  { track; annotation_payload; protected; encoded; clean = None }
 
 let prepare_input config clip = prepare ~traced:false config clip
 
@@ -543,20 +542,13 @@ let step_decode m (prep : prepared_input) (trans : transmitted) =
            forced delivery and count it instead of failing the run. *)
         if lost.(0) then Obs.Metrics.Counter.incr obs_forced_first_frame;
         lost.(0) <- false;
-        Result.bind
-          (Result.map_error
-             (fun e -> "transport: " ^ e)
-             (Transport.decode_with_concealment packetized ~lost))
-          (fun received ->
-            Result.map
-              (fun (clean : Codec.Decoder.decoded) -> (received, clean))
-              (match prep.clean with
-              | Some clean -> Ok clean
-              | None -> Codec.Decoder.decode encoded.Codec.Encoder.data)))
+        Result.map_error
+          (fun e -> "transport: " ^ e)
+          (Transport.receive packetized ~lost))
   in
   match setup with
   | Error e -> m.m_stage <- Finished (Error e)
-  | Ok (received, clean) ->
+  | Ok received ->
     (* Client playback decisions. *)
     let registers =
       if trans.survived then begin
@@ -604,7 +596,6 @@ let step_decode m (prep : prepared_input) (trans : transmitted) =
             scene_start;
             scene_idx = 0;
             received;
-            clean;
           },
           0 )
 
@@ -667,7 +658,7 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
   let degraded_scenes = trans.t_degraded in
   let retransmissions = trans.t_resent in
   let corrupt_records = trans.t_corrupt in
-  let { registers; dvfs; radio; received; clean; _ } = play in
+  let { registers; dvfs; radio; received; _ } = play in
   let encoded = prep.encoded in
   let annotation_payload = prep.annotation_payload in
   let report =
@@ -763,9 +754,7 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
       video_bytes = Codec.Encoder.total_bytes encoded;
       annotation_bytes = String.length annotation_payload;
       annotations_survived;
-      video_mean_psnr =
-        Transport.mean_psnr ~reference:clean.Codec.Decoder.frames
-          received.Transport.pictures;
+      video_mean_psnr = Transport.mean_psnr received;
       concealed_frames = received.Transport.concealed;
       backlight_savings;
       cpu_savings = dvfs.Dvfs_playback.savings;

@@ -55,7 +55,10 @@ type report = {
           the stale track) — [degraded_scenes] says how many did not.
           When [false] the whole clip plays at full backlight (quality
           is never risked on guessed annotations) *)
-  video_mean_psnr : float;  (** after loss concealment, vs clean decode *)
+  video_mean_psnr : float;
+      (** after loss concealment, against the clean decode: each
+          frame's PSNR capped at 99 dB, averaged in frame order
+          ({!Transport.mean_psnr}); a frame no loss reached scores 99 *)
   concealed_frames : int;
   backlight_savings : float;
   cpu_savings : float;
@@ -113,8 +116,9 @@ type prepared_input = {
   protected : Fec.protected_payload;
   encoded : Codec.Encoder.encoded;
   clean : Codec.Decoder.decoded option;
-      (** reference decode of [encoded] for the PSNR account; [None]
-          makes the machine decode it itself *)
+      (** not read: the client scores the PSNR account itself, decoding
+          a clean chain only where a loss damaged the picture
+          ({!Transport.receive}); {!prepare_input} leaves it [None] *)
 }
 (** The server-side artifacts a prepared-stream cache can inject into
     {!create}: everything computed before the transmission seed
@@ -132,8 +136,8 @@ val prepare_input : config -> Video.Clip.t -> prepared_input
     outside any session: un-spanned and un-journaled, because cache
     fills are the cache owner's work, not any one session's. It
     encodes the video while profiling it, then annotates for the
-    mapping site, FEC-protects the track and decodes the stream as
-    the PSNR reference. It renders every frame of [clip] exactly
+    mapping site and FEC-protects the track. It decodes nothing. It
+    renders every frame of [clip] exactly
     once, in order: the encoder's render of a frame also fills that
     frame's histogram ({!Annotation.Annotator.histogram_tap}). A
     machine created without [?prepared] runs the same pipeline in its

@@ -22,65 +22,101 @@ let packetize (encoded : Codec.Encoder.encoded) =
     (Codec.Decoder.parse_header encoded.Codec.Encoder.data)
 
 type received = {
-  pictures : Image.Raster.t array;
+  psnr : float array;
   concealed : int;
   drifted : int;
 }
 
-let decode_with_concealment t ~lost =
+(* One pass over the frames. The received chain decodes every frame
+   that arrived; a lost frame shows the received chain's last picture.
+   While no loss has reached the prediction chain, each frame is the
+   clean decode bit for bit (same payload, same reference planes, same
+   decoder), so it scores [infinity] without a picture. A loss forks a
+   clean chain from the last shared reference planes; it decodes every
+   payload, the lost ones too, and each frame shown in the meantime
+   scores against it. The next received I-frame ignores its reference,
+   so both chains decode the same planes there and merge. Plane sets
+   that neither chain holds any more are reused, so a session needs at
+   most three, and one scratch serves every decode. *)
+let receive t ~lost =
   Obs.Trace.with_span "transport.decode"
     ~attrs:[ ("frames", string_of_int (Array.length t.payloads)) ]
   @@ fun () ->
   let n = Array.length t.payloads in
   if Array.length lost <> n then
-    invalid_arg "Transport.decode_with_concealment: loss mask length mismatch";
-  let pictures = Array.make n (Image.Raster.create ~width:1 ~height:1) in
-  (* Each frame is decoded into the planes of the reference before
-     last: pictures and concealed frames are rasters of their own, so
-     nothing reads those planes any more. *)
-  let reference = ref None and spare = ref None in
-  let decode payload =
-    match !spare with
-    | Some into ->
-      Codec.Decoder.decode_frame_into ~into ~info:t.info ~reference:!reference payload
-    | None -> Codec.Decoder.decode_frame ~info:t.info ~reference:!reference payload
+    invalid_arg "Transport.receive: loss mask length mismatch";
+  let info = t.info in
+  let width = info.Codec.Decoder.info_width
+  and height = info.Codec.Decoder.info_height in
+  let scratch = Codec.Block_codec.scratch () in
+  let psnr = Array.make n infinity in
+  (* [shown]: the received chain's reference, the picture on screen.
+     [clean]: the clean chain's, while a loss has forked it. *)
+  let shown = ref None and clean = ref None and free = ref [] in
+  let held planes = function Some p -> p == planes | None -> false in
+  let release chain other =
+    match !chain with
+    | Some planes when not (held planes !other) -> free := planes :: !free
+    | _ -> ()
+  in
+  let decode chain ~other i =
+    let into =
+      match !free with
+      | planes :: rest ->
+        free := rest;
+        planes
+      | [] -> Codec.Decoder.reference_planes info
+    in
+    match
+      Codec.Decoder.decode_frame_into ~scratch ~into ~info ~reference:!chain
+        t.payloads.(i)
+    with
+    | Error msg -> failwith msg
+    | Ok () ->
+      release chain other;
+      chain := Some into;
+      into
+  in
+  let score i a b =
+    psnr.(i) <-
+      Image.Metrics.psnr_of_squared_error ~samples:(3 * width * height)
+        (Codec.Plane.squared_error_cropped a b ~width ~height)
   in
   let concealed = ref 0 and drifted = ref 0 in
-  (* Tracks whether the prediction chain is currently damaged. *)
-  let chain_dirty = ref false in
   let result = ref (Ok ()) in
   (try
      for i = 0 to n - 1 do
        if lost.(i) then begin
-         match !reference with
+         match !shown with
          | None -> failwith "first frame lost: nothing to conceal with"
-         | Some prev ->
+         | Some on_screen ->
            incr concealed;
-           chain_dirty := true;
-           pictures.(i) <-
-             Codec.Decoder.raster_of_reference
-               ~width:t.info.Codec.Decoder.info_width
-               ~height:t.info.Codec.Decoder.info_height prev
+           if Option.is_none !clean then clean := !shown;
+           score i (decode clean ~other:shown i) on_screen
        end
        else begin
-         match decode t.payloads.(i) with
-         | Error msg -> failwith msg
-         | Ok (picture, new_reference) ->
-           (* An I-frame refreshes the chain; a P-frame inherits any
-              damage. *)
-           (match t.frame_types.(i) with
-           | Codec.Stream.I_frame -> chain_dirty := false
-           | Codec.Stream.P_frame ->
-             if !chain_dirty then incr drifted);
-           pictures.(i) <- picture;
-           spare := !reference;
-           reference := Some new_reference
+         let picture = decode shown ~other:clean i in
+         match (!clean, t.frame_types.(i)) with
+         | None, _ -> ()
+         | Some _, Codec.Stream.I_frame ->
+           release clean shown;
+           clean := None
+         | Some _, Codec.Stream.P_frame ->
+           incr drifted;
+           score i (decode clean ~other:shown i) picture
        end
      done
    with Failure msg -> result := Error msg);
   Result.map
-    (fun () -> { pictures; concealed = !concealed; drifted = !drifted })
+    (fun () -> { psnr; concealed = !concealed; drifted = !drifted })
     !result
+
+let mean_psnr received =
+  let n = Array.length received.psnr in
+  if n = 0 then invalid_arg "Transport.mean_psnr: no frames";
+  let total = ref 0. in
+  Array.iter (fun p -> total := !total +. Float.min 99. p) received.psnr;
+  !total /. float_of_int n
 
 type nack_stats = {
   nack_rounds : int;
@@ -194,14 +230,3 @@ let nack_retransmit ?(backoff_base_s = 0.002) ?(rtt_s = 0.004) ?policy ?breaker
       nack_time_s = stats.Resilience.Retry.time_s;
       budget_exhausted = stats.Resilience.Retry.budget_exhausted;
     } )
-
-let mean_psnr ~reference pictures =
-  if Array.length reference <> Array.length pictures || Array.length reference = 0
-  then invalid_arg "Transport.mean_psnr: sequence mismatch";
-  let total = ref 0. in
-  Array.iteri
-    (fun i picture ->
-      let psnr = Image.Metrics.psnr reference.(i) picture in
-      total := !total +. Float.min 99. psnr)
-    pictures;
-  !total /. float_of_int (Array.length reference)

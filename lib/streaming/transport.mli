@@ -20,18 +20,37 @@ val packetize : Codec.Encoder.encoded -> (packetized, string) result
 (** Splits a bitstream at its (byte-aligned) frame boundaries. *)
 
 type received = {
-  pictures : Image.Raster.t array;
+  psnr : float array;
+      (** per frame, the PSNR (dB) of the picture shown against the
+          clean decode of the stream; [infinity] where they are
+          identical, as for every frame no loss has reached *)
   concealed : int;  (** frames repeated because their data was lost *)
   drifted : int;
       (** received frames decoded against a concealed or drifted
           reference (visually degraded until the next I-frame) *)
 }
 
-val decode_with_concealment :
-  packetized -> lost:bool array -> (received, string) result
-(** Frame-by-frame decode with previous-picture concealment. Fails only
-    when nothing displayable exists yet (the very first frame is lost
-    before any picture was decoded) or on corrupt payload data. *)
+val receive : packetized -> lost:bool array -> (received, string) result
+(** [receive t ~lost] decodes the frames that arrived, conceals each
+    lost one by repeating the previous picture (later P-frames predict
+    from it and drift until the next I-frame), and scores every frame
+    against the clean decode, in one pass that converts no picture to
+    RGB. A frame whose prediction chain no loss has reached is the
+    clean decode bit for bit, so it is decoded once and scores
+    [infinity].
+    From a loss until the next received I-frame a second, clean chain
+    forks from the last shared reference and decodes every payload, the
+    lost ones too; each frame shown in that stretch scores with
+    {!Codec.Plane.squared_error_cropped}, the integers
+    {!Image.Metrics.psnr} reads off the two pictures. The decoder runs
+    [frame count + drifted] times. Fails only when nothing displayable
+    exists yet (the very first frame is lost before any picture was
+    decoded) or on corrupt payload data. *)
+
+val mean_psnr : received -> float
+(** Mean PSNR (dB) over the frames, each capped at 99 dB so identical
+    frames keep the mean finite, summed in frame order. Raises
+    [Invalid_argument] on an empty sequence. *)
 
 type nack_stats = {
   nack_rounds : int;
@@ -79,7 +98,3 @@ val nack_retransmit :
     denial while its cooldown runs is waited out on the simulated
     clock (budget permitting), and a denial with no cooldown left —
     half-open probe quota exhausted — abandons the schedule. *)
-
-val mean_psnr : reference:Image.Raster.t array -> Image.Raster.t array -> float
-(** Mean PSNR (dB) against a reference frame sequence; [infinity]-free:
-    identical frames are capped at 99 dB so the mean stays finite. *)

@@ -470,9 +470,8 @@ let reference_planes ~multiple img =
   for y = 0 to h - 1 do
     for x = 0 to w - 1 do
       let i = (y * w) + x in
-      let r = Image.Raster.byte img (3 * i)
-      and g = Image.Raster.byte img ((3 * i) + 1)
-      and b = Image.Raster.byte img ((3 * i) + 2) in
+      let byte o = Char.code (Bytes.get (Image.Raster.data img) o) in
+      let r = byte (3 * i) and g = byte ((3 * i) + 1) and b = byte ((3 * i) + 2) in
       yp.Codec.Plane.samples.(i) <- ((19595 * r) + (38470 * g) + (7471 * b) + 32768) lsr 16;
       let ci = ((y / 2) * cw) + (x / 2) in
       cb_acc.(ci) <- cb_acc.(ci) + 128 + (((-11056 * r) - (21712 * g) + (32768 * b)) asr 16);
@@ -511,6 +510,102 @@ let prop_of_raster_into_matches_reference =
           same planes (reference_planes ~multiple:8 img)
           && same (Codec.Plane.of_raster img) (reference_planes ~multiple:1 img))
         [ picture (); picture () ])
+
+(* Copies of the plane->raster conversion and the pixel metrics as
+   they were before they read and wrote [Raster.data] directly: one
+   bounds-checked byte at a time, the sums through a closure. *)
+let old_to_raster_cropped (p : Codec.Plane.ycbcr) ~width ~height =
+  let clamp255 v = if v < 0 then 0 else if v > 255 then 255 else v in
+  let img = Image.Raster.create ~width ~height in
+  let set_byte i v = Bytes.set (Image.Raster.data img) i (Char.chr v) in
+  let sample (q : Codec.Plane.t) x y = q.Codec.Plane.samples.((y * q.Codec.Plane.width) + x) in
+  for y = 0 to height - 1 do
+    for x = 0 to width - 1 do
+      let ly = sample p.y x y and cb = sample p.cb (x / 2) (y / 2)
+      and cr = sample p.cr (x / 2) (y / 2) in
+      let o = 3 * ((y * width) + x) in
+      set_byte o (clamp255 (ly + ((91881 * (cr - 128)) asr 16)));
+      set_byte (o + 1)
+        (clamp255 (ly - ((22554 * (cb - 128)) asr 16) - ((46802 * (cr - 128)) asr 16)));
+      set_byte (o + 2) (clamp255 (ly + ((116130 * (cb - 128)) asr 16)))
+    done
+  done;
+  img
+
+let old_sum_bytes f a b =
+  let byte img i = Char.code (Bytes.get (Image.Raster.data img) i) in
+  let acc = ref 0 in
+  for i = 0 to (3 * Image.Raster.pixel_count a) - 1 do
+    acc := !acc + f (byte a i - byte b i)
+  done;
+  !acc
+
+let old_mse a b =
+  float_of_int (old_sum_bytes (fun d -> d * d) a b)
+  /. float_of_int (3 * Image.Raster.pixel_count a)
+
+let old_psnr a b =
+  let e = old_mse a b in
+  if e <= 0. then infinity else 10. *. log10 (255. *. 255. /. e)
+
+let old_mean_absolute_error a b =
+  float_of_int (old_sum_bytes abs a b) /. float_of_int (3 * Image.Raster.pixel_count a)
+
+let old_max_absolute_error a b =
+  let byte img i = Char.code (Bytes.get (Image.Raster.data img) i) in
+  let m = ref 0 in
+  for i = 0 to (3 * Image.Raster.pixel_count a) - 1 do
+    m := max !m (abs (byte a i - byte b i))
+  done;
+  !m
+
+let prop_byte_kernels_match_old_loops =
+  QCheck2.Test.make ~count:500
+    ~name:"to_raster_cropped, squared_error_cropped and Metrics match the old loops"
+    QCheck2.Gen.(quad (1 -- 40) (1 -- 40) bool (0 -- 1_000_000))
+    (fun (width, height, padded, seed) ->
+      let rng = Image.Prng.create ~seed in
+      let planes () =
+        let p =
+          Codec.Plane.create_ycbcr ~width ~height ~multiple:(if padded then 8 else 1)
+        in
+        List.iter
+          (fun (q : Codec.Plane.t) ->
+            Array.iteri
+              (fun i _ -> q.Codec.Plane.samples.(i) <- Image.Prng.int rng 256)
+              q.Codec.Plane.samples)
+          [ p.y; p.cb; p.cr ];
+        p
+      in
+      let a = planes () and b = planes () in
+      let ra = Codec.Plane.to_raster_cropped a ~width ~height
+      and rb = Codec.Plane.to_raster_cropped b ~width ~height in
+      let one_byte_off =
+        let r = Image.Raster.copy ra in
+        let i = Image.Prng.int rng (3 * width * height) in
+        let d = Image.Raster.data r in
+        Bytes.set d i (Char.chr ((Char.code (Bytes.get d i) + 1 + Image.Prng.int rng 255) mod 256));
+        r
+      in
+      let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      let metrics_match x y =
+        same_float (Image.Metrics.mse x y) (old_mse x y)
+        && same_float (Image.Metrics.psnr x y) (old_psnr x y)
+        && same_float (Image.Metrics.mean_absolute_error x y) (old_mean_absolute_error x y)
+        && Image.Metrics.max_absolute_error x y = old_max_absolute_error x y
+      in
+      let sse p q = Codec.Plane.squared_error_cropped p q ~width ~height in
+      Image.Raster.equal ra (old_to_raster_cropped a ~width ~height)
+      && Image.Raster.equal rb (old_to_raster_cropped b ~width ~height)
+      && metrics_match ra (Image.Raster.copy ra)
+      && metrics_match ra one_byte_off
+      && old_max_absolute_error ra one_byte_off > 0
+      && metrics_match ra rb
+      && sse a a = 0
+      && sse a b = old_sum_bytes (fun d -> d * d) ra rb
+      && same_float
+           (Image.Metrics.psnr_of_squared_error ~samples:(3 * width * height) (sse a b))
+           (old_psnr ra rb))
 
 let test_plane_ycbcr_gray_roundtrip () =
   (* Grays survive the colour transform exactly. *)
@@ -978,11 +1073,14 @@ let test_decoder_into_checks_geometry () =
     | Ok info -> info
     | Error msg -> Alcotest.fail msg
   in
-  let small = Codec.Decoder.reference_of_raster (Image.Raster.create ~width:8 ~height:8) in
+  let small = Codec.Plane.of_raster (Image.Raster.create ~width:8 ~height:8) in
   Alcotest.check_raises "planes of another size"
     (Invalid_argument
        "Decoder.decode_frame_into: planes are not the stream's padded geometry")
-    (fun () -> ignore (Codec.Decoder.decode_frame_into ~into:small ~info ~reference:None ""))
+    (fun () ->
+      ignore
+        (Codec.Decoder.decode_frame_into ~scratch:(Codec.Block_codec.scratch ())
+           ~into:small ~info ~reference:None ""))
 
 let test_decoder_mutation_fuzz () =
   (* Flipping arbitrary bytes in a valid stream must never escape as an
@@ -1297,9 +1395,7 @@ let test_golden_fingerprint () =
    decode path was rewritten, so they also fix where corrupt input
    fails and what it decodes to. *)
 
-let raster_bytes img =
-  String.init (3 * Image.Raster.pixel_count img) (fun i ->
-      Char.chr (Image.Raster.byte img i))
+let raster_bytes img = Bytes.to_string (Image.Raster.data img)
 
 let decode_outcome data =
   match Codec.Decoder.decode data with
@@ -1429,6 +1525,7 @@ let qtests =
       prop_dct_inverse_matches_dense;
       prop_motion_kernels_match_clamped;
       prop_of_raster_into_matches_reference;
+      prop_byte_kernels_match_old_loops;
     ]
 
 let () =

@@ -649,6 +649,34 @@ let test_prng_gaussian_moments () =
   check bool "mean near 10" true (abs_float (mean -. 10.) < 0.2);
   check bool "variance near 9" true (abs_float (var -. 9.) < 0.5)
 
+(* [gaussian_int] is the truncated [gaussian] draw by draw: the same
+   double, so the same int, and the generators stay in step. *)
+let test_prng_gaussian_int () =
+  List.iter
+    (fun (seed, mu, sigma) ->
+      let a = Image.Prng.create ~seed and b = Image.Prng.create ~seed in
+      for i = 1 to 5_000 do
+        check int
+          (Printf.sprintf "seed %d draw %d" seed i)
+          (int_of_float (Image.Prng.gaussian a ~mu ~sigma))
+          (Image.Prng.gaussian_int b ~mu ~sigma)
+      done;
+      check bool "generators in step" true
+        (Int64.equal (Image.Prng.bits64 a) (Image.Prng.bits64 b)))
+    [ (1, 0., 2.); (42, 0., 25.); (-9, 3.5, 0.75) ]
+
+(* Noise draws its per-pixel offset unboxed: a noisy 96x72 frame
+   allocates nothing. *)
+let test_draw_add_noise_allocates_nothing () =
+  let img = Image.Raster.create ~width:96 ~height:72 in
+  Image.Raster.fill img (Image.Pixel.gray 128);
+  let rng = Image.Prng.create ~seed:3 in
+  Image.Draw.add_noise img ~rng ~sigma:4.;
+  let before = Gc.minor_words () in
+  Image.Draw.add_noise img ~rng ~sigma:4.;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words" 0. words
+
 (* --- Golden PRNG sequence --------------------------------------------- *)
 
 (* MD5 of the first draws of [bits64], [int], [float], [gaussian] and
@@ -761,6 +789,8 @@ let () =
           Alcotest.test_case "disc radius" `Quick test_draw_disc_radius;
           Alcotest.test_case "glow centre" `Quick test_draw_glow_brightens_centre;
           Alcotest.test_case "vignette corners" `Quick test_draw_vignette_darkens_corners;
+          Alcotest.test_case "noise allocates nothing" `Quick
+            test_draw_add_noise_allocates_nothing;
         ] );
       ( "ppm",
         [
@@ -784,6 +814,8 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian_moments;
           Alcotest.test_case "golden sequence" `Quick test_prng_golden;
+          Alcotest.test_case "gaussian_int truncates gaussian" `Quick
+            test_prng_gaussian_int;
         ] );
       ("properties", qtests);
     ]

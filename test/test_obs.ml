@@ -547,7 +547,8 @@ let scrape_manifest =
     "codec_decoded_bytes_total";
     (* bench work row (encoded_bytes) *)
     "codec_encoded_bytes_total";
-    (* test_codec "decode counters" *)
+    (* test_codec "decode counters"; bench work row (decoded_frames_ fields);
+       test_streaming "decode once" *)
     "codec_frames_decoded_total";
     (* bench work row (encoded frames) *)
     "codec_frames_encoded_total";

@@ -875,58 +875,114 @@ let prop_fec_any_single_loss_recovers =
 
 (* --- Transport -------------------------------------------------------------- *)
 
-let packetized_clip ?(gop = 8) () =
-  let clip = moving_clip () in
+let packetize_clip ~gop clip =
   let encoded =
     Codec.Encoder.encode_clip ~params:{ Codec.Stream.default_params with gop } clip
   in
-  let clean = Codec.Decoder.decode_exn encoded.Codec.Encoder.data in
   match Streaming.Transport.packetize encoded with
-  | Ok p -> (p, clean)
+  | Ok p -> (p, encoded)
   | Error e -> Alcotest.fail e
+
+let packetized_clip ?(gop = 8) () = fst (packetize_clip ~gop (moving_clip ()))
+
+let receive_ok packetized ~lost =
+  match Streaming.Transport.receive packetized ~lost with
+  | Ok received -> received
+  | Error e -> Alcotest.fail e
+
+(* The transport as it was before it scored frames itself: every frame
+   decoded into fresh planes, a lost one shown as the previous
+   picture, every picture kept in RGB, the reference taken from a
+   whole-stream [Decoder.decode], and each frame scored with
+   [Metrics.psnr]. Returns the per-frame scores and the concealed and
+   drifted counts under the same chain-damage rule. *)
+let oracle_scores (p : Streaming.Transport.packetized) (encoded : Codec.Encoder.encoded)
+    ~lost =
+  let info = p.Streaming.Transport.info in
+  let width = info.Codec.Decoder.info_width and height = info.Codec.Decoder.info_height in
+  let clean = Codec.Decoder.decode_exn encoded.Codec.Encoder.data in
+  let reference = ref None and dirty = ref false in
+  let concealed = ref 0 and drifted = ref 0 in
+  let pictures =
+    Array.mapi
+      (fun i payload ->
+        if lost.(i) then
+          match !reference with
+          | Some prev ->
+            incr concealed;
+            dirty := true;
+            Codec.Plane.to_raster_cropped prev ~width ~height
+          | None -> Alcotest.fail "first frame lost"
+        else
+          match Codec.Decoder.decode_frame ~info ~reference:!reference payload with
+          | Ok (picture, planes) ->
+            (match p.Streaming.Transport.frame_types.(i) with
+            | Codec.Stream.I_frame -> dirty := false
+            | Codec.Stream.P_frame -> if !dirty then incr drifted);
+            reference := Some planes;
+            picture
+          | Error e -> Alcotest.fail e)
+      p.Streaming.Transport.payloads
+  in
+  ( Array.mapi (fun i picture -> Image.Metrics.psnr clean.Codec.Decoder.frames.(i) picture)
+      pictures,
+    !concealed,
+    !drifted )
+
+let frames_decoded () =
+  let c t =
+    Obs.Metrics.Counter.value (Obs.counter "codec_frames_decoded_total" [ ("type", t) ])
+  in
+  c "I" + c "P"
+
+(* [f ()] and the number of frames the decoder reconstructed in it. *)
+let counting_decodes f =
+  Obs.with_enabled @@ fun () ->
+  let before = frames_decoded () in
+  let r = f () in
+  (r, frames_decoded () - before)
+
+let same_scores a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
 
 let test_transport_lossless_matches_plain_decode () =
-  let packetized, clean = packetized_clip () in
-  let lost = Array.make (Array.length packetized.Streaming.Transport.payloads) false in
-  match Streaming.Transport.decode_with_concealment packetized ~lost with
-  | Error e -> Alcotest.fail e
-  | Ok received ->
-    check int "nothing concealed" 0 received.Streaming.Transport.concealed;
-    check int "nothing drifted" 0 received.Streaming.Transport.drifted;
-    Array.iteri
-      (fun i picture ->
-        check bool
-          (Printf.sprintf "frame %d identical" i)
-          true
-          (Image.Raster.equal picture clean.Codec.Decoder.frames.(i)))
-      received.Streaming.Transport.pictures
+  let packetized, encoded = packetize_clip ~gop:8 (moving_clip ()) in
+  let n = Array.length packetized.Streaming.Transport.payloads in
+  let lost = Array.make n false in
+  let received, decodes = counting_decodes (fun () -> receive_ok packetized ~lost) in
+  check int "nothing concealed" 0 received.Streaming.Transport.concealed;
+  check int "nothing drifted" 0 received.Streaming.Transport.drifted;
+  check int "each frame decoded once" n decodes;
+  let oracle, _, _ = oracle_scores packetized encoded ~lost in
+  Array.iteri
+    (fun i psnr ->
+      check bool (Printf.sprintf "frame %d identical" i) true
+        (psnr = infinity && oracle.(i) = infinity))
+    received.Streaming.Transport.psnr;
+  check (Alcotest.float 0.) "capped mean" 99. (Streaming.Transport.mean_psnr received)
 
 let test_transport_concealment_recovers_at_i_frame () =
-  let packetized, clean = packetized_clip ~gop:8 () in
+  let packetized = packetized_clip ~gop:8 () in
   let n = Array.length packetized.Streaming.Transport.payloads in
   let lost = Array.make n false in
   lost.(3) <- true;
-  match Streaming.Transport.decode_with_concealment packetized ~lost with
-  | Error e -> Alcotest.fail e
-  | Ok received ->
-    check int "one concealed" 1 received.Streaming.Transport.concealed;
-    (* Frames 4-7 drift; frame 8 is the next I-frame and recovers. *)
-    check int "drift until the next I" 4 received.Streaming.Transport.drifted;
-    let psnr i =
-      Image.Metrics.psnr clean.Codec.Decoder.frames.(i)
-        received.Streaming.Transport.pictures.(i)
-    in
-    check bool "pre-loss frame intact" true (psnr 2 = infinity);
-    check bool "drifting frame degraded" true (psnr 5 < 50.);
-    check bool "recovered at I frame" true (psnr 8 = infinity)
+  let received = receive_ok packetized ~lost in
+  check int "one concealed" 1 received.Streaming.Transport.concealed;
+  (* Frames 4-7 drift; frame 8 is the next I-frame and recovers. *)
+  check int "drift until the next I" 4 received.Streaming.Transport.drifted;
+  let psnr i = received.Streaming.Transport.psnr.(i) in
+  check bool "pre-loss frame intact" true (psnr 2 = infinity);
+  check bool "drifting frame degraded" true (psnr 5 < 50.);
+  check bool "recovered at I frame" true (psnr 8 = infinity)
 
 let test_transport_first_frame_loss_fails () =
-  let packetized, _ = packetized_clip () in
+  let packetized = packetized_clip () in
   let n = Array.length packetized.Streaming.Transport.payloads in
   let lost = Array.make n false in
   lost.(0) <- true;
   check bool "unbootstrappable session rejected" true
-    (Result.is_error (Streaming.Transport.decode_with_concealment packetized ~lost))
+    (Result.is_error (Streaming.Transport.receive packetized ~lost))
 
 let test_transport_bernoulli_deterministic () =
   let mask rate n = Streaming.Fault.(loss_mask (bernoulli ~rate)) ~seed:5 ~n in
@@ -936,59 +992,103 @@ let test_transport_bernoulli_deterministic () =
   check bool "zero rate loses nothing" true (Array.for_all not none)
 
 let test_transport_random_loss_never_crashes () =
-  let packetized, _ = packetized_clip () in
+  let packetized = packetized_clip () in
   let n = Array.length packetized.Streaming.Transport.payloads in
   for seed = 0 to 20 do
     let lost =
       Streaming.Fault.loss_mask (Streaming.Fault.bernoulli ~rate:0.3) ~seed ~n
     in
     lost.(0) <- false;
-    match Streaming.Transport.decode_with_concealment packetized ~lost with
+    match Streaming.Transport.receive packetized ~lost with
     | Ok _ -> ()
     | Error e -> Alcotest.fail ("unexpected decode failure: " ^ e)
   done
 
-(* The concealment loop as it was before the transport decoded into
-   the planes of its reference before last: every frame into fresh
-   planes. The pictures must not change. *)
-let fresh_planes_pictures (p : Streaming.Transport.packetized) ~lost =
-  let info = p.Streaming.Transport.info in
-  let width = info.Codec.Decoder.info_width and height = info.Codec.Decoder.info_height in
-  let reference = ref None in
-  Array.mapi
-    (fun i payload ->
-      if lost.(i) then
-        match !reference with
-        | Some prev -> Codec.Decoder.raster_of_reference ~width ~height prev
-        | None -> Alcotest.fail "first frame lost"
-      else
-        match Codec.Decoder.decode_frame ~info ~reference:!reference payload with
-        | Ok (picture, planes) ->
-          reference := Some planes;
-          picture
-        | Error e -> Alcotest.fail e)
-    p.Streaming.Transport.payloads
+(* Scores, counts and decoder runs of [receive] against the oracle;
+   returns how many frames scored below [infinity]. *)
+let check_against_oracle ~what packetized encoded ~lost =
+  let n = Array.length lost in
+  let received, decodes = counting_decodes (fun () -> receive_ok packetized ~lost) in
+  let oracle, concealed, drifted = oracle_scores packetized encoded ~lost in
+  check bool (what ^ " scores") true (same_scores received.Streaming.Transport.psnr oracle);
+  check int (what ^ " concealed") concealed received.Streaming.Transport.concealed;
+  check int (what ^ " drifted") drifted received.Streaming.Transport.drifted;
+  check int (what ^ " decodes") (n + drifted) decodes;
+  Array.fold_left (fun k p -> if p < infinity then k + 1 else k) 0 oracle
 
+(* The transport reuses and rotates its planes across both chains; the
+   scores must be those of the fresh-plane loop. *)
 let test_transport_reused_planes_match_fresh () =
   List.iter
     (fun gop ->
-      let packetized, _ = packetized_clip ~gop () in
+      let packetized, encoded = packetize_clip ~gop (moving_clip ()) in
       let n = Array.length packetized.Streaming.Transport.payloads in
       for seed = 0 to 20 do
         let lost =
           Streaming.Fault.loss_mask (Streaming.Fault.bernoulli ~rate:0.3) ~seed ~n
         in
         lost.(0) <- false;
-        match Streaming.Transport.decode_with_concealment packetized ~lost with
-        | Error e -> Alcotest.fail e
-        | Ok received ->
-          check bool
-            (Printf.sprintf "gop %d seed %d pictures" gop seed)
-            true
-            (Array.for_all2 Image.Raster.equal received.Streaming.Transport.pictures
-               (fresh_planes_pictures packetized ~lost))
+        ignore
+          (check_against_oracle
+             ~what:(Printf.sprintf "gop %d seed %d" gop seed)
+             packetized encoded ~lost)
       done)
     [ 1; 3; 8 ]
+
+(* Hand-picked loss masks over [n] frames at GOP [gop]: a lost
+   I-frame, a lost first P after an I, a burst across a GOP boundary,
+   consecutive I-frames lost, everything after the first frame lost,
+   and no loss. *)
+let structured_masks ~gop ~n =
+  let mask frames =
+    let lost = Array.make n false in
+    List.iter (fun i -> if i > 0 && i < n then lost.(i) <- true) frames;
+    lost
+  in
+  [
+    ("lost I", mask [ gop ]);
+    ("lost first P", mask [ gop + 1 ]);
+    ("burst across boundary", mask [ gop - 1; gop; gop + 1 ]);
+    ("two I lost", mask [ gop; 2 * gop ]);
+    ("all but first", mask (List.init n Fun.id));
+    ("lossless", mask []);
+  ]
+
+let test_transport_scores_match_oracle () =
+  let damaged = ref 0 in
+  List.iter
+    (fun (profile : Video.Profile.t) ->
+      let full = Video.Clip_gen.render ~width:24 ~height:16 ~fps:12. profile in
+      let n = min 26 full.Video.Clip.frame_count in
+      let clip =
+        Video.Clip.make ~name:full.Video.Clip.name ~width:24 ~height:16 ~fps:12.
+          ~frame_count:n full.Video.Clip.render
+      in
+      List.iter
+        (fun gop ->
+          let packetized, encoded = packetize_clip ~gop clip in
+          let random =
+            List.init 15 (fun seed ->
+                let rate = if seed mod 2 = 0 then 0.1 else 0.35 in
+                let lost =
+                  Streaming.Fault.loss_mask (Streaming.Fault.bernoulli ~rate) ~seed ~n
+                in
+                lost.(0) <- false;
+                (Printf.sprintf "seed %d" seed, lost))
+          in
+          List.iter
+            (fun (what, lost) ->
+              damaged :=
+                !damaged
+                + check_against_oracle
+                    ~what:
+                      (Printf.sprintf "%s gop %d %s" profile.Video.Profile.name gop what)
+                    packetized encoded ~lost)
+            (structured_masks ~gop ~n @ random))
+        [ 1; 3; 8; 12 ])
+    Video.Workloads.all;
+  (* Not vacuous: most masks leave damaged frames to score. *)
+  check bool "damaged frames scored" true (!damaged > 1000)
 
 (* --- Planner --------------------------------------------------------------- *)
 
@@ -1499,6 +1599,41 @@ let test_prepare_single_pass () =
   check (Alcotest.list int) "a cold run renders each frame once, in order" once
     (rendered ())
 
+(* The decoder runs once per frame of a session and never in prepare:
+   [prepare_input] decodes nothing, a cold lossless session decodes
+   each frame once (it decoded each twice while prepare decoded the
+   PSNR reference), and a lossy one decodes each frame once plus each
+   drifted frame again on the clean chain. *)
+let test_decode_once () =
+  let clip = moving_clip () in
+  let n = clip.Video.Clip.frame_count in
+  let config = Streaming.Session.default_config ~device in
+  let prep, decodes = counting_decodes (fun () -> Streaming.Session.prepare_input config clip) in
+  check int "prepare_input decodes nothing" 0 decodes;
+  check bool "prepare_input leaves clean unset" true
+    (Option.is_none prep.Streaming.Session.clean);
+  let run config =
+    match Streaming.Session.run config clip with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let _, decodes = counting_decodes (fun () -> run config) in
+  check int "a cold lossless session decodes each frame once" n decodes;
+  let fault = Streaming.Fault.bernoulli ~rate:0.15 in
+  let config = { config with Streaming.Session.fault = Some fault; seed = 3 } in
+  let report, decodes = counting_decodes (fun () -> run config) in
+  (* The loss mask the session draws (seed + 1, first frame delivered). *)
+  let lost = Streaming.Fault.loss_mask fault ~seed:4 ~n in
+  lost.(0) <- false;
+  let packetized = fst (packetize_clip ~gop:config.Streaming.Session.gop clip) in
+  let received = receive_ok packetized ~lost in
+  check int "the session conceals what the mask loses"
+    received.Streaming.Transport.concealed report.Streaming.Session.concealed_frames;
+  check bool "the loss drifts" true (received.Streaming.Transport.drifted > 0);
+  check int "a lossy session decodes frame count + drifted"
+    (n + received.Streaming.Transport.drifted)
+    decodes
+
 let () =
   Alcotest.run "streaming"
     [
@@ -1561,6 +1696,7 @@ let () =
         [
           Alcotest.test_case "golden digests" `Quick test_golden_prepare;
           Alcotest.test_case "single pass" `Quick test_prepare_single_pass;
+          Alcotest.test_case "decode once" `Quick test_decode_once;
         ] );
       ( "session",
         [
@@ -1612,6 +1748,8 @@ let () =
             test_transport_random_loss_never_crashes;
           Alcotest.test_case "reused planes match fresh" `Quick
             test_transport_reused_planes_match_fresh;
+          Alcotest.test_case "scores match the old path" `Quick
+            test_transport_scores_match_oracle;
         ] );
       ( "planner",
         [

@@ -323,9 +323,7 @@ let golden_render_digest ~width ~height =
       let clip = Video.Clip_gen.render ~width ~height ~fps:12. profile in
       for i = 0 to min 60 clip.Video.Clip.frame_count - 1 do
         let frame = clip.Video.Clip.render i in
-        for b = 0 to (3 * Image.Raster.pixel_count frame) - 1 do
-          Buffer.add_char buf (Char.chr (Image.Raster.byte frame b))
-        done
+        Buffer.add_bytes buf (Image.Raster.data frame)
       done)
     golden_render_profiles;
   Digest.to_hex (Digest.string (Buffer.contents buf))
