@@ -1323,11 +1323,13 @@ let chaos_fault =
 
 (* Rows for the report's "work" section: the codec's work on one fixed
    clip, encoded and then decoded on the calling domain. Operation
-   counts are deltas of the codec_* counters. Allocation comes from
-   [Gc.minor_words], which in OCaml 5 counts the calling domain only;
-   its pass runs with observability off, so that the row counts the
-   codec's allocation and not the telemetry's (span records).
-   The counted pass runs first, so no first-use initialisation lands
+   counts are deltas of the codec_* counters; [sad_rows] counts the
+   8-sample rows the motion searches sum, so a search that skips work
+   moves it and one that only reads differently does not. Allocation
+   comes from [Gc.minor_words], which in OCaml 5 counts the calling
+   domain only; its pass runs with observability off, so that the row
+   counts the codec's allocation and not the telemetry's (span
+   records). The counted pass runs first, so no first-use initialisation lands
    in the allocation pass. Allocation depends on the compiler, so the
    row records its version. The decoder's frame counts around one
    [prepare_input] and two sessions of the clip pin how often a
@@ -1353,14 +1355,16 @@ let work () =
       + c "codec_frames_encoded_total" [ ("type", "P") ],
       c "codec_encoded_bytes_total" [],
       c "codec_dct_ops_total" [],
-      c "codec_quant_ops_total" [] )
+      c "codec_quant_ops_total" [],
+      c "codec_sad_rows_total" [] )
   in
-  let frames0, bytes0, dct0, quant0 = counts () in
+  let frames0, bytes0, dct0, quant0, sad0 = counts () in
   let encoded = Codec.Encoder.encode_clip clip in
   ignore (Codec.Decoder.decode_exn encoded.Codec.Encoder.data);
-  let frames1, bytes1, dct1, quant1 = counts () in
+  let frames1, bytes1, dct1, quant1, sad1 = counts () in
   let frames = frames1 - frames0 and bytes = bytes1 - bytes0 in
   let dct_ops = dct1 - dct0 and quant_ops = quant1 - quant0 in
+  let sad_rows = sad1 - sad0 in
   let minor_kw f =
     Obs.disable ();
     Fun.protect ~finally:Obs.enable (fun () ->
@@ -1410,6 +1414,7 @@ let work () =
           ("encoded_bytes", Obs.Json.Int bytes);
           ("dct_ops", Obs.Json.Int dct_ops);
           ("quant_ops", Obs.Json.Int quant_ops);
+          ("sad_rows", Obs.Json.Int sad_rows);
           ("minor_kw_per_encoded_frame", Obs.Json.Float per_encoded);
           ("minor_kw_per_decoded_frame", Obs.Json.Float per_decoded);
           ("decoded_frames_prepare", Obs.Json.Int prepare_decodes);

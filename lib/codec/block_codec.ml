@@ -24,9 +24,10 @@ type coder = {
   alt_prediction : float array;
   alt_levels : int array;
   intra_levels : int array;
+  search : Motion.window;
 }
 
-let coder () =
+let coder ~search_range =
   {
     recon = scratch ();
     samples = Array.make 64 0.;
@@ -36,6 +37,7 @@ let coder () =
     alt_prediction = Array.make 64 0.;
     alt_levels = Array.make 64 0;
     intra_levels = Array.make 64 0;
+    search = Motion.window ~range:search_range;
   }
 
 (* The transform runs in place on [c.residual], with the

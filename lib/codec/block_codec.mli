@@ -23,11 +23,14 @@ type coder = {
   alt_prediction : float array;  (** a second inter candidate's *)
   alt_levels : int array;
   intra_levels : int array;  (** the intra alternative's levels *)
+  search : Motion.window;  (** the searched block and its reference window *)
 }
 (** The encoder's working memory: one per {!Encoder.encode_clip} call,
     so coding a block allocates nothing. *)
 
-val coder : unit -> coder
+val coder : search_range:int -> coder
+(** [coder ~search_range] sizes [search] for motion vectors within
+    [search_range]. *)
 
 val code_intra : coder -> Quant.t -> Quant.plane_kind -> int array -> unit
 (** [code_intra c q kind levels] centres [c.samples] at 0, applies the

@@ -40,16 +40,18 @@ let write_header w ~width ~height ~fps ~frame_count (p : Stream.params) =
   Golomb.write_ue w p.Stream.qp;
   Golomb.write_ue w p.Stream.search_range
 
-(* Codes [c.samples] as inter from [vector]: the prediction lands in
-   [prediction], the levels in [levels]; returns the exact bit cost. *)
-let inter_cost c q ~reference ~x ~y vector ~prediction levels =
-  Motion.extract_predicted_halfpel_into reference ~x ~y vector prediction;
+(* Codes [c.samples] as inter from [vector]: the prediction, read from
+   the search window, lands in [prediction], the levels in [levels];
+   returns the exact bit cost. *)
+let inter_cost (c : Block_codec.coder) q vector ~prediction levels =
+  Motion.window_predicted_halfpel_into c.search vector prediction;
   Block_codec.code_inter c q Quant.Luma ~prediction levels;
   1 + vector_cost vector + Coeff.bit_cost levels
 
 (* Codes one luma plane of a P frame and reconstructs it in place into
-   [recon]; returns the per-block mode grid. *)
-let code_luma_p w (c : Block_codec.coder) q ~search_range ~(current : Plane.t)
+   [recon]; returns the per-block mode grid. Each block fills the
+   coder's search window once; every motion candidate reads it. *)
+let code_luma_p w (c : Block_codec.coder) q ~(current : Plane.t)
     ~(reference : Plane.t) ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
   let modes = Array.make (bw * bh) Intra in
@@ -57,9 +59,10 @@ let code_luma_p w (c : Block_codec.coder) q ~search_range ~(current : Plane.t)
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
       Motion.extract_block_into current ~x ~y c.samples;
+      Motion.fill c.search ~current ~reference ~x ~y ~centre:Motion.zero;
       (* Candidate 1: inter with the best motion vector, integer search
          then half-pel refinement. *)
-      let zero_sad = Motion.sad current reference ~x ~y Motion.zero in
+      let zero_sad = Motion.window_sad c.search Motion.zero in
       let searched =
         if zero_sad < 128 then
           (* Near-perfect zero-vector prediction (static content):
@@ -67,12 +70,8 @@ let code_luma_p w (c : Block_codec.coder) q ~search_range ~(current : Plane.t)
              interpolated ones. *)
           Motion.zero
         else begin
-          let integer_vec, integer_sad =
-            Motion.search ~range:search_range ~current ~reference ~x ~y ()
-          in
-          let refined, refined_sad =
-            Motion.refine_halfpel ~current ~reference ~x ~y integer_vec
-          in
+          let integer_vec, integer_sad = Motion.window_search c.search in
+          let refined, refined_sad = Motion.window_refine c.search integer_vec in
           if refined_sad < integer_sad then refined else Motion.to_halfpel integer_vec
         end
       in
@@ -81,14 +80,12 @@ let code_luma_p w (c : Block_codec.coder) q ~search_range ~(current : Plane.t)
          with the lower exact bit cost (the searched one on a tie); then
          compare with intra. *)
       let searched_cost =
-        inter_cost c q ~reference ~x ~y searched ~prediction:c.coded_prediction
-          c.coded_levels
+        inter_cost c q searched ~prediction:c.coded_prediction c.coded_levels
       in
       let zero_cost =
         if searched.Motion.dx = 0 && searched.Motion.dy = 0 then max_int
         else
-          inter_cost c q ~reference ~x ~y Motion.zero ~prediction:c.alt_prediction
-            c.alt_levels
+          inter_cost c q Motion.zero ~prediction:c.alt_prediction c.alt_levels
       in
       let zero_wins = zero_cost < searched_cost in
       (* Candidate 2: intra. *)
@@ -170,7 +167,7 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     ~fps:clip.Video.Clip.fps ~frame_count params;
   let frame_sizes_bits = Array.make frame_count 0 in
   let frame_types = Array.make frame_count Stream.I_frame in
-  let c = Block_codec.coder () in
+  let c = Block_codec.coder ~search_range:params.Stream.search_range in
   let width = clip.Video.Clip.width and height = clip.Video.Clip.height in
   let planes () = Plane.create_ycbcr ~width ~height ~multiple:8 in
   (* Each frame is converted into the same padded planes, and
@@ -216,8 +213,8 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
        let luma_bw = frame.Plane.y.Plane.width / 8
        and luma_bh = frame.Plane.y.Plane.height / 8 in
        let modes =
-         code_luma_p w c q ~search_range:params.Stream.search_range
-           ~current:frame.Plane.y ~reference:prev.Plane.y ~recon:recon.Plane.y
+         code_luma_p w c q ~current:frame.Plane.y ~reference:prev.Plane.y
+           ~recon:recon.Plane.y
        in
        code_chroma_p w c q ~luma_modes:modes ~luma_bw ~luma_bh
          ~current:frame.Plane.cb ~reference:prev.Plane.cb ~recon:recon.Plane.cb;

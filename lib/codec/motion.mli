@@ -5,13 +5,20 @@
     vector so static content codes as (0, 0). Chroma reuses the luma
     vector halved (4:2:0 geometry).
 
-    {b Interior and edge paths.} Every kernel reads and writes plane
-    samples directly, row by row, when the block's whole footprint lies
-    inside the plane — for half-pel vectors that footprint includes
-    the +1 interpolation taps. A block whose footprint touches or
-    crosses an edge takes the edge-clamped path through {!Plane.get}
-    instead. The position alone picks the path; both evaluate the same
-    expression per sample, so results are identical either way.
+    {b The search window.} The searches read no plane. {!fill} copies
+    the current block and a square window of the reference around it,
+    [8 + 2 (range + 1)] samples on a side, into a {!window}; every
+    coordinate is clamped to the nearest edge once, at fill time, as
+    {!Plane.get} clamps it. Clamping a coordinate gives the sample that
+    a copy with replicated edges holds, and the window covers every
+    sample a candidate within [range] reads, the +1 taps of a half-pel
+    vector included, so the kernels read the window at fixed strides
+    with no edge branch and sum exactly what a per-sample clamped read
+    sums. The plane-level {!sad}, {!search}, {!sad_halfpel} and
+    {!refine_halfpel} fill a window sized to their one call and run the
+    same kernels. Block extraction and store keep their interior and
+    edge paths: they index [Plane.samples] directly when the block's
+    footprint is inside the plane and clamp per sample otherwise.
 
     {b Partial SAD.} {!search} and {!refine_halfpel} pass the running
     best SAD as a bound and stop summing a candidate after the first
@@ -31,10 +38,10 @@ val sad :
     (edge-clamped). *)
 
 val search :
-  ?range:int -> current:Plane.t -> reference:Plane.t -> x:int -> y:int ->
+  range:int -> current:Plane.t -> reference:Plane.t -> x:int -> y:int ->
   unit -> vector * int
-(** [search ?range ~current ~reference ~x ~y ()] is the best vector
-    within [[-range, range]] on both axes (default 7) and its SAD. *)
+(** [search ~range ~current ~reference ~x ~y ()] is the best vector
+    within [[-range, range]] on both axes and its SAD. *)
 
 val extract_block : Plane.t -> x:int -> y:int -> float array
 (** 8x8 block as floats (edge-clamped reads). *)
@@ -88,3 +95,44 @@ val chroma_vector : vector -> vector
 (** [chroma_vector v] maps a luma half-pel vector to the co-located
     chroma displacement in integer chroma samples (divide by four,
     flooring) — 4:2:0 geometry with integer-pel chroma prediction. *)
+
+(** {1 Searching a window}
+
+    The encoder keeps one {!window} per clip and fills it once per
+    searched block; the zero-vector check, the integer search, the
+    half-pel refinement and the searched vector's prediction then read
+    only the window. Vectors are relative to the fill's [centre]. *)
+
+type window
+(** The current 8x8 block and the reference samples around it. *)
+
+val window : range:int -> window
+(** [window ~range] allocates a window for searches within [range]:
+    64 block samples and [(8 + 2 (range + 1))^2] reference samples.
+    Raises [Invalid_argument] if [range] is negative. *)
+
+val fill :
+  window -> current:Plane.t -> reference:Plane.t -> x:int -> y:int ->
+  centre:vector -> unit
+(** [fill w ~current ~reference ~x ~y ~centre] copies the 8x8 block of
+    [current] at [(x, y)] and the reference around the block at
+    [(x + centre.dx, y + centre.dy)], edge-clamped. *)
+
+val window_sad : window -> vector -> int
+(** SAD of the block against the window under an integer vector within
+    the window's range. *)
+
+val window_search : window -> vector * int
+(** {!search} over the window's range. *)
+
+val window_refine : window -> vector -> vector * int
+(** {!refine_halfpel} around an integer vector within the window's
+    range. *)
+
+val window_predicted_halfpel_into : window -> vector -> float array -> unit
+(** {!extract_predicted_halfpel_into} from the window, for a half-pel
+    vector within [2 range + 1] on both axes.
+
+    The [window_*] kernels raise [Invalid_argument] on a vector out of
+    their reach. {!window_search} and {!window_refine} add the 8-sample
+    rows they sum to [codec_sad_rows_total], once per call. *)

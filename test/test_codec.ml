@@ -743,6 +743,26 @@ let test_motion_extract_store_roundtrip () =
   let block' = Codec.Motion.extract_block q ~x:8 ~y:16 in
   check bool "block preserved" true (block = block')
 
+(* The window kernels read without bounds checks; a vector beyond the
+   window's reach must raise, not read past it. *)
+let test_motion_window_reach () =
+  let p = Codec.Plane.create ~width:16 ~height:16 in
+  let w = Codec.Motion.window ~range:2 in
+  Codec.Motion.fill w ~current:p ~reference:p ~x:0 ~y:0 ~centre:Codec.Motion.zero;
+  let outside = Invalid_argument "Motion: vector outside the search window" in
+  let v dx dy = { Codec.Motion.dx; dy } in
+  check int "edge of reach" 0 (Codec.Motion.window_sad w (v 2 (-2)));
+  Alcotest.check_raises "integer past range" outside (fun () ->
+      ignore (Codec.Motion.window_sad w (v 3 0)));
+  Alcotest.check_raises "integer wrapping" outside (fun () ->
+      ignore (Codec.Motion.window_sad w (v min_int 0)));
+  Alcotest.check_raises "refinement centre past range" outside (fun () ->
+      ignore (Codec.Motion.window_refine w (v 0 (-3))));
+  let out = Array.make 64 0. in
+  Codec.Motion.window_predicted_halfpel_into w (v 5 (-5)) out;
+  Alcotest.check_raises "half-pel past reach" outside (fun () ->
+      Codec.Motion.window_predicted_halfpel_into w (v 6 0) out)
+
 (* The motion kernels index plane samples directly when a block's
    footprint is inside the plane. The references below are the
    per-sample, edge-clamped definitions; the properties check that the
@@ -847,7 +867,7 @@ let kernel_case =
     let span = (2 * max width height) + 12 in
     let* dx = oneof [ -3 -- 3; -span -- span ]
     and* dy = oneof [ -3 -- 3; -span -- span ]
-    and* range = 0 -- 7 in
+    and* range = 0 -- 15 in
     return (width, height, seed, x, y, { Codec.Motion.dx; dy }, range))
 
 let random_plane ~width ~height rng =
@@ -1386,6 +1406,62 @@ let test_golden_fingerprint () =
         (golden_digest ~width ~height))
     golden_sizes
 
+(* The motion search reads a window of the reference around each
+   block, (8 + 2 (range + 1)) samples on a side. These pins sit at its
+   boundaries: the smallest and largest useful ranges at 96x72, and
+   planes narrower than the window at every range, where each fill
+   clamps on both sides. One MD5 per case over the bitstream and the
+   decoded frames of the ten paper workloads, one I-frame then P
+   frames. Taken before the search read windows. *)
+
+let window_digest ~width ~height ~search_range =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (profile : Video.Profile.t) ->
+      let full = Video.Clip_gen.render ~width ~height ~fps:12. profile in
+      let clip =
+        Video.Clip.make ~name:full.Video.Clip.name ~width ~height ~fps:12.
+          ~frame_count:4 (fun i -> full.Video.Clip.render (2 * i))
+      in
+      List.iter
+        (fun qp ->
+          let e =
+            Codec.Encoder.encode_clip
+              ~params:{ Codec.Stream.qp; gop = 12; search_range }
+              clip
+          in
+          Buffer.add_string buf e.Codec.Encoder.data;
+          let d = Codec.Decoder.decode_exn e.Codec.Encoder.data in
+          Array.iter
+            (fun f -> Buffer.add_bytes buf (Image.Raster.data f))
+            d.Codec.Decoder.frames)
+        [ 4; 16 ])
+    Video.Workloads.all;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let window_digests =
+  [
+    ((96, 72, 1), "2b894698a73de4ee816098a50bbebd7f");
+    ((96, 72, 15), "6c042786ec63e6eff8b8ed10edc332e8");
+    ((8, 8, 0), "908a15eb1246d6fd117386f72752268c");
+    ((8, 8, 1), "255d0854fe0fc66bc3d22d9c3a39ea44");
+    ((8, 8, 4), "b55681f6437c4b8f4ead47ea7dfad668");
+    ((8, 8, 15), "f5ca214c246f35048af05c39f90183b8");
+    ((16, 12, 0), "9face3d795299a9ce6a815599b798b74");
+    ((16, 12, 1), "1aa2c56355b881c9b4cd115a58d818b6");
+    ((16, 12, 4), "fa2bd035a629a4d7391304d8751de933");
+    ((16, 12, 15), "bcf5778064021892c22293fcaa95beba");
+  ]
+
+let test_golden_window_boundaries () =
+  List.iter
+    (fun ((width, height, search_range), digest) ->
+      check Alcotest.string
+        (Printf.sprintf "%dx%d range %d digest" width height search_range)
+        digest
+        (window_digest ~width ~height ~search_range))
+    window_digests
+
 (* --- Golden outcomes on corrupt input ------------------------------------ *)
 
 (* Fifty deterministic mutations of each paper workload's stream at
@@ -1592,6 +1668,7 @@ let () =
           Alcotest.test_case "chroma vector" `Quick test_motion_chroma_vector;
           Alcotest.test_case "extract/store roundtrip" `Quick
             test_motion_extract_store_roundtrip;
+          Alcotest.test_case "window reach" `Quick test_motion_window_reach;
         ] );
       ( "end-to-end",
         [
@@ -1650,6 +1727,8 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "fingerprint" `Quick test_golden_fingerprint;
+          Alcotest.test_case "search window boundaries" `Quick
+            test_golden_window_boundaries;
           Alcotest.test_case "corrupt input" `Quick test_golden_corrupt_input;
           Alcotest.test_case "decode counters" `Quick test_golden_decode_counters;
           Alcotest.test_case "counts, not time" `Quick test_codec_counts_not_time;

@@ -554,6 +554,8 @@ let scrape_manifest =
     "codec_frames_encoded_total";
     (* bench work row (quant_ops); test_codec "decode counters" *)
     "codec_quant_ops_total";
+    (* bench work row (sad_rows) *)
+    "codec_sad_rows_total";
     (* test_streaming "forced first frame counted" *)
     "forced_first_frame_deliveries_total";
     (* test_monitor "NaN/negative clamp and synthetic family" *)

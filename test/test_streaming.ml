@@ -1054,16 +1054,49 @@ let structured_masks ~gop ~n =
     ("lossless", mask []);
   ]
 
+(* [Clip_gen] renders gray frames, whose chroma is flat, so a scorer
+   that mixed up Cb and Cr would still pass on the paper workloads.
+   These two clips give R, G and B their own content, each moving its
+   own way: three drifting gradients, and three coloured shapes over a
+   dark background. *)
+let colour_clips ~width ~height ~frame_count =
+  let clip name pixel =
+    Video.Clip.make ~name ~width ~height ~fps:12. ~frame_count (fun i ->
+        Image.Raster.init ~width ~height (fun ~x ~y -> pixel i ~x ~y))
+  in
+  let gradients i ~x ~y =
+    Image.Pixel.v
+      (((9 * x) + (7 * i)) land 255)
+      (((13 * y) + (3 * x) + (5 * i)) land 255)
+      ((200 + (6 * (x + y)) - (11 * i)) land 255)
+  in
+  let shapes i ~x ~y =
+    let in_square = abs (x - (2 + i)) < 4 && abs (y - 5) < 4
+    and in_disc =
+      let dx = x - (width - 4 - (i / 2)) and dy = y - (3 + (i / 3)) in
+      (dx * dx) + (dy * dy) < 12
+    and in_bar = y = (height - 3 - (i / 4)) mod height in
+    Image.Pixel.v
+      (if in_square then 230 else 20 + x)
+      (if in_disc then 210 else 30 + y)
+      (if in_bar then 240 else 25 + ((x + i) mod 8))
+  in
+  [ clip "colour-gradients" gradients; clip "colour-shapes" shapes ]
+
 let test_transport_scores_match_oracle () =
   let damaged = ref 0 in
-  List.iter
-    (fun (profile : Video.Profile.t) ->
-      let full = Video.Clip_gen.render ~width:24 ~height:16 ~fps:12. profile in
-      let n = min 26 full.Video.Clip.frame_count in
-      let clip =
+  let paper =
+    List.map
+      (fun (profile : Video.Profile.t) ->
+        let full = Video.Clip_gen.render ~width:24 ~height:16 ~fps:12. profile in
         Video.Clip.make ~name:full.Video.Clip.name ~width:24 ~height:16 ~fps:12.
-          ~frame_count:n full.Video.Clip.render
-      in
+          ~frame_count:(min 26 full.Video.Clip.frame_count)
+          full.Video.Clip.render)
+      Video.Workloads.all
+  in
+  List.iter
+    (fun (clip : Video.Clip.t) ->
+      let n = clip.Video.Clip.frame_count in
       List.iter
         (fun gop ->
           let packetized, encoded = packetize_clip ~gop clip in
@@ -1082,11 +1115,11 @@ let test_transport_scores_match_oracle () =
                 !damaged
                 + check_against_oracle
                     ~what:
-                      (Printf.sprintf "%s gop %d %s" profile.Video.Profile.name gop what)
+                      (Printf.sprintf "%s gop %d %s" clip.Video.Clip.name gop what)
                     packetized encoded ~lost)
             (structured_masks ~gop ~n @ random))
         [ 1; 3; 8; 12 ])
-    Video.Workloads.all;
+    (paper @ colour_clips ~width:24 ~height:16 ~frame_count:26);
   (* Not vacuous: most masks leave damaged frames to score. *)
   check bool "damaged frames scored" true (!damaged > 1000)
 
