@@ -56,19 +56,15 @@ let simulate_side_channel ~fault ~resilience encoded =
   | Error msg ->
     Printf.printf "  track unusable (%s): client plays full backlight\n" msg
   | Ok partial ->
-    let intact =
-      Array.fold_left
-        (fun acc e -> if e = None then acc else acc + 1)
-        0 partial.Annotation.Encoding.entries
-    in
-    Printf.printf "  records: %d intact, %d missing, %d corrupt of %d\n" intact
-      partial.Annotation.Encoding.missing_records
-      partial.Annotation.Encoding.corrupt_records
-      (Array.length partial.Annotation.Encoding.entries)
+    let module E = Annotation.Encoding in
+    let total = Array.length partial.E.records in
+    Printf.printf "  records: %d intact, %d missing, %d corrupt of %d\n"
+      (total - partial.E.missing_records - partial.E.corrupt_records)
+      partial.E.missing_records partial.E.corrupt_records total
 
-let run clip_name device_name device_file quality_percent per_frame output width height fps fault_profile resilience_file jobs obs trace_out energy_profile journal log_out monitor slo metrics_out =
+let run clip_name device_name device_file quality_percent per_frame output width height fps fault_profile resilience_file jobs obs trace_out energy_profile journal monitor slo metrics_out =
   Common.with_instrumentation ~default_quality:(quality_percent /. 100.)
-    ~energy_profile ~journal ~log_out ~obs ~trace_out ~monitor ~slo ~metrics_out
+    ~energy_profile ~journal ~obs ~trace_out ~monitor ~slo ~metrics_out
   @@ fun () ->
   Common.with_jobs jobs
   @@ fun pool ->
@@ -131,7 +127,6 @@ let cmd =
       $ Common.height_arg $ Common.fps_arg $ Common.fault_profile_arg
       $ Common.resilience_arg $ Common.jobs_arg $ Common.obs_arg
       $ Common.trace_out_arg $ Common.energy_profile_arg $ Common.journal_arg
-      $ Common.log_out_arg $ Common.monitor_arg
-      $ Common.slo_arg $ Common.metrics_out_arg)
+      $ Common.monitor_arg $ Common.slo_arg $ Common.metrics_out_arg)
 
 let () = exit (Cmd.eval' cmd)

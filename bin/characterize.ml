@@ -6,8 +6,8 @@ open Cmdliner
 let steps_arg =
   Arg.(value & opt int 18 & info [ "steps" ] ~docv:"N" ~doc:"Sweep sample count.")
 
-let run device_name device_file steps resilience_file obs trace_out energy_profile journal log_out monitor slo metrics_out =
-  Common.with_instrumentation ~energy_profile ~journal ~log_out ~obs ~trace_out
+let run device_name device_file steps resilience_file obs trace_out energy_profile journal monitor slo metrics_out =
+  Common.with_instrumentation ~energy_profile ~journal ~obs ~trace_out
     ~monitor ~slo ~metrics_out
   @@ fun () ->
   let device =
@@ -59,7 +59,7 @@ let cmd =
     Term.(
       const run $ Common.device_arg $ Common.device_file_arg $ steps_arg
       $ Common.resilience_arg $ Common.obs_arg $ Common.trace_out_arg $ Common.energy_profile_arg
-      $ Common.journal_arg $ Common.log_out_arg
-      $ Common.monitor_arg $ Common.slo_arg $ Common.metrics_out_arg)
+      $ Common.journal_arg $ Common.monitor_arg $ Common.slo_arg
+      $ Common.metrics_out_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -291,16 +291,6 @@ let journal_arg =
            $(b,inspect), audit it offline with $(b,lint verify). Implies \
            $(b,--obs).")
 
-let log_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "log-out" ] ~docv:"FILE"
-        ~doc:
-          "Attach a JSONL sink to the structured logger: every log event \
-           becomes one JSON object per line in $(docv), flushed as written. \
-           Implies $(b,--obs).")
-
 let metrics_out_arg =
   Arg.(
     value
@@ -317,21 +307,16 @@ let metrics_out_arg =
    report is the monitoring deliverable and goes to stdout. An SLO
    breach turns a successful exit into code 3. *)
 let with_instrumentation ?(default_quality = 0.10) ?(energy_profile = None)
-    ?(journal = None) ?(log_out = None) ~obs ~trace_out ~monitor ~slo
+    ?(journal = None) ~obs ~trace_out ~monitor ~slo
     ~metrics_out f =
   let monitoring = monitor || slo <> None || metrics_out <> None in
   let enabled =
     obs || trace_out <> None || energy_profile <> None || journal <> None
-    || log_out <> None || monitoring
+    || monitoring
   in
   if not enabled then f ()
   else begin
     Obs.enable ();
-    let log_sink =
-      match log_out with
-      | None -> None
-      | Some path -> Some (Obs.Log.attach_jsonl ~path)
-    in
     let recorder =
       match journal with
       | None -> None
@@ -418,6 +403,5 @@ let with_instrumentation ?(default_quality = 0.10) ?(energy_profile = None)
        with Sys_error msg ->
          Printf.eprintf "obs: cannot write journal: %s\n%!" msg)
     | _ -> ());
-    (match log_sink with None -> () | Some id -> Obs.Log.detach id);
     code
   end

@@ -41,8 +41,8 @@ let validate_under_fault ~device ~quality ~fault ~resilience clip =
     Format.printf "%a@." Streaming.Session.pp_report report;
     0
 
-let run clip_name device_name device_file target_hours capacity_mwh width height fps loss_model loss burst fault_profile resilience_file obs trace_out energy_profile journal log_out monitor slo metrics_out =
-  Common.with_instrumentation ~energy_profile ~journal ~log_out ~obs ~trace_out
+let run clip_name device_name device_file target_hours capacity_mwh width height fps loss_model loss burst fault_profile resilience_file obs trace_out energy_profile journal monitor slo metrics_out =
+  Common.with_instrumentation ~energy_profile ~journal ~obs ~trace_out
     ~monitor ~slo ~metrics_out
   @@ fun () ->
   let clip = Common.or_die (Common.resolve_clip clip_name ~width ~height ~fps) in
@@ -89,7 +89,7 @@ let cmd =
       $ Common.fps_arg $ Common.loss_model_arg $ Common.loss_arg
       $ Common.burst_arg $ Common.fault_profile_arg $ Common.resilience_arg
       $ Common.obs_arg $ Common.trace_out_arg $ Common.energy_profile_arg
-      $ Common.journal_arg $ Common.log_out_arg
-      $ Common.monitor_arg $ Common.slo_arg $ Common.metrics_out_arg)
+      $ Common.journal_arg $ Common.monitor_arg $ Common.slo_arg
+      $ Common.metrics_out_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -94,9 +94,9 @@ let run_faulty ~device ~quality ~ramp ~fault ~resilience clip =
     Format.printf "%a@." Streaming.Session.pp_report report;
     0
 
-let run clip_name device_name device_file quality_percent with_camera dump ramp width height fps loss_model loss burst fault_profile resilience_file obs trace_out energy_profile journal log_out monitor slo metrics_out =
+let run clip_name device_name device_file quality_percent with_camera dump ramp width height fps loss_model loss burst fault_profile resilience_file obs trace_out energy_profile journal monitor slo metrics_out =
   Common.with_instrumentation ~default_quality:(quality_percent /. 100.)
-    ~energy_profile ~journal ~log_out ~obs ~trace_out ~monitor ~slo ~metrics_out
+    ~energy_profile ~journal ~obs ~trace_out ~monitor ~slo ~metrics_out
   @@ fun () ->
   let clip = Common.or_die (Common.resolve_clip clip_name ~width ~height ~fps) in
   let device =
@@ -168,7 +168,6 @@ let cmd =
       $ Common.loss_arg $ Common.burst_arg $ Common.fault_profile_arg
       $ Common.resilience_arg $ Common.obs_arg
       $ Common.trace_out_arg $ Common.energy_profile_arg $ Common.journal_arg
-      $ Common.log_out_arg $ Common.monitor_arg
-      $ Common.slo_arg $ Common.metrics_out_arg)
+      $ Common.monitor_arg $ Common.slo_arg $ Common.metrics_out_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -240,13 +240,15 @@ let decode data =
 
 (* --- partial decode --------------------------------------------------- *)
 
+type record = Intact of Track.entry | Lost | Corrupt
+
 type partial = {
   clip_name : string;
   device_name : string;
   quality : Quality_level.t;
   fps : float;
   total_frames : int;
-  entries : Track.entry option array;
+  records : record array;
   corrupt_records : int;
   missing_records : int;
 }
@@ -274,7 +276,7 @@ let decode_partial ?byte_ok data =
     check_count_fits h c;
     let corrupt = ref 0 and missing = ref 0 in
     let next = ref 0 in
-    let entries = Array.make h.h_count None in
+    let records = Array.make h.h_count Lost in
     for i = 0 to h.h_count - 1 do
       let pos = c.pos in
       if not (span_ok byte_ok ~pos ~len:record_size) then begin
@@ -294,9 +296,12 @@ let decode_partial ?byte_ok data =
         in
         if valid then begin
           next := entry.Track.first_frame + entry.Track.frame_count;
-          entries.(i) <- Some entry
+          records.(i) <- Intact entry
         end
-        else incr corrupt
+        else begin
+          records.(i) <- Corrupt;
+          incr corrupt
+        end
       end
     done;
     Ok
@@ -306,7 +311,7 @@ let decode_partial ?byte_ok data =
         quality = h.h_quality;
         fps = h.h_fps;
         total_frames = h.h_total_frames;
-        entries;
+        records;
         corrupt_records = !corrupt;
         missing_records = !missing;
       }

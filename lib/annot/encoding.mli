@@ -38,17 +38,20 @@ val decode : string -> (Track.t, string) result
     any CRC mismatch and any version other than {!version}) yields
     [Error] with a human-readable reason, never an exception. *)
 
+type record =
+  | Intact of Track.entry
+  | Lost  (** the record overlaps bytes that never arrived *)
+  | Corrupt  (** its bytes arrived but failed the CRC or sanity checks *)
+
 type partial = {
   clip_name : string;
   device_name : string;
   quality : Quality_level.t;
   fps : float;
   total_frames : int;
-  entries : Track.entry option array;
-      (** one slot per encoded record; [None] where the record was
-          lost or failed its CRC *)
-  corrupt_records : int;  (** records whose bytes arrived but lied *)
-  missing_records : int;  (** records overlapping lost bytes *)
+  records : record array;  (** one slot per encoded record, in order *)
+  corrupt_records : int;  (** the [Corrupt] slots *)
+  missing_records : int;  (** the [Lost] slots *)
 }
 
 val decode_partial : ?byte_ok:bool array -> string -> (partial, string) result

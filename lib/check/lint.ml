@@ -245,8 +245,8 @@ let lint_ast ~in_lib ~in_par ~in_power ~in_journal ~in_resilience ~file ~emit
     | Some name when in_lib && List.mem name print_idents ->
       diag "L005" e.pexp_loc
         (Printf.sprintf
-           "%s writes straight to the console from library code; report \
-            through Obs.Log sinks" name)
+           "%s writes straight to the console from library code; return \
+            the value to the caller, or journal the decision (Obs.Journal)" name)
     | _ -> ());
     match e.pexp_desc with
     | Parsetree.Pexp_apply (f, args) -> (

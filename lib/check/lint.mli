@@ -25,7 +25,8 @@
       is [_] and whose handler does not re-raise.
     - [L005] direct console output in [lib/] ([Printf.printf],
       [print_endline], [prerr_*], [Format.printf], …) — library code
-      reports through [Obs.Log] sinks, never a hard-wired channel.
+      returns the value to its caller or journals the decision
+      ([Obs.Journal]), never writes to a hard-wired channel.
     - [L006] a [lib/] module without an [.mli] — every library module
       states its contract.
     - [L007] [=] or [<>] on operands that are syntactically

@@ -70,7 +70,7 @@ let code_luma_p w (c : Block_codec.coder) q ~(current : Plane.t)
              interpolated ones. *)
           Motion.zero
         else begin
-          let integer_vec, integer_sad = Motion.window_search c.search in
+          let integer_vec, integer_sad = Motion.window_search c.search ~zero_sad in
           let refined, refined_sad = Motion.window_refine c.search integer_vec in
           if refined_sad < integer_sad then refined else Motion.to_halfpel integer_vec
         end

@@ -241,20 +241,25 @@ let sad_bounded ~bound w ~dx ~dy =
 
 let window_sad w v = sad_bounded ~bound:max_int w ~dx:v.dx ~dy:v.dy
 
-(* Raster order with the (sad, norm) tie-break. The running best bounds
-   each candidate's partial SAD: a candidate stopped early has a sum
-   strictly above the best, so it could neither win nor tie. *)
-let window_search w =
+(* Raster order with the (sad, norm) tie-break, starting from the zero
+   vector at [zero_sad]. The zero vector is not summed again: its SAD
+   can never beat the running best, which starts there and only falls,
+   and at a tie its norm 0 never beats the best's. The running best
+   bounds each candidate's partial SAD: a candidate stopped early has a
+   sum strictly above the best, so it could neither win nor tie. *)
+let window_search w ~zero_sad =
   w.rows <- 0;
   let range = w.range in
-  let best = ref zero and best_sad = ref (window_sad w zero) in
+  let best = ref zero and best_sad = ref zero_sad in
   for dy = -range to range do
     for dx = -range to range do
-      let s = sad_bounded ~bound:!best_sad w ~dx ~dy in
-      if s < !best_sad || (s = !best_sad && abs dx + abs dy < vector_norm !best)
-      then begin
-        best := { dx; dy };
-        best_sad := s
+      if dx <> 0 || dy <> 0 then begin
+        let s = sad_bounded ~bound:!best_sad w ~dx ~dy in
+        if s < !best_sad || (s = !best_sad && abs dx + abs dy < vector_norm !best)
+        then begin
+          best := { dx; dy };
+          best_sad := s
+        end
       end
     done
   done;
@@ -303,7 +308,7 @@ let sad current reference ~x ~y v =
 let search ~range ~current ~reference ~x ~y () =
   let w = window ~range in
   fill w ~current ~reference ~x ~y ~centre:zero;
-  window_search w
+  window_search w ~zero_sad:(window_sad w zero)
 
 let sad_halfpel current reference ~x ~y v =
   let w = window ~range:0 in

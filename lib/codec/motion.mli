@@ -122,8 +122,9 @@ val window_sad : window -> vector -> int
 (** SAD of the block against the window under an integer vector within
     the window's range. *)
 
-val window_search : window -> vector * int
-(** {!search} over the window's range. *)
+val window_search : window -> zero_sad:int -> vector * int
+(** {!search} over the window's range, given the zero vector's SAD
+    ([window_sad w zero]), which it does not sum again. *)
 
 val window_refine : window -> vector -> vector * int
 (** {!refine_halfpel} around an integer vector within the window's

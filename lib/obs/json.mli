@@ -1,7 +1,7 @@
 (** Minimal self-contained JSON values.
 
     The observability layer renders metric snapshots, trace events and
-    structured log lines as JSON without pulling a serialisation
+    monitor reports as JSON without pulling a serialisation
     dependency into the build. The renderer escapes strings per RFC
     8259; the reader accepts exactly what the renderer emits (plus
     insignificant whitespace), which is all the round-trip tests and

@@ -184,16 +184,7 @@ let evaluate_window t ~at_s ~duration_s =
                       int_of_float (Float.round (v *. 1000.))
                     else 0);
                  window_us = int_of_float (Float.round (duration_s *. 1e6));
-               });
-          Log.warn ~scope:"monitor" (fun () ->
-              ( "SLO breach: " ^ rule.Slo.source,
-                [
-                  ("rule", Json.String rule.Slo.source);
-                  ("window", Json.Int t.window_index);
-                  ("value", Json.Float v);
-                  ("threshold", Json.Float rule.threshold);
-                  ("at_s", Json.Float at_s);
-                ] ))
+               })
         end)
     t.rule_list
 

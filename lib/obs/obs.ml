@@ -12,7 +12,6 @@ module Clock = Clock
 module Metrics = Metrics
 module Registry = Registry
 module Trace = Trace
-module Log = Log
 module Sketch = Sketch
 module Slo = Slo
 module Monitor = Monitor

@@ -113,14 +113,6 @@ let run_with_registers ?(options = default_options) ~device ~quality ~clip_name
   let mean_register =
     float_of_int (Array.fold_left ( + ) 0 registers) /. float_of_int frames
   in
-  Obs.Log.info ~scope:"playback" (fun () ->
-      ( "playback complete: " ^ clip_name,
-        [
-          ("clip", Obs.Json.String clip_name);
-          ("frames", Obs.Json.Int frames);
-          ("backlight_switches", Obs.Json.Int switch_count);
-          ("mean_register", Obs.Json.Float mean_register);
-        ] ));
   {
     clip_name;
     device_name = device.Display.Device.name;

@@ -5,7 +5,6 @@ type config = {
   link : Netsim.t;
   gop : int;
   ramp_step : int option;
-  cpu_busy_fraction : float;
   seed : int;
   fault : Fault.t option;
   nack_budget_s : float;
@@ -21,7 +20,6 @@ let default_config ~device =
     link = Netsim.wlan_80211b;
     gop = 12;
     ramp_step = None;
-    cpu_busy_fraction = 0.6;
     seed = 1;
     fault = None;
     nack_budget_s = 0.04;
@@ -49,18 +47,15 @@ type report = {
   corrupt_records : int;
 }
 
-(* Whole-device energy: per-frame backlight at its register, the DVFS
-   CPU account, the radio account, and the constant components. The
-   baseline uses register 255, full CPU speed and an always-on
-   radio. *)
-let device_energy ~config ~dt_s ~registers ~cpu_energy_mj ~radio_energy_mj =
+(* Whole-device energy: the per-frame backlight power (mW, one slot
+   per frame), the DVFS CPU account, the radio account, and the
+   constant components. The baseline uses register 255, full CPU speed
+   and an always-on radio. *)
+let device_energy ~config ~dt_s ~backlight_mw ~cpu_energy_mj ~radio_energy_mj =
   let d = config.device in
-  let duration = dt_s *. float_of_int (Array.length registers) in
+  let duration = dt_s *. float_of_int (Array.length backlight_mw) in
   let backlight =
-    Array.fold_left
-      (fun acc register ->
-        acc +. (Power.Model.backlight_power_mw d ~on:true ~register *. dt_s))
-      0. registers
+    Array.fold_left (fun acc p -> acc +. (p *. dt_s)) 0. backlight_mw
   in
   let constant =
     (d.Display.Device.lcd_logic_power_mw +. d.Display.Device.base_power_mw) *. duration
@@ -99,21 +94,15 @@ let span = Obs.Trace.with_span
 let stale_usable ~stale (p : Annotation.Encoding.partial) =
   match stale with
   | Some (st : Annotation.Track.t)
-    when Array.length st.Annotation.Track.entries = Array.length p.entries
-         && st.Annotation.Track.total_frames = p.total_frames ->
-    let aligned = ref true in
-    Array.iteri
-      (fun i entry ->
-        match entry with
-        | Some (e : Annotation.Track.entry) ->
-          let se = st.Annotation.Track.entries.(i) in
-          if
-            se.Annotation.Track.first_frame <> e.first_frame
-            || se.Annotation.Track.frame_count <> e.frame_count
-          then aligned := false
-        | None -> ())
-      p.entries;
-    if !aligned then Some st.Annotation.Track.entries else None
+    when Array.length st.entries = Array.length p.records
+         && st.total_frames = p.total_frames
+         && Array.for_all2
+              (fun (se : Annotation.Track.entry) -> function
+                | Annotation.Encoding.Intact (e : Annotation.Track.entry) ->
+                  se.first_frame = e.first_frame && se.frame_count = e.frame_count
+                | Lost | Corrupt -> true)
+              st.entries p.records ->
+    Some st.entries
   | _ -> None
 
 (* Rebuild a full annotation track from a partial decode by walking
@@ -130,10 +119,13 @@ let patch_track ?stale ?(t_s = 0.) ladder (p : Annotation.Encoding.partial) =
     if D.enabled ladder D.Stale_cache then stale_usable ~stale p else None
   in
   let clamp_enabled = D.enabled ladder D.Neighbour_clamp in
-  let n = Array.length p.entries in
+  let n = Array.length p.records in
   let rec next_intact j =
     if j >= n then None
-    else match p.entries.(j) with Some e -> Some e | None -> next_intact (j + 1)
+    else
+      match p.records.(j) with
+      | Annotation.Encoding.Intact e -> Some e
+      | Lost | Corrupt -> next_intact (j + 1)
   in
   let out = ref [] and pos = ref 0 and prev = ref None in
   let degraded = ref 0 and run_step = ref D.Full_backlight in
@@ -143,16 +135,16 @@ let patch_track ?stale ?(t_s = 0.) ladder (p : Annotation.Encoding.partial) =
     prev := Some e
   in
   Array.iteri
-    (fun i entry ->
-      match (entry, stale_entries) with
-      | Some e, _ ->
+    (fun i record ->
+      match (record, stale_entries) with
+      | Annotation.Encoding.Intact e, _ ->
         D.note ladder ~t_s ~scene:i D.Fresh;
         emit e
-      | None, Some st ->
+      | (Lost | Corrupt), Some st ->
         incr degraded;
         D.note ladder ~t_s ~scene:i D.Stale_cache;
         emit st.(i)
-      | None, None ->
+      | (Lost | Corrupt), None ->
         incr degraded;
         let next = next_intact (i + 1) in
         let until =
@@ -187,7 +179,7 @@ let patch_track ?stale ?(t_s = 0.) ladder (p : Annotation.Encoding.partial) =
           pos := until
         end;
         D.note ladder ~t_s ~scene:i !run_step)
-    p.entries;
+    p.records;
   let track =
     Annotation.Track.make ~clip_name:p.clip_name ~device_name:p.device_name
       ~quality:p.quality ~fps:p.fps ~total_frames:p.total_frames
@@ -325,29 +317,19 @@ let prepare ~traced config clip =
 
 let prepare_input config clip = prepare ~traced:false config clip
 
-(* Session start: journal + log, then the server-side stages — or the
+(* Session start: journal, then the server-side stages — or the
    injected warm artifacts. *)
 let step_start m =
   let config = m.m_config and clip = m.m_clip in
-  let frames = m.m_frames and fps = m.m_fps in
   Obs.Journal.record ~t_s:0.
     (Obs.Journal.Session_start
        {
          clip = clip.Video.Clip.name;
          device = config.device.Display.Device.name;
          quality = Annotation.Quality_level.label config.quality;
-         frames;
-         fps_milli = journal_clamp (fps *. 1000.);
+         frames = m.m_frames;
+         fps_milli = journal_clamp (m.m_fps *. 1000.);
        });
-  Obs.Log.info ~scope:"session" (fun () ->
-      ( "session start: " ^ clip.Video.Clip.name,
-        [
-          ("clip", Obs.Json.String clip.Video.Clip.name);
-          ("device", Obs.Json.String config.device.Display.Device.name);
-          ( "quality",
-            Obs.Json.String (Annotation.Quality_level.label config.quality) );
-          ("frames", Obs.Json.Int frames);
-        ] ));
   m.m_stage <-
     Prepared
       (match m.m_injected with
@@ -373,8 +355,7 @@ let step_transmit m (prep : prepared_input) =
         ladder = Resilience.Degrade.[ Fresh; Full_backlight ];
       }
   in
-  let annotations_survived, client_track, degraded_scenes, retransmissions,
-      corrupt_records =
+  let trans =
     span "session.transmit" @@ fun () ->
     let ladder =
       Resilience.Degrade.create
@@ -398,8 +379,16 @@ let step_transmit m (prep : prepared_input) =
       else (arrival, Transport.no_nack)
     in
     let recovery = Fec.recover_detail protected ~present:arrival in
-    let resent = nack.Transport.packets_retransmitted in
     let journal_t_s = nack.Transport.nack_time_s in
+    let transmitted survived client_track t_degraded t_corrupt =
+      {
+        survived;
+        client_track;
+        t_degraded;
+        t_resent = nack.Transport.packets_retransmitted;
+        t_corrupt;
+      }
+    in
     (* Stage-deadline watchdog: annotations that arrive after the
        transmit deadline are as good as lost — trip the ladder
        instead of pretending they were on time. *)
@@ -429,11 +418,11 @@ let step_transmit m (prep : prepared_input) =
       | Some st when Resilience.Degrade.enabled ladder Resilience.Degrade.Stale_cache ->
         Resilience.Degrade.note ladder ~t_s:journal_t_s ~scene:(-1)
           Resilience.Degrade.Stale_cache;
-        (true, mapped st, Array.length st.Annotation.Track.entries, resent, corrupt)
+        transmitted true (mapped st) (Array.length st.Annotation.Track.entries) corrupt
       | _ ->
         Resilience.Degrade.note ladder ~t_s:journal_t_s ~scene:(-1)
           Resilience.Degrade.Full_backlight;
-        (false, track, degraded, resent, corrupt)
+        transmitted false track degraded corrupt
     in
     Obs.Journal.record ~t_s:journal_t_s
       (Obs.Journal.Fec_outcome
@@ -441,52 +430,13 @@ let step_transmit m (prep : prepared_input) =
            failed_groups = List.length recovery.Fec.failed_groups;
            repaired_packets = recovery.Fec.repaired_packets;
          });
-    (* A Degradation event names the ladder's floor as its policy: the
-       rung each scene actually took is journaled by its Ladder_step. *)
-    let policy = "full_backlight" in
-    (* One Degradation event per annotation record that failed to
-       decode. Record [i] occupies a fixed-size span of the payload
-       right after the header, so the FEC byte map tells lost (bytes
-       never arrived) from corrupt (bytes arrived, checks failed)
-       apart. *)
-    let journal_degradations (partial : Annotation.Encoding.partial) =
-      if Obs.enabled () && Obs.Journal.installed () then begin
-        let entries = partial.Annotation.Encoding.entries in
-        let rs = Annotation.Encoding.record_size in
-        let header_len =
-          String.length recovery.Fec.payload - (Array.length entries * rs)
-        in
-        let byte_ok = recovery.Fec.byte_ok in
-        Array.iteri
-          (fun i e ->
-            if e = None then begin
-              let first = header_len + (i * rs) in
-              let missing = ref false in
-              for b = first to first + rs - 1 do
-                if b < 0 || b >= Array.length byte_ok || not byte_ok.(b) then
-                  missing := true
-              done;
-              let trigger = if !missing then "lost" else "corrupt" in
-              Obs.Journal.record ~t_s:journal_t_s
-                (Obs.Journal.Degradation
-                   {
-                     index = i;
-                     trigger =
-                       (if !missing then Obs.Journal.Record_lost
-                        else Obs.Journal.Record_corrupt);
-                     policy;
-                   });
-              Obs.Log.warn ~scope:"session" (fun () ->
-                  ( Printf.sprintf "annotation record %d %s; degrading scene" i
-                      trigger,
-                    [
-                      ("record", Obs.Json.Int i);
-                      ("trigger", Obs.Json.String trigger);
-                      ("policy", Obs.Json.String policy);
-                    ] ))
-            end)
-          entries
-      end
+    (* One Degradation event per record the decoder did not find intact,
+       with its classification as the trigger. The event names the
+       ladder's floor as its policy: the rung each scene actually took
+       is journaled by its Ladder_step. *)
+    let degrade index trigger =
+      Obs.Journal.record ~t_s:journal_t_s
+        (Obs.Journal.Degradation { index; trigger; policy = "full_backlight" })
     in
     let all_scenes = Array.length track.Annotation.Track.entries in
     if watchdog_tripped then whole_track_fallback ~degraded:all_scenes ~corrupt:0
@@ -497,35 +447,26 @@ let step_transmit m (prep : prepared_input) =
       with
       | Error _ ->
         (* Header gone: nothing placeable survived. *)
-        Obs.Journal.record ~t_s:journal_t_s
-          (Obs.Journal.Degradation
-             { index = -1; trigger = Obs.Journal.Header_lost; policy });
-        Obs.Log.warn ~scope:"session" (fun () ->
-            ( "annotation header lost; whole clip plays at full backlight",
-              [ ("policy", Obs.Json.String policy) ] ));
+        degrade (-1) Obs.Journal.Header_lost;
         whole_track_fallback ~degraded:all_scenes ~corrupt:0
       | Ok partial ->
-        let entries = partial.Annotation.Encoding.entries in
+        let records = partial.Annotation.Encoding.records in
         let corrupt = partial.Annotation.Encoding.corrupt_records in
-        journal_degradations partial;
-        if Array.for_all Option.is_none entries then
-          whole_track_fallback ~degraded:(Array.length entries) ~corrupt
+        Array.iteri
+          (fun i -> function
+            | Annotation.Encoding.Intact _ -> ()
+            | Lost -> degrade i Obs.Journal.Record_lost
+            | Corrupt -> degrade i Obs.Journal.Record_corrupt)
+          records;
+        if corrupt + partial.Annotation.Encoding.missing_records = Array.length records
+        then whole_track_fallback ~degraded:(Array.length records) ~corrupt
         else
           let patched, degraded =
             patch_track ?stale:config.stale_track ~t_s:journal_t_s ladder partial
           in
-          (true, mapped patched, degraded, resent, corrupt)
+          transmitted true (mapped patched) degraded corrupt
   in
-  m.m_stage <-
-    Transmitted
-      ( prep,
-        {
-          survived = annotations_survived;
-          client_track;
-          t_degraded = degraded_scenes;
-          t_resent = retransmissions;
-          t_corrupt = corrupt_records;
-        } )
+  m.m_stage <- Transmitted (prep, trans)
 
 (* Packetize the video, run it through the lossy channel, conceal the
    losses, and take the client playback decisions (backlight registers,
@@ -651,36 +592,35 @@ let step_frame m (prep : prepared_input) (trans : transmitted)
    entry and the report — the tail of the playback span. *)
 let step_finalize m (prep : prepared_input) (trans : transmitted)
     (play : playing) =
-  let config = m.m_config and clip = m.m_clip in
-  let frames = m.m_frames and dt_s = m.m_dt_s in
-  let annotations_survived = trans.survived in
-  let client_track = trans.client_track in
-  let degraded_scenes = trans.t_degraded in
-  let retransmissions = trans.t_resent in
-  let corrupt_records = trans.t_corrupt in
-  let { registers; dvfs; radio; received; _ } = play in
-  let encoded = prep.encoded in
-  let annotation_payload = prep.annotation_payload in
+  let config = m.m_config and frames = m.m_frames and dt_s = m.m_dt_s in
+  let dvfs = play.dvfs and radio = play.radio in
   let report =
     span "session.playback" @@ fun () ->
-    let energy registers_arr cpu radio_mj =
-      device_energy ~config ~dt_s ~registers:registers_arr ~cpu_energy_mj:cpu
-        ~radio_energy_mj:radio_mj
+    let d = config.device in
+    (* The backlight power each frame played at: the one array the
+       device account, the profiler and the backlight savings fold. *)
+    let backlight_mw =
+      Array.map
+        (fun register -> Power.Model.backlight_power_mw d ~on:true ~register)
+        play.registers
     in
+    let full_mw = Power.Model.backlight_power_mw d ~on:true ~register:255 in
     let optimised =
-      energy registers dvfs.Dvfs_playback.cpu_energy_mj
-        radio.Radio.radio_energy_mj
+      device_energy ~config ~dt_s ~backlight_mw
+        ~cpu_energy_mj:dvfs.Dvfs_playback.cpu_energy_mj
+        ~radio_energy_mj:radio.Radio.radio_energy_mj
     in
     let baseline =
-      energy (Array.make frames 255) dvfs.Dvfs_playback.baseline_energy_mj
-        radio.Radio.baseline_energy_mj
+      device_energy ~config ~dt_s ~backlight_mw:(Array.make frames full_mw)
+        ~cpu_energy_mj:dvfs.Dvfs_playback.baseline_energy_mj
+        ~radio_energy_mj:radio.Radio.baseline_energy_mj
     in
     if Obs.enabled () then begin
       Obs.Monitor.gauge s_power_cpu_mj dvfs.Dvfs_playback.cpu_energy_mj;
       Obs.Monitor.gauge s_power_radio_mj radio.Radio.radio_energy_mj;
       Obs.Monitor.gauge s_power_device_total_mj optimised;
-      Obs.Monitor.gauge s_records_corrupt (float_of_int corrupt_records);
-      Obs.Monitor.gauge s_degraded_scenes (float_of_int degraded_scenes)
+      Obs.Monitor.gauge s_records_corrupt (float_of_int trans.t_corrupt);
+      Obs.Monitor.gauge s_degraded_scenes (float_of_int trans.t_degraded)
     end;
     if Obs.enabled () && Obs.Profile.installed () then begin
       (* Attribute the delivered session's joules scene by scene to
@@ -691,7 +631,6 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
          [optimised] exactly (modulo float associativity), which the
          tests pin to 1e-9 J. Observational only — nothing below
          reads the profiler back. *)
-      let d = config.device in
       let constant_mw =
         d.Display.Device.lcd_logic_power_mw +. d.Display.Device.base_power_mw
       in
@@ -700,11 +639,7 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
         if count > 0 && first < frames then begin
           let backlight = ref 0. in
           for i = first to last do
-            backlight :=
-              !backlight
-              +. Power.Model.backlight_power_mw d ~on:true
-                   ~register:registers.(i)
-                 *. dt_s
+            backlight := !backlight +. (backlight_mw.(i) *. dt_s)
           done;
           let scene_s = float_of_int (last - first + 1) *. dt_s in
           Obs.Profile.record ~scene:idx ~component:"backlight" !backlight;
@@ -712,7 +647,7 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
             (constant_mw *. scene_s)
         end
       in
-      let entries = client_track.Annotation.Track.entries in
+      let entries = trans.client_track.Annotation.Track.entries in
       if Array.length entries = 0 then record_scene 0 ~first:0 ~count:frames
       else
         Array.iteri
@@ -723,48 +658,37 @@ let step_finalize m (prep : prepared_input) (trans : transmitted)
       Obs.Profile.record ~component:"radio" radio.Radio.radio_energy_mj
     end;
     let backlight_savings =
-      let p r =
-        Power.Model.backlight_power_mw config.device ~on:true ~register:r
-      in
-      let used = Array.fold_left (fun a r -> a +. p r) 0. registers in
-      let full = float_of_int frames *. p 255 in
+      let used = Array.fold_left ( +. ) 0. backlight_mw in
+      let full = float_of_int frames *. full_mw in
       (full -. used) /. full
     in
     Obs.Journal.record
       ~t_s:(float_of_int frames *. dt_s)
       (Obs.Journal.Session_end
          {
-           survived = annotations_survived;
-           degraded_scenes;
-           retransmissions;
-           corrupt_records;
+           survived = trans.survived;
+           degraded_scenes = trans.t_degraded;
+           retransmissions = trans.t_resent;
+           corrupt_records = trans.t_corrupt;
          });
-    Obs.Log.info ~scope:"session" (fun () ->
-        ( "session end: " ^ clip.Video.Clip.name,
-          [
-            ("survived", Obs.Json.Bool annotations_survived);
-            ("degraded_scenes", Obs.Json.Int degraded_scenes);
-            ("retransmissions", Obs.Json.Int retransmissions);
-            ("corrupt_records", Obs.Json.Int corrupt_records);
-          ] ));
     {
       config;
       frames;
       duration_s = float_of_int frames *. dt_s;
-      video_bytes = Codec.Encoder.total_bytes encoded;
-      annotation_bytes = String.length annotation_payload;
-      annotations_survived;
-      video_mean_psnr = Transport.mean_psnr received;
-      concealed_frames = received.Transport.concealed;
+      video_bytes = Codec.Encoder.total_bytes prep.encoded;
+      annotation_bytes = String.length prep.annotation_payload;
+      annotations_survived = trans.survived;
+      video_mean_psnr = Transport.mean_psnr play.received;
+      concealed_frames = play.received.Transport.concealed;
       backlight_savings;
       cpu_savings = dvfs.Dvfs_playback.savings;
       radio_savings = radio.Radio.savings;
       device_savings = (baseline -. optimised) /. baseline;
       device_energy_mj = optimised;
       baseline_energy_mj = baseline;
-      degraded_scenes;
-      retransmissions;
-      corrupt_records;
+      degraded_scenes = trans.t_degraded;
+      retransmissions = trans.t_resent;
+      corrupt_records = trans.t_corrupt;
     }
   in
   m.m_stage <- Finished (Ok report)

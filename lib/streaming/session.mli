@@ -17,7 +17,6 @@ type config = {
   link : Netsim.t;
   gop : int;
   ramp_step : int option;  (** slew-limit dimming when set *)
-  cpu_busy_fraction : float;  (** decode duty cycle for the power model *)
   seed : int;
   fault : Fault.t option;
       (** the channel on both hops — annotation packets, video frames,
@@ -40,7 +39,7 @@ type config = {
 
 val default_config : device:Display.Device.t -> config
 (** 10 % quality, server-side mapping, 802.11b link, GOP 12, no ramp,
-    60 % duty cycle, lossless channel, 40 ms NACK budget, no resilience
+    lossless channel, 40 ms NACK budget, no resilience
     profile, no stale track. *)
 
 type report = {

@@ -291,9 +291,10 @@ let test_decode_partial_classification () =
   (match Annotation.Encoding.decode_partial data with
   | Error e -> Alcotest.fail e
   | Ok p ->
-    check int "all intact" 5
-      (Array.fold_left (fun a e -> if e = None then a else a + 1) 0
-         p.Annotation.Encoding.entries);
+    check bool "all intact" true
+      (Array.for_all
+         (function Annotation.Encoding.Intact _ -> true | _ -> false)
+         p.Annotation.Encoding.records);
     check int "no corrupt" 0 p.Annotation.Encoding.corrupt_records;
     check int "no missing" 0 p.Annotation.Encoding.missing_records);
   (* Flip a byte inside record 2: CRC catches it, everything else
@@ -305,8 +306,12 @@ let test_decode_partial_classification () =
   | Error e -> Alcotest.fail e
   | Ok p ->
     check int "one corrupt" 1 p.Annotation.Encoding.corrupt_records;
-    check bool "record 2 dropped" true (p.Annotation.Encoding.entries.(2) = None);
-    check bool "record 1 kept" true (p.Annotation.Encoding.entries.(1) <> None));
+    check bool "record 2 corrupt" true
+      (p.Annotation.Encoding.records.(2) = Annotation.Encoding.Corrupt);
+    check bool "record 1 kept" true
+      (match p.Annotation.Encoding.records.(1) with
+      | Annotation.Encoding.Intact _ -> true
+      | _ -> false));
   (* Mark record 3's bytes as lost in transit: missing, not corrupt. *)
   let byte_ok = Array.make n true in
   Array.fill byte_ok (records_start + (3 * record_size)) record_size false;
@@ -314,7 +319,8 @@ let test_decode_partial_classification () =
   | Error e -> Alcotest.fail e
   | Ok p ->
     check int "one missing" 1 p.Annotation.Encoding.missing_records;
-    check bool "record 3 dropped" true (p.Annotation.Encoding.entries.(3) = None));
+    check bool "record 3 lost" true
+      (p.Annotation.Encoding.records.(3) = Annotation.Encoding.Lost));
   (* A lost header is fatal. *)
   let byte_ok = Array.make n true in
   byte_ok.(2) <- false;
@@ -334,9 +340,11 @@ let partial_of_track ?(drop = []) t =
     quality = t.Annotation.Track.quality;
     fps = t.Annotation.Track.fps;
     total_frames = t.Annotation.Track.total_frames;
-    entries =
+    records =
       Array.mapi
-        (fun i e -> if List.mem i drop then None else Some e)
+        (fun i e ->
+          if List.mem i drop then Annotation.Encoding.Lost
+          else Annotation.Encoding.Intact e)
         t.Annotation.Track.entries;
     corrupt_records = 0;
     missing_records = List.length drop;
@@ -471,6 +479,9 @@ let prop_patch_track =
       in
       let entries = Array.of_list (List.rev entries) in
       let dropped = Array.of_list (List.map (fun (_, _, d) -> d) spans) in
+      let slots =
+        Array.mapi (fun i e -> if dropped.(i) then None else Some e) entries
+      in
       let partial =
         {
           Annotation.Encoding.clip_name = "p";
@@ -478,8 +489,12 @@ let prop_patch_track =
           quality = Annotation.Quality_level.Loss_10;
           fps = 8.;
           total_frames = total;
-          entries =
-            Array.mapi (fun i e -> if dropped.(i) then None else Some e) entries;
+          records =
+            Array.map
+              (function
+                | Some e -> Annotation.Encoding.Intact e
+                | None -> Annotation.Encoding.Lost)
+              slots;
           corrupt_records = 0;
           missing_records = 0;
         }
@@ -507,7 +522,7 @@ let prop_patch_track =
             match e with
             | None -> true
             | Some e -> Array.exists (fun o -> o = e) out)
-          partial.entries
+          slots
       in
       (* A filled entry's intact neighbours: the intact records that
          end where it starts and start where it ends. *)
@@ -516,18 +531,18 @@ let prop_patch_track =
           (function
             | Some (e : Annotation.Track.entry) -> e.first_frame + e.frame_count = f
             | None -> false)
-          partial.entries
+          slots
       and intact_starting_at f =
         Array.find_opt
           (function
             | Some (e : Annotation.Track.entry) -> e.first_frame = f
             | None -> false)
-          partial.entries
+          slots
       in
       let fills_safe =
         Array.for_all
           (fun (o : Annotation.Track.entry) ->
-            Array.exists (fun e -> e = Some o) partial.entries
+            Array.exists (fun e -> e = Some o) slots
             || (o.register = 255 && o.compensation = 1.)
             ||
             match

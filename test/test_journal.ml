@@ -253,6 +253,97 @@ let test_diff_localises_fault_seed () =
     let prefix l = List.filteri (fun i _ -> i < d.Explain.index) l in
     Alcotest.(check bool) "events before it agree" true (prefix a = prefix b)
 
+(* Per-record degradation triggers. The prepared payload carries one
+   record with a flipped register byte, so its bytes can arrive and
+   still fail the CRC; the loss seeds are chosen by pushing the packets
+   through the channel and FEC directly, so each expected trigger
+   comes from the bytes that reached the client, not from the session
+   under test. No NACK loop: what the channel drops stays dropped. *)
+let trigger_config seed =
+  {
+    (Streaming.Session.default_config ~device) with
+    Streaming.Session.fault = Some (Streaming.Fault.bernoulli ~rate:0.3);
+    nack_budget_s = 0.;
+    seed;
+  }
+
+let test_degradation_triggers () =
+  let rs = Annotation.Encoding.record_size in
+  let prep = Streaming.Session.prepare_input (trigger_config 1) clip in
+  let payload = prep.Streaming.Session.annotation_payload in
+  let count =
+    match Annotation.Encoding.decode payload with
+    | Ok t -> Array.length t.Annotation.Track.entries
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "several records" true (count >= 3);
+  let header_len = String.length payload - (count * rs) in
+  let flipped = 1 in
+  let damaged = Bytes.of_string payload in
+  let at = header_len + (flipped * rs) + 6 in
+  Bytes.set_uint8 damaged at (Bytes.get_uint8 damaged at lxor 0x5a);
+  let damaged = Bytes.to_string damaged in
+  let protected = Streaming.Fec.protect ~packet_size:24 ~group_size:3 damaged in
+  let prepared =
+    { prep with Streaming.Session.annotation_payload = damaged; protected }
+  in
+  (* What the client holds after the channel, byte by byte. *)
+  let expected seed =
+    let fault = Streaming.Fault.bernoulli ~rate:0.3 in
+    let arrival =
+      Streaming.Fault.apply fault ~seed protected.Streaming.Fec.packets
+    in
+    let ok = (Streaming.Fec.recover_detail protected ~present:arrival).byte_ok in
+    let span_ok first len =
+      List.for_all (fun b -> ok.(b)) (List.init len (fun k -> first + k))
+    in
+    if not (span_ok 0 header_len) then [ (-1, Journal.Header_lost) ]
+    else
+      List.filter_map
+        (fun i ->
+          if not (span_ok (header_len + (i * rs)) rs) then
+            Some (i, Journal.Record_lost)
+          else if i = flipped then Some (i, Journal.Record_corrupt)
+          else None)
+        (List.init count Fun.id)
+  in
+  let find p =
+    match List.find_opt (fun s -> p (expected s)) (List.init 500 succ) with
+    | Some s -> s
+    | None -> Alcotest.fail "no seed in 1..500 gives the wanted loss"
+  in
+  let records_seed =
+    find (fun e ->
+        List.mem (flipped, Journal.Record_corrupt) e
+        && List.exists (fun (_, t) -> t = Journal.Record_lost) e)
+  in
+  let header_seed = find (fun e -> e = [ (-1, Journal.Header_lost) ]) in
+  let journaled_triggers seed =
+    let j = Journal.create () in
+    Journal.install j;
+    Fun.protect ~finally:Journal.uninstall @@ fun () ->
+    let m = Streaming.Session.create ~prepared (trigger_config seed) clip in
+    while Streaming.Session.step m = `Running do () done;
+    List.filter_map
+      (fun e ->
+        match e.Journal.kind with
+        | Journal.Degradation { index; trigger; _ } -> Some (index, trigger)
+        | _ -> None)
+      (Journal.events j)
+  in
+  let trigger_name = function
+    | Journal.Record_lost -> "lost"
+    | Journal.Record_corrupt -> "corrupt"
+    | Journal.Header_lost -> "header lost"
+  in
+  let triggers =
+    Alcotest.(list (pair int (of_pp (fun ppf t -> Fmt.string ppf (trigger_name t)))))
+  in
+  Alcotest.check triggers "lost and corrupt records" (expected records_seed)
+    (journaled_triggers records_seed);
+  Alcotest.check triggers "lost header" (expected header_seed)
+    (journaled_triggers header_seed)
+
 (* --- offline verifier corpus (V4xx) -------------------------------------- *)
 
 let codes ds = List.sort_uniq compare (List.map (fun d -> d.Diagnostic.code) ds)
@@ -393,6 +484,7 @@ let () =
           Alcotest.test_case "same seed, same journal" `Quick test_same_seed_same_journal;
           Alcotest.test_case "diff localises the seed change" `Quick
             test_diff_localises_fault_seed;
+          Alcotest.test_case "degradation triggers" `Quick test_degradation_triggers;
         ] );
       ( "verifier corpus",
         [

@@ -1,6 +1,6 @@
 (* Tests for the observability layer: instrument semantics (including
    concurrent updates), registry snapshots and their JSON round-trip,
-   span nesting and timing, the log ring buffer, and the contract that
+   span nesting and timing, JSON string escaping, and the contract that
    instrumentation never changes what the simulation reports. *)
 
 let check = Alcotest.check
@@ -265,137 +265,22 @@ let test_chrome_export () =
       events
   | _ -> Alcotest.fail "chrome trace must be a JSON array"
 
-(* --- logging ------------------------------------------------------------ *)
+(* --- JSON ----------------------------------------------------------------- *)
 
-let test_ring_buffer_ordering () =
-  Obs.with_enabled @@ fun () ->
-  let id, read = Obs.Log.attach_ring ~capacity:3 in
-  Fun.protect ~finally:(fun () -> Obs.Log.detach id) @@ fun () ->
-  for i = 1 to 5 do
-    Obs.Log.emit Obs.Log.Info ~scope:"test" (Printf.sprintf "event %d" i)
-  done;
-  let messages = List.map (fun e -> e.Obs.Log.message) (read ()) in
-  check bool "keeps last capacity events oldest-first" true
-    (messages = [ "event 3"; "event 4"; "event 5" ])
-
-let test_log_level_threshold () =
-  Obs.with_enabled @@ fun () ->
-  let id, read = Obs.Log.attach_ring ~capacity:8 in
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Log.detach id;
-      Obs.Log.set_level Obs.Log.Info)
-  @@ fun () ->
-  Obs.Log.set_level Obs.Log.Warn;
-  let evaluated = ref false in
-  Obs.Log.debug ~scope:"test" (fun () ->
-      evaluated := true;
-      ("below threshold", []));
-  Obs.Log.warn ~scope:"test" (fun () -> ("kept", []));
-  check bool "suppressed closure never runs" false !evaluated;
-  check int "only the warn got through" 1 (List.length (read ()))
-
-let test_log_event_json () =
-  Obs.with_enabled @@ fun () ->
-  let id, read = Obs.Log.attach_ring ~capacity:1 in
-  Fun.protect ~finally:(fun () -> Obs.Log.detach id) @@ fun () ->
-  Obs.Log.emit Obs.Log.Error ~scope:"codec"
-    ~fields:[ ("frame", Obs.Json.Int 12) ]
-    "bad macroblock";
-  match read () with
-  | [ e ] ->
-    let json = Obs.Log.event_to_json e in
-    check bool "level serialised" true
-      (Obs.Json.member "level" json = Some (Obs.Json.String "error"));
-    check bool "fields serialised" true
-      (match Obs.Json.member "fields" json with
-      | Some fields -> Obs.Json.member "frame" fields = Some (Obs.Json.Int 12)
-      | None -> false)
-  | events -> Alcotest.failf "expected 1 event, got %d" (List.length events)
-
-let test_ring_buffer_multi_wrap () =
-  Obs.with_enabled @@ fun () ->
-  let id, read = Obs.Log.attach_ring ~capacity:3 in
-  Fun.protect ~finally:(fun () -> Obs.Log.detach id) @@ fun () ->
-  (* Several full wraps: ordering must survive arbitrary wrap counts,
-     not just the first. *)
-  for i = 1 to 10 do
-    Obs.Log.emit Obs.Log.Info ~scope:"test" (Printf.sprintf "event %d" i)
-  done;
-  let messages = List.map (fun e -> e.Obs.Log.message) (read ()) in
-  check bool "oldest-first after three wraps" true
-    (messages = [ "event 8"; "event 9"; "event 10" ])
-
-let test_jsonl_escaping () =
-  Obs.with_enabled @@ fun () ->
-  let path = Filename.temp_file "obs_test" ".jsonl" in
-  let id = Obs.Log.attach_jsonl ~path in
+let test_json_string_escaping () =
+  (* Quotes, backslashes and control characters must round-trip
+     exactly, as values and as keys, and render on one line. *)
   let nasty = "quote \" backslash \\ tab \t newline \n bell \007 end" in
-  Obs.Log.emit Obs.Log.Warn ~scope:"esc"
-    ~fields:[ ("raw", Obs.Json.String nasty) ]
-    nasty;
-  Obs.Log.emit Obs.Log.Info ~scope:"esc" "second line";
-  Obs.Log.detach id;
-  let lines =
-    In_channel.with_open_text path In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
+  let json =
+    Obs.Json.Obj
+      [ ("message", Obs.Json.String nasty); (nasty, Obs.Json.List [ Obs.Json.String nasty ]) ]
   in
-  Sys.remove path;
-  check int "one JSON object per event" 2 (List.length lines);
-  List.iter
-    (fun line ->
-      match Obs.Json.of_string line with
-      | Error e -> Alcotest.failf "JSONL line unparseable (%s): %s" e line
-      | Ok _ -> ())
-    lines;
-  (* Control characters and quotes must round-trip exactly. *)
-  match Obs.Json.of_string (List.hd lines) with
-  | Ok json ->
-    check bool "message round-trips control chars" true
-      (Obs.Json.member "message" json = Some (Obs.Json.String nasty));
-    (match Obs.Json.member "fields" json with
-    | Some fields ->
-      check bool "field string round-trips" true
-        (Obs.Json.member "raw" fields = Some (Obs.Json.String nasty))
-    | None -> Alcotest.fail "fields missing")
-  | Error e -> Alcotest.failf "unreachable: %s" e
-
-let test_log_level_filtering_edges () =
-  Obs.with_enabled @@ fun () ->
-  let id, read = Obs.Log.attach_ring ~capacity:16 in
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Log.detach id;
-      Obs.Log.set_level Obs.Log.Info)
-  @@ fun () ->
-  (* Most permissive: everything passes. *)
-  Obs.Log.set_level Obs.Log.Debug;
-  check bool "debug level reported back" true
-    (Obs.Log.get_level () = Obs.Log.Debug);
-  Obs.Log.debug ~scope:"t" (fun () -> ("d", []));
-  Obs.Log.info ~scope:"t" (fun () -> ("i", []));
-  Obs.Log.warn ~scope:"t" (fun () -> ("w", []));
-  Obs.Log.error ~scope:"t" (fun () -> ("e", []));
-  check int "all four levels pass at Debug" 4 (List.length (read ()));
-  (* Most restrictive: only Error survives, and an event exactly at
-     the threshold is kept (>=, not >). *)
-  Obs.Log.set_level Obs.Log.Error;
-  Obs.Log.warn ~scope:"t" (fun () -> ("w2", []));
-  Obs.Log.error ~scope:"t" (fun () -> ("e2", []));
-  let messages = List.map (fun e -> e.Obs.Log.message) (read ()) in
-  check bool "warn suppressed, threshold-level error kept" true
-    (List.mem "e2" messages && not (List.mem "w2" messages))
-
-let test_would_log_requires_sink () =
-  Obs.with_enabled @@ fun () ->
-  check bool "no sink, no work" false (Obs.Log.would_log Obs.Log.Error);
-  let id, _ = Obs.Log.attach_ring ~capacity:1 in
-  Fun.protect ~finally:(fun () -> Obs.Log.detach id) @@ fun () ->
-  check bool "sink attached" true (Obs.Log.would_log Obs.Log.Error);
-  Obs.disable ();
-  check bool "disabled wins over sinks" false (Obs.Log.would_log Obs.Log.Error);
-  Obs.enable ()
+  let text = Obs.Json.to_string json in
+  check bool "no raw control characters" true
+    (String.for_all (fun c -> Char.code c >= 0x20) text);
+  match Obs.Json.of_string text with
+  | Error e -> Alcotest.failf "rendered JSON unparseable (%s): %s" e text
+  | Ok reparsed -> check bool "round-trips exactly" true (reparsed = json)
 
 (* --- behaviour neutrality ----------------------------------------------- *)
 
@@ -644,19 +529,10 @@ let () =
             test_span_disabled_records_nothing;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
         ] );
-      ( "log",
+      ( "json",
         [
-          Alcotest.test_case "ring buffer ordering" `Quick
-            test_ring_buffer_ordering;
-          Alcotest.test_case "ring buffer multi-wrap" `Quick
-            test_ring_buffer_multi_wrap;
-          Alcotest.test_case "JSONL escaping round-trip" `Quick
-            test_jsonl_escaping;
-          Alcotest.test_case "level filtering edges" `Quick
-            test_log_level_filtering_edges;
-          Alcotest.test_case "level threshold" `Quick test_log_level_threshold;
-          Alcotest.test_case "event JSON" `Quick test_log_event_json;
-          Alcotest.test_case "would_log gating" `Quick test_would_log_requires_sink;
+          Alcotest.test_case "string escaping round-trip" `Quick
+            test_json_string_escaping;
         ] );
       ( "neutrality",
         [
