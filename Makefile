@@ -35,7 +35,9 @@ lint:
 # Static gate 2: the offline artifact verifier over everything the
 # repo ships — the example SLO and fault profiles, a freshly encoded
 # annotation track (codes V1xx/V2xx/V3xx), and a freshly recorded
-# decision journal (codes V4xx).
+# decision journal (codes V4xx). The negative legs: a copy of the
+# track and of the journal cut one byte short must each fail the
+# audit (exit 1).
 verify-fixtures:
 	dune build
 	dune exec bin/annotate.exe -- -c theincredibles-tlr2 \
@@ -45,6 +47,11 @@ verify-fixtures:
 	dune exec bin/lint.exe -- verify _build/verify-track.bin \
 	  _build/verify-session.journal \
 	  examples/default.slo examples/*.fault examples/*.resilience
+	for f in verify-track.bin verify-session.journal; do \
+	  head -c $$(( $$(wc -c < _build/$$f) - 1 )) _build/$$f > _build/cut-$$f; \
+	  dune exec bin/lint.exe -- verify _build/cut-$$f > /dev/null; \
+	  test $$? -eq 1 || exit 1; \
+	done
 
 # End-to-end health gate: monitored playback of a seeded clip against
 # the default SLO file must print a clean report and exit 0.

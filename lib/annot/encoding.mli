@@ -24,7 +24,13 @@
     Records are fixed-size and self-describing (they carry their own
     [first_frame]), so a client that loses or corrupts part of the
     payload can still place every surviving record — see
-    {!decode_partial}. *)
+    {!decode_partial}.
+
+    The byte layer (CRC32, varints, u24/u32, strings) is
+    {!Wire.Binary}; this module owns the layout. {!read_header} and
+    {!read_record} are its one walk: {!decode}, {!decode_partial} and
+    the offline verifier ({!Check.Artifact.check_annotation}) all read
+    through them and differ only in what they make of a problem. *)
 
 val encode : Track.t -> string
 (** [encode track] serialises after {!Track.merge_runs}. Raises [Invalid_argument] naming the field when a
@@ -70,16 +76,46 @@ val encoded_size : Track.t -> int
 (** [encoded_size track] is [String.length (encode track)] — the
     overhead the bench reports against the encoded video size. *)
 
-val crc32 : string -> int
-(** CRC32 (IEEE 802.3) of a whole string —
-    [crc32 "123456789" = 0xCBF43926]. Exposed for tests and tooling. *)
-
-val crc32_sub : string -> pos:int -> len:int -> int
-(** CRC32 of a substring, without copying — what the offline verifier
-    ({!Check.Artifact}) uses to re-derive header and record checksums
-    at their true offsets. *)
-
 val record_size : int
 (** Size in bytes of one fixed record (currently 15). *)
 
 val version : int
+
+(** {1 The walk}
+
+    The readers hand back raw fields and CRC verdicts, not errors, so
+    the strict decoder, the salvage decoder and the verifier judge the
+    same reading. *)
+
+type field = Quality_permille | Fps_milli | Total_frames
+
+type header = {
+  quality_permille : int;
+  fps_milli : int;
+  total_frames : int;
+  clip_name : string;
+  device_name : string;
+  count : int;  (** declared record count *)
+  crc_ok : bool;
+  fits : bool;  (** the bytes after the header are exactly [count] records *)
+}
+
+type header_error =
+  | Bad_magic  (** shorter than the magic, or not ["ANPW"] *)
+  | Bad_version of int
+  | Malformed of Wire.Binary.error
+
+val read_header :
+  ?on_field:(field -> int -> unit) ->
+  ?max_name:int ->
+  Wire.Binary.cursor ->
+  (header, header_error) result
+(** Reads the header from the start of the cursor's string and leaves
+    the cursor at the first record. [on_field] sees each numeric field
+    as it is read, so a caller still judges the fields before a cut. A
+    name longer than [max_name] (default unbounded) is [Malformed]. *)
+
+val read_record : Wire.Binary.cursor -> Track.entry option
+(** Reads one record and advances past it; [None] when its CRC fails.
+    Range and order checks are the caller's. [header.fits] guarantees
+    the bytes. *)

@@ -1,6 +1,7 @@
-(* Offline verification of annotation streams, SLO files and fault
-   profiles. Pure byte/text walks: nothing here runs a session, and
-   every finding is a Diagnostic rather than an exception. *)
+(* Offline verification of annotation streams, decision journals, SLO
+   files and fault and resilience profiles. The binary formats are read
+   through their decoders' walks; nothing here runs a session, and every
+   finding is a Diagnostic rather than an exception. *)
 
 let err ~file code message =
   Diagnostic.v ~code ~severity:Diagnostic.Error ~file message
@@ -28,229 +29,152 @@ let known_metrics () =
 
 (* --- annotation streams ------------------------------------------------ *)
 
-(* The verifier re-walks the wire bytes itself instead of calling
-   [Annotation.Encoding.decode]: the decoder stops at the first problem,
-   an auditor wants all of them, each with its offset. The layout
-   constants (magic, record size, CRC) come from [Annotation.Encoding] so
-   the two can never drift apart silently. *)
-
-type cursor = { data : string; mutable pos : int }
-
-exception Abort of Diagnostic.t
+(* The verifier reads the stream through the decoder's own walk
+   ([Annotation.Encoding.read_header]/[read_record]), so the two cannot
+   disagree about the layout. Where the decoder stops at the first
+   problem, the verifier reports all of them, each with its offset, and
+   adds the checks no CRC can make: field ranges, scene-index
+   monotonicity and coverage, and the panel's backlight range. *)
 
 let canonical_permille = [ 0; 50; 100; 150; 200 ]
 let max_name_len = 4096
 let max_frames = 0xffffff (* u24 record spans cannot address more *)
 let max_fps_milli = 1_000_000
 
-let need ~file c n what =
-  if c.pos + n > String.length c.data then
-    raise
-      (Abort
-         (err ~file "V103"
-            (Printf.sprintf
-               "truncated stream: %s at byte %d needs %d byte(s), %d left" what
-               c.pos n
-               (String.length c.data - c.pos))))
+let malformed ~file data (e : Wire.Binary.error) =
+  match e.failure with
+  | Wire.Binary.Truncated n ->
+    err ~file "V103"
+      (Printf.sprintf "truncated stream: %s at byte %d needs %d byte(s), %d left"
+         e.what e.at n
+         (String.length data - e.at))
+  | Varint_too_long ->
+    err ~file "V105"
+      (Printf.sprintf "%s: varint longer than 8 bytes at byte %d" e.what e.at)
+  | Varint_overflow ->
+    err ~file "V105" (Printf.sprintf "%s: varint overflows at byte %d" e.what e.at)
+  | Too_long { len; cap } ->
+    err ~file "V105"
+      (Printf.sprintf "%s: implausible length %d (cap %d)" e.what len cap)
 
-let get_byte ~file c what =
-  need ~file c 1 what;
-  let b = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  b
-
-let get_varint ~file c what =
-  let rec loop shift acc =
-    if shift > 56 then
-      raise
-        (Abort
-           (err ~file "V105"
-              (Printf.sprintf "%s: varint longer than 8 bytes at byte %d" what
-                 c.pos)));
-    let b = get_byte ~file c what in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if acc < 0 then
-      raise
-        (Abort
-           (err ~file "V105"
-              (Printf.sprintf "%s: varint overflows at byte %d" what c.pos)));
-    if b land 0x80 = 0 then acc else loop (shift + 7) acc
-  in
-  loop 0 0
-
-let get_u24 ~file c what =
-  need ~file c 3 what;
-  let b i = Char.code c.data.[c.pos + i] in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) in
-  c.pos <- c.pos + 3;
-  v
-
-let get_u32 ~file c what =
-  need ~file c 4 what;
-  let b i = Char.code c.data.[c.pos + i] in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-  c.pos <- c.pos + 4;
-  v
-
-let get_string ~file c what =
-  let n = get_varint ~file c what in
-  if n > max_name_len then
-    raise
-      (Abort
-         (err ~file "V105"
-            (Printf.sprintf "%s: implausible length %d (cap %d)" what n
-               max_name_len)));
-  need ~file c n what;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
+(* Range checks on the header's numeric fields, made as each is read:
+   a stream cut later in the header still gets these findings. *)
+let check_field ~file ~add field v =
+  match (field : Annotation.Encoding.field) with
+  | Quality_permille ->
+    if v > 1000 then
+      add (err ~file "V105" (Printf.sprintf "quality %d permille exceeds 1000" v))
+    else if not (List.mem v canonical_permille) then
+      add
+        (warn ~file "V106"
+           (Printf.sprintf
+              "quality %d permille is off the paper's {0,5,10,15,20}%% grid" v))
+  | Fps_milli ->
+    if v = 0 then add (err ~file "V105" "fps is zero")
+    else if v > max_fps_milli then
+      add
+        (err ~file "V105"
+           (Printf.sprintf "fps %.3f is implausible" (float_of_int v /. 1000.)))
+  | Total_frames ->
+    if v > max_frames then
+      add
+        (err ~file "V105"
+           (Printf.sprintf "total_frames %d exceeds the u24 span limit %d" v
+              max_frames))
 
 (* Per-record semantic checks. [expected] is
    the frame the record must start at, [None] once an earlier corrupt
    record made the running position unknowable. *)
 let check_entry ~file ~add ~levels ~total_frames ~index ~offset ~expected
-    ~first_frame ~frame_count ~register ~comp_fixed =
+    (e : Annotation.Track.entry) =
   let where = Printf.sprintf "record %d (byte %d)" index offset in
-  if frame_count = 0 then
+  if e.frame_count = 0 then
     add (err ~file "V110" (Printf.sprintf "%s: zero frame_count" where));
   (match expected with
-  | Some e when first_frame <> e ->
+  | Some x when e.first_frame <> x ->
     add
       (err ~file "V109"
          (Printf.sprintf
             "%s: first_frame %d breaks scene-index monotonicity (expected %d)"
-            where first_frame e))
+            where e.first_frame x))
   | _ -> ());
-  if first_frame + frame_count > total_frames then
+  if e.first_frame + e.frame_count > total_frames then
     add
       (err ~file "V110"
          (Printf.sprintf "%s: span %d+%d exceeds total_frames %d" where
-            first_frame frame_count total_frames));
-  if comp_fixed < 4096 then
+            e.first_frame e.frame_count total_frames));
+  if e.compensation < 1. then
     add
       (err ~file "V111"
-         (Printf.sprintf "%s: compensation %.4f below 1.0" where
-            (float_of_int comp_fixed /. 4096.)));
+         (Printf.sprintf "%s: compensation %.4f below 1.0" where e.compensation));
   match levels with
-  | Some levels when register >= levels ->
+  | Some levels when e.register >= levels ->
     add
       (err ~file "V112"
          (Printf.sprintf "%s: backlight register %d outside panel range 0..%d"
-            where register (levels - 1)))
+            where e.register (levels - 1)))
   | _ -> ()
 
 let check_annotation ?(find_device = Display.Device.find) ~file data =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let c = { data; pos = 0 } in
-  (try
-     if String.length data < 4 || String.sub data 0 4 <> "ANPW" then
-       raise
-         (Abort (err ~file "V101" "bad magic: not an annotation stream"));
-     c.pos <- 4;
-     let version = get_byte ~file c "version" in
-     if version <> Annotation.Encoding.version then
-       raise
-         (Abort
-            (err ~file "V102"
-               (Printf.sprintf "unsupported version %d (know %d)" version
-                  Annotation.Encoding.version)));
-     let permille = get_varint ~file c "quality" in
-     if permille > 1000 then
-       add
-         (err ~file "V105"
-            (Printf.sprintf "quality %d permille exceeds 1000" permille))
-     else if not (List.mem permille canonical_permille) then
-       add
-         (warn ~file "V106"
-            (Printf.sprintf
-               "quality %d permille is off the paper's {0,5,10,15,20}%% grid"
-               permille));
-     let fps_milli = get_varint ~file c "fps" in
-     if fps_milli = 0 then add (err ~file "V105" "fps is zero")
-     else if fps_milli > max_fps_milli then
-       add
-         (err ~file "V105"
-            (Printf.sprintf "fps %.3f is implausible"
-               (float_of_int fps_milli /. 1000.)));
-     let total_frames = get_varint ~file c "total_frames" in
-     if total_frames > max_frames then
-       add
-         (err ~file "V105"
-            (Printf.sprintf "total_frames %d exceeds the u24 span limit %d"
-               total_frames max_frames));
-     let _clip = get_string ~file c "clip name" in
-     let device_name = get_string ~file c "device name" in
-     let count = get_varint ~file c "record count" in
-     let covered = c.pos in
-     let stored = get_u32 ~file c "header CRC" in
-     if stored <> Annotation.Encoding.crc32_sub data ~pos:0 ~len:covered then begin
-       add
-         (err ~file "V104" "header CRC mismatch: header fields cannot be trusted");
-       raise Exit
-     end;
-     let levels =
-       Option.map
-         (fun d -> d.Display.Device.backlight_levels)
-         (find_device device_name)
-     in
-     let remaining = String.length data - c.pos in
-     let rsize = Annotation.Encoding.record_size in
-     if remaining mod rsize <> 0 || count <> remaining / rsize then begin
-       add
-         (err ~file "V107"
-            (Printf.sprintf
-               "declared record count %d disagrees with %d payload byte(s) \
-                (%d byte records); refusing to walk records"
-               count remaining rsize));
-       raise Exit
-     end;
-     let expected = ref (Some 0) in
-     let unreliable = ref false in
-     for i = 0 to count - 1 do
-       let offset = c.pos in
-       let stored_crc =
-         let b k = Char.code data.[offset + rsize - 4 + k] in
-         b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-       in
-       if stored_crc <> Annotation.Encoding.crc32_sub data ~pos:offset ~len:(rsize - 4)
-       then begin
-         add
-           (err ~file "V108"
-              (Printf.sprintf "record %d (byte %d): record CRC mismatch" i
-                 offset));
-         unreliable := true;
-         expected := None;
-         c.pos <- offset + rsize
-       end
-       else begin
-         let first_frame = get_u24 ~file c "first_frame" in
-         let frame_count = get_u24 ~file c "frame_count" in
-         let register = get_byte ~file c "register" in
-         let comp_fixed = get_u24 ~file c "compensation" in
-         let _effective = get_byte ~file c "effective max" in
-         c.pos <- c.pos + 4 (* the CRC, already verified *);
-         check_entry ~file ~add ~levels ~total_frames ~index:i ~offset
-           ~expected:!expected ~first_frame ~frame_count ~register
-           ~comp_fixed;
-         expected := Some (first_frame + frame_count)
-       end
-     done;
-     match !expected with
-     | Some covered
-       when (not !unreliable)
-            && covered <> total_frames
-            && List.for_all
-                 (fun (d : Diagnostic.t) -> not (Diagnostic.is_error d))
-                 !diags ->
-       add
-         (err ~file "V114"
-            (Printf.sprintf "records cover %d of %d frames" covered
-               total_frames))
-     | _ -> ()
+  let c = Wire.Binary.cursor data in
+  (match
+     Annotation.Encoding.read_header ~on_field:(check_field ~file ~add)
+       ~max_name:max_name_len c
    with
-  | Abort d -> add d
-  | Exit -> ());
+  | Error Bad_magic -> add (err ~file "V101" "bad magic: not an annotation stream")
+  | Error (Bad_version v) ->
+    add
+      (err ~file "V102"
+         (Printf.sprintf "unsupported version %d (know %d)" v
+            Annotation.Encoding.version))
+  | Error (Malformed e) -> add (malformed ~file data e)
+  | Ok h when not h.crc_ok ->
+    add
+      (err ~file "V104" "header CRC mismatch: header fields cannot be trusted")
+  | Ok h when not h.fits ->
+    add
+      (err ~file "V107"
+         (Printf.sprintf
+            "declared record count %d disagrees with %d payload byte(s) (%d \
+             byte records); refusing to walk records"
+            h.count (c.limit - c.pos) Annotation.Encoding.record_size))
+  | Ok h -> (
+    let levels =
+      Option.map
+        (fun d -> d.Display.Device.backlight_levels)
+        (find_device h.device_name)
+    in
+    (* The frame the next record must start at; [None] after a record
+       that failed its CRC. *)
+    let expected = ref (Some 0) in
+    for i = 0 to h.count - 1 do
+      let offset = c.pos in
+      match Annotation.Encoding.read_record c with
+      | None ->
+        add
+          (err ~file "V108"
+             (Printf.sprintf "record %d (byte %d): record CRC mismatch" i offset));
+        expected := None
+      | Some e ->
+        check_entry ~file ~add ~levels ~total_frames:h.total_frames ~index:i
+          ~offset ~expected:!expected e;
+        expected := Some (e.first_frame + e.frame_count)
+    done;
+    (* Coverage is judged only on an otherwise clean stream: any error,
+       a V108 among them, already makes the running position moot. *)
+    match !expected with
+    | Some covered
+      when covered <> h.total_frames
+           && List.for_all
+                (fun (d : Diagnostic.t) -> not (Diagnostic.is_error d))
+                !diags ->
+      add
+        (err ~file "V114"
+           (Printf.sprintf "records cover %d of %d frames" covered
+              h.total_frames))
+    | _ -> ()));
   List.sort Diagnostic.compare !diags
 
 (* --- SLO files --------------------------------------------------------- *)
@@ -474,162 +398,105 @@ let check_resilience ~file text =
 
 (* --- decision journals -------------------------------------------------- *)
 
-(* Mirrors [Obs.Journal.decode_partial]'s walk, but reports every
-   problem it can localise instead of silently skipping: the framing
-   constants and the payload parser come from [Obs.Journal] so the
-   verifier and the decoder cannot drift apart. *)
+(* A fold over [Obs.Journal.walk], the walk both journal decoders use:
+   it maps each frame status and the walk's end to a V4xx code, and adds
+   the per-phase clock check (V406) that no CRC can make. *)
 
-let max_journal_frame = 65536
+let journal_header_finding ~file = function
+  | Obs.Journal.Bad_magic -> err ~file "V401" "bad magic: not a decision journal"
+  | Missing_version -> err ~file "V403" "truncated header: missing version byte"
+  | Bad_version v ->
+    err ~file "V402"
+      (Printf.sprintf "unsupported journal version %d (know %d)" v
+         Obs.Journal.version)
+  | Missing_header_crc -> err ~file "V403" "truncated header: missing header CRC"
+  | Bad_header_crc ->
+    err ~file "V404" "header CRC mismatch: header cannot be trusted"
+
+let broken_frame_finding ~file data { Obs.Journal.index; offset; error = e } =
+  match e.Wire.Binary.failure with
+  | Wire.Binary.Truncated needed when e.what = "frame" ->
+    err ~file "V403"
+      (Printf.sprintf
+         "truncated journal: frame %d (byte %d) needs %d byte(s), %d left" index
+         offset needed
+         (String.length data - e.at))
+  | Truncated _ ->
+    err ~file "V403"
+      (Printf.sprintf "truncated journal: frame %d length cut off at byte %d"
+         index e.at)
+  | Varint_too_long when e.at >= String.length data ->
+    (* The ninth byte still continued, and nothing follows it. *)
+    err ~file "V403"
+      (Printf.sprintf "truncated journal: frame %d length cut off at byte %d"
+         index e.at)
+  | Varint_too_long ->
+    err ~file "V408"
+      (Printf.sprintf "frame %d length: varint longer than 8 bytes at byte %d"
+         index e.at)
+  | Varint_overflow ->
+    err ~file "V408"
+      (Printf.sprintf "frame %d length: varint overflows at byte %d" index e.at)
+  | Too_long { len; cap } ->
+    err ~file "V408"
+      (Printf.sprintf
+         "frame %d (byte %d): implausible frame length %d (cap %d); refusing \
+          to walk further"
+         index offset len cap)
 
 let check_journal ~file data =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  (try
-     if String.length data < 4 || String.sub data 0 4 <> Obs.Journal.magic
-     then begin
-       add (err ~file "V401" "bad magic: not a decision journal");
-       raise Exit
-     end;
-     if String.length data < 5 then begin
-       add (err ~file "V403" "truncated header: missing version byte");
-       raise Exit
-     end;
-     let version = Char.code data.[4] in
-     if version <> Obs.Journal.version then begin
-       add
-         (err ~file "V402"
-            (Printf.sprintf "unsupported journal version %d (know %d)" version
-               Obs.Journal.version));
-       raise Exit
-     end;
-     if String.length data < 9 then begin
-       add (err ~file "V403" "truncated header: missing header CRC");
-       raise Exit
-     end;
-     let stored_header =
-       let b i = Char.code data.[5 + i] in
-       b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-     in
-     if stored_header <> Obs.Journal.crc32 (String.sub data 0 5) then begin
-       add (err ~file "V404" "header CRC mismatch: header cannot be trusted");
-       raise Exit
-     end;
-     let len_data = String.length data in
-     let pos = ref 9 in
-     let frame = ref 0 in
-     let read_varint what =
-       let rec loop shift acc =
-         if !pos >= len_data then begin
-           add
-             (err ~file "V403"
-                (Printf.sprintf "truncated journal: %s cut off at byte %d" what
-                   !pos));
-           raise Exit
-         end;
-         if shift > 56 then begin
-           add
-             (err ~file "V408"
-                (Printf.sprintf "%s: varint longer than 8 bytes at byte %d"
-                   what !pos));
-           raise Exit
-         end;
-         let b = Char.code data.[!pos] in
-         incr pos;
-         let acc = acc lor ((b land 0x7f) lsl shift) in
-         if acc < 0 then begin
-           add
-             (err ~file "V408"
-                (Printf.sprintf "%s: varint overflows at byte %d" what !pos));
-           raise Exit
-         end;
-         if b land 0x80 = 0 then acc else loop (shift + 7) acc
-       in
-       loop 0 0
-     in
-     (* Three simulated clocks (annotate, transmit, playback) plus the
-        session markers: each pipeline stage replays its own clock, and
-        one process may run a stage several times (a quality sweep
-        annotates once per level), so timestamps are required monotone
-        within each contiguous run of same-phase events; a phase change
-        or a Session_start starts a fresh clock. *)
-     let last_phase = ref (-1) in
-     let last_t = ref (-1) in
-     while !pos < len_data do
-       let offset = !pos in
-       let len = read_varint (Printf.sprintf "frame %d length" !frame) in
-       if len > max_journal_frame then begin
-         add
-           (err ~file "V408"
-              (Printf.sprintf
-                 "frame %d (byte %d): implausible frame length %d (cap %d); \
-                  refusing to walk further"
-                 !frame offset len max_journal_frame));
-         raise Exit
-       end;
-       if !pos + len + 4 > len_data then begin
-         add
-           (err ~file "V403"
-              (Printf.sprintf
-                 "truncated journal: frame %d (byte %d) needs %d byte(s), %d \
-                  left"
-                 !frame offset (len + 4) (len_data - !pos)));
-         raise Exit
-       end;
-       let payload = String.sub data !pos len in
-       pos := !pos + len;
-       let stored =
-         let b i = Char.code data.[!pos + i] in
-         b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-       in
-       pos := !pos + 4;
-       if stored <> Obs.Journal.crc32 payload then
-         add
-           (err ~file "V405"
-              (Printf.sprintf "frame %d (byte %d): frame CRC mismatch" !frame
-                 offset))
-       else begin
-         match Obs.Journal.parse_payload payload with
-         | Error msg ->
-           add
-             (err ~file "V407"
-                (Printf.sprintf "frame %d (byte %d): %s" !frame offset msg))
-         | Ok event ->
-           (match event.Obs.Journal.kind with
-           | Obs.Journal.Session_start _ | Obs.Journal.Fleet_shard_start _ ->
-             last_phase := -1
-           | _ -> ());
-           let ph = Obs.Journal.phase event.Obs.Journal.kind in
-           let t_us = event.Obs.Journal.t_us in
-           if ph <> !last_phase then begin
-             last_phase := ph;
-             last_t := -1
-           end;
-           if t_us < !last_t then
-             add
-               (err ~file "V406"
-                  (Printf.sprintf
-                     "frame %d (byte %d): timestamp %dus runs backwards \
-                      within phase %d (last %dus)"
-                     !frame offset t_us ph !last_t));
-           if t_us > !last_t then last_t := t_us
-       end;
-       incr frame
-     done
-   with Exit -> ());
+  (* Three simulated clocks (annotate, transmit, playback) plus the
+     session markers: each pipeline stage replays its own clock, and
+     one process may run a stage several times (a quality sweep
+     annotates once per level), so timestamps are required monotone
+     within each contiguous run of same-phase events; a phase change
+     or a Session_start starts a fresh clock. The fold carries the
+     current phase and its latest timestamp. *)
+  let frame ((last_phase, last_t) as clock) ~index ~offset = function
+    | Obs.Journal.Bad_crc ->
+      add
+        (err ~file "V405"
+           (Printf.sprintf "frame %d (byte %d): frame CRC mismatch" index offset));
+      clock
+    | Bad_payload msg ->
+      add (err ~file "V407" (Printf.sprintf "frame %d (byte %d): %s" index offset msg));
+      clock
+    | Event { t_us; kind } ->
+      let last_phase =
+        match kind with
+        | Obs.Journal.Session_start _ | Fleet_shard_start _ -> -1
+        | _ -> last_phase
+      in
+      let ph = Obs.Journal.phase kind in
+      let last_t = if ph <> last_phase then -1 else last_t in
+      if t_us < last_t then
+        add
+          (err ~file "V406"
+             (Printf.sprintf
+                "frame %d (byte %d): timestamp %dus runs backwards within \
+                 phase %d (last %dus)"
+                index offset t_us ph last_t));
+      (ph, if t_us > last_t then t_us else last_t)
+  in
+  (match Obs.Journal.walk data ~init:(-1, -1) frame with
+  | Error e -> add (journal_header_finding ~file e)
+  | Ok (_, None) -> ()
+  | Ok (_, Some b) -> add (broken_frame_finding ~file data b));
   List.sort Diagnostic.compare !diags
 
 (* --- dispatch ---------------------------------------------------------- *)
 
-let check_file ?find_device ?known path =
+let check_file path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> [ err ~file:path "V001" msg ]
   | contents ->
-    if Filename.check_suffix path ".slo" then
-      check_slo ?known ~file:path contents
+    if Filename.check_suffix path ".slo" then check_slo ~file:path contents
     else if Filename.check_suffix path ".fault" then
       check_fault ~file:path contents
     else if Filename.check_suffix path ".resilience" then
       check_resilience ~file:path contents
     else if Filename.check_suffix path ".journal" then
       check_journal ~file:path contents
-    else check_annotation ?find_device ~file:path contents
+    else check_annotation ~file:path contents

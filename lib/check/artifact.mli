@@ -4,8 +4,7 @@
     offline; the client applies annotations it never re-derives. That
     only works if an artifact can be audited {e at rest} — before a
     session, without a clip, without running anything. This module
-    does exactly that for the three artifact kinds the pipeline
-    ships:
+    does exactly that for the artifact kinds the pipeline ships:
 
     - encoded annotation tracks ({!Annotation.Encoding} wire format,
       any other version is [V102]) — framing,
@@ -21,6 +20,12 @@
       timestamp monotonicity;
     - [.resilience] profiles ({!Resilience.Profile}) — syntax,
       positive budgets, ladder rung order, breaker thresholds.
+
+    The two binary formats are read through their decoders' own walks
+    ({!Annotation.Encoding.read_header}/{!Annotation.Encoding.read_record}
+    and {!Obs.Journal.walk}): the verifier does not re-parse the bytes,
+    it reports every problem the walk meets, each with its offset, and
+    adds the checks no CRC can make.
 
     Codes (stable, see README "Static checks"): [V001] dispatch,
     [V1xx] annotation streams, [V2xx] SLO files, [V3xx] fault
@@ -89,9 +94,7 @@ val check_journal : file:string -> string -> Diagnostic.t list
     and implausible framing lengths ([V408], walk stops). A pristine
     {!Obs.Journal.write} output yields []. *)
 
-val check_file :
-  ?find_device:(string -> Display.Device.t option) ->
-  ?known:known_metrics -> string -> Diagnostic.t list
+val check_file : string -> Diagnostic.t list
 (** [check_file path] reads [path] and dispatches on its extension:
     [.slo] → {!check_slo}, [.fault] → {!check_fault}, [.resilience] →
     {!check_resilience}, [.journal] → {!check_journal}, anything else

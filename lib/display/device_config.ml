@@ -97,51 +97,29 @@ let apply_key b key value =
   | "cpu_idle_mw" -> power (fun v -> b.cpu_idle <- v)
   | "net_rx_mw" -> power (fun v -> b.net_rx <- v)
   | "net_idle_mw" -> power (fun v -> b.net_idle <- v)
+  | "base_mw" -> power (fun v -> b.base <- v)
   | key -> Error (Printf.sprintf "unknown key %S" key)
-
-(* "base_mw" clashes with the catch-all above if forgotten; keep it in
-   the match. *)
-let apply_key b key value =
-  match key with
-  | "base_mw" -> Result.map (fun v -> b.base <- v) (parse_power value)
-  | _ -> apply_key b key value
-
-let strip s = String.trim s
 
 let of_string text =
   let b = builder_of_default () in
-  let lines = String.split_on_char '\n' text in
-  let rec process line_number = function
-    | [] -> Ok ()
-    | line :: rest -> (
-      let line =
-        match String.index_opt line '#' with
-        | Some i -> String.sub line 0 i
-        | None -> line
-      in
-      let line = strip line in
-      if line = "" then process (line_number + 1) rest
-      else
-        match String.index_opt line '=' with
-        | None -> Error (Printf.sprintf "line %d: expected key = value" line_number)
-        | Some i -> (
-          let key = strip (String.sub line 0 i) in
-          let value = strip (String.sub line (i + 1) (String.length line - i - 1)) in
-          match apply_key b key value with
-          | Ok () -> process (line_number + 1) rest
-          | Error msg -> Error (Printf.sprintf "line %d: %s" line_number msg)))
-  in
-  Result.map
-    (fun () ->
-      let transfer =
-        match b.transfer with
-        | Some t -> t
-        | None -> (
-          match b.technology with
-          | Panel.Led -> Transfer.led_typical
-          | Panel.Ccfl -> Transfer.ccfl_typical)
-      in
-      let width, height = b.screen in
+  match
+    Wire.Keyvalue.iter text (fun ~line key value ->
+        match apply_key b key value with
+        | Ok () -> ()
+        | Error msg -> Wire.Keyvalue.fail "line %d: %s" line msg)
+  with
+  | exception Wire.Keyvalue.Invalid msg -> Error msg
+  | () ->
+    let transfer =
+      match b.transfer with
+      | Some t -> t
+      | None -> (
+        match b.technology with
+        | Panel.Led -> Transfer.led_typical
+        | Panel.Ccfl -> Transfer.ccfl_typical)
+    in
+    let width, height = b.screen in
+    Ok
       {
         Device.name = b.name;
         panel =
@@ -158,8 +136,7 @@ let of_string text =
         network_rx_power_mw = b.net_rx;
         network_idle_power_mw = b.net_idle;
         base_power_mw = b.base;
-      })
-    (process 1 lines)
+      }
 
 let to_string (d : Device.t) =
   let panel = d.Device.panel in
@@ -190,12 +167,4 @@ let to_string (d : Device.t) =
       "";
     ]
 
-let load ~path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        of_string (really_input_string ic n))
+let load ~path = Wire.Keyvalue.load of_string ~path

@@ -29,91 +29,51 @@ let default =
     seed = 7;
   }
 
-exception Bad_profile of string
-
 let validate t =
-  if t.sessions < 1 then raise (Bad_profile "sessions must be >= 1");
-  if not (t.rate_per_s > 0.) then raise (Bad_profile "rate_per_s must be > 0");
-  if t.concurrency < 1 then raise (Bad_profile "concurrency must be >= 1");
-  if not (t.zipf_s >= 0.) then raise (Bad_profile "zipf_s must be >= 0");
+  let fail = Wire.Keyvalue.fail in
+  if t.sessions < 1 then fail "sessions must be >= 1";
+  if not (t.rate_per_s > 0.) then fail "rate_per_s must be > 0";
+  if t.concurrency < 1 then fail "concurrency must be >= 1";
+  if not (t.zipf_s >= 0.) then fail "zipf_s must be >= 0";
   if not (t.diurnal_amplitude >= 0. && t.diurnal_amplitude < 1.) then
-    raise (Bad_profile "diurnal_amplitude must be in [0, 1)");
-  if not (t.diurnal_period_s > 0.) then
-    raise (Bad_profile "diurnal_period_s must be > 0");
-  if not (t.spike_factor > 0.) then
-    raise (Bad_profile "spike_factor must be > 0");
-  if not (t.spike_width_s >= 0.) then
-    raise (Bad_profile "spike_width_s must be >= 0");
+    fail "diurnal_amplitude must be in [0, 1)";
+  if not (t.diurnal_period_s > 0.) then fail "diurnal_period_s must be > 0";
+  if not (t.spike_factor > 0.) then fail "spike_factor must be > 0";
+  if not (t.spike_width_s >= 0.) then fail "spike_width_s must be >= 0";
   (match t.spike_at_s with
-  | Some at when not (at >= 0.) -> raise (Bad_profile "spike_at_s must be >= 0")
+  | Some at when not (at >= 0.) -> fail "spike_at_s must be >= 0"
   | _ -> ());
   t
 
 let parse text =
+  let module K = Wire.Keyvalue in
   let p = ref default in
-  let float_of what v =
-    match float_of_string_opt (String.trim v) with
-    | Some f -> f
-    | None -> raise (Bad_profile (Printf.sprintf "%s: bad number %S" what v))
-  in
-  let int_of what v =
-    match int_of_string_opt (String.trim v) with
-    | Some i -> i
-    | None -> raise (Bad_profile (Printf.sprintf "%s: bad integer %S" what v))
-  in
-  let handle_line n line =
-    let body =
-      match String.index_opt line '#' with
-      | Some i -> String.sub line 0 i
-      | None -> line
-    in
-    if String.trim body <> "" then begin
-      match String.index_opt body '=' with
-      | None ->
-        raise (Bad_profile (Printf.sprintf "line %d: expected key = value" n))
-      | Some i ->
-        let key = String.trim (String.sub body 0 i) in
-        let value =
-          String.trim (String.sub body (i + 1) (String.length body - i - 1))
-        in
-        (match key with
-        | "arrival" -> (
-          match String.lowercase_ascii value with
-          | "open" -> p := { !p with arrival = Open_loop }
-          | "closed" -> p := { !p with arrival = Closed_loop }
-          | other ->
-            raise
-              (Bad_profile
-                 (Printf.sprintf "line %d: unknown arrival %S (open, closed)" n
-                    other)))
-        | "sessions" -> p := { !p with sessions = int_of key value }
-        | "rate_per_s" -> p := { !p with rate_per_s = float_of key value }
-        | "concurrency" -> p := { !p with concurrency = int_of key value }
-        | "zipf_s" -> p := { !p with zipf_s = float_of key value }
-        | "diurnal_amplitude" ->
-          p := { !p with diurnal_amplitude = float_of key value }
-        | "diurnal_period_s" ->
-          p := { !p with diurnal_period_s = float_of key value }
-        | "spike_at_s" -> p := { !p with spike_at_s = Some (float_of key value) }
-        | "spike_factor" -> p := { !p with spike_factor = float_of key value }
-        | "spike_width_s" ->
-          p := { !p with spike_width_s = float_of key value }
-        | "seed" -> p := { !p with seed = int_of key value }
-        | other ->
-          raise (Bad_profile (Printf.sprintf "line %d: unknown key %S" n other)))
-    end
+  let handle_line ~line key value =
+    match key with
+    | "arrival" -> (
+      match String.lowercase_ascii value with
+      | "open" -> p := { !p with arrival = Open_loop }
+      | "closed" -> p := { !p with arrival = Closed_loop }
+      | other -> K.fail "line %d: unknown arrival %S (open, closed)" line other)
+    | "sessions" -> p := { !p with sessions = K.int key value }
+    | "rate_per_s" -> p := { !p with rate_per_s = K.float key value }
+    | "concurrency" -> p := { !p with concurrency = K.int key value }
+    | "zipf_s" -> p := { !p with zipf_s = K.float key value }
+    | "diurnal_amplitude" ->
+      p := { !p with diurnal_amplitude = K.float key value }
+    | "diurnal_period_s" -> p := { !p with diurnal_period_s = K.float key value }
+    | "spike_at_s" -> p := { !p with spike_at_s = Some (K.float key value) }
+    | "spike_factor" -> p := { !p with spike_factor = K.float key value }
+    | "spike_width_s" -> p := { !p with spike_width_s = K.float key value }
+    | "seed" -> p := { !p with seed = K.int key value }
+    | other -> K.unknown_key ~line other
   in
   try
-    List.iteri
-      (fun i line -> handle_line (i + 1) line)
-      (String.split_on_char '\n' text);
+    K.iter text handle_line;
     Ok (validate !p)
-  with Bad_profile msg -> Error msg
+  with K.Invalid msg -> Error msg
 
-let load ~path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
+let load ~path = Wire.Keyvalue.load parse ~path
 
 (* Instantaneous arrival rate: the configured mean, modulated by the
    diurnal sine and the flash-crowd window. Floored well above zero so

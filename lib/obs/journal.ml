@@ -1,8 +1,7 @@
 (* Flight recorder: append-only decision log with the same
-   varint+CRC32 framing discipline as Annotation.Encoding (own copy of
-   the CRC: lib/obs sits below lib/annot and cannot depend on it).
-   Events are integers and short strings only — no floats — so the
-   serialised journal of a deterministic run is itself
+   varint+CRC32 framing discipline as Annotation.Encoding (both on
+   Wire.Binary). Events are integers and short strings only — no
+   floats — so the serialised journal of a deterministic run is itself
    byte-deterministic. *)
 
 type trigger = Record_lost | Record_corrupt | Header_lost
@@ -99,25 +98,6 @@ let phase = function
   | Session_end _ -> 4
   | Fleet_arrival _ | Fleet_admission _ | Fleet_session_end _ -> 5
 
-(* --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) -------------------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 data =
-  let table = Lazy.force crc_table in
-  let c = ref 0xffffffff in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    data;
-  !c lxor 0xffffffff
-
 (* --- recorder ----------------------------------------------------------- *)
 
 type t = {
@@ -168,27 +148,6 @@ let record ?t_s kind =
 
 (* --- writing ------------------------------------------------------------ *)
 
-let put_varint buf n =
-  if n < 0 then invalid_arg "Journal: negative varint";
-  let rec loop n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      loop (n lsr 7)
-    end
-  in
-  loop n
-
-let put_string buf s =
-  put_varint buf (String.length s);
-  Buffer.add_string buf s
-
-let put_u32 buf n =
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
-
 (* Signed fields (the SLO breach reading can sit below zero) ride as
    zigzag varints. *)
 let zigzag n = (n lsl 1) lxor (n asr 62)
@@ -202,8 +161,8 @@ let trigger_tag = function
 
 let encode_payload buf { t_us; kind } =
   let tag n = Buffer.add_char buf (Char.chr n) in
-  let v = put_varint buf in
-  let s = put_string buf in
+  let v = Wire.Binary.put_varint buf in
+  let s = Wire.Binary.put_string buf in
   (match kind with
   | Session_start _ -> tag 1
   | Scene_decision _ -> tag 2
@@ -323,15 +282,15 @@ let encode events =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf magic;
   Buffer.add_char buf (Char.chr version);
-  put_u32 buf (crc32 (Buffer.contents buf));
+  Wire.Binary.put_u32 buf (Wire.Binary.crc32 (Buffer.contents buf));
   let payload = Buffer.create 64 in
   List.iter
     (fun event ->
       Buffer.clear payload;
       encode_payload payload event;
-      put_varint buf (Buffer.length payload);
+      Wire.Binary.put_varint buf (Buffer.length payload);
       Buffer.add_buffer buf payload;
-      put_u32 buf (crc32 (Buffer.contents payload)))
+      Wire.Binary.put_u32 buf (Wire.Binary.crc32 (Buffer.contents payload)))
     events;
   Buffer.contents buf
 
@@ -347,80 +306,49 @@ let write t ~path =
 
 (* --- reading ------------------------------------------------------------ *)
 
-exception Parse_error of string
-
-type cursor = { data : string; mutable pos : int (* owned_by: the decoding call; a cursor never escapes it *) }
-
-let need c n =
-  if c.pos + n > String.length c.data then raise (Parse_error "truncated input")
-
-let get_byte c =
-  need c 1;
-  let b = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  b
-
-let get_varint c =
-  let rec loop shift acc =
-    if shift > 56 then raise (Parse_error "varint too long");
-    let b = get_byte c in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if acc < 0 then raise (Parse_error "varint overflow");
-    if b land 0x80 = 0 then acc else loop (shift + 7) acc
-  in
-  loop 0 0
+(* A payload that frames fine but breaks the event schema. *)
+exception Schema of string
 
 let max_string_len = 4096
 
-let get_string c =
-  let n = get_varint c in
-  if n > max_string_len then raise (Parse_error "implausible string length");
-  need c n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let get_u32 c =
-  need c 4;
-  let b i = Char.code c.data.[c.pos + i] in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-  c.pos <- c.pos + 4;
-  v
+let str c = Wire.Binary.get_string ~max:max_string_len c "string"
+let int c = Wire.Binary.get_varint c "field"
+let byte c = Wire.Binary.get_u8 c "field"
 
 let get_trigger c =
-  match get_byte c with
+  match byte c with
   | 0 -> Record_lost
   | 1 -> Record_corrupt
   | 2 -> Header_lost
-  | n -> raise (Parse_error (Printf.sprintf "unknown degradation trigger %d" n))
+  | n -> raise (Schema (Printf.sprintf "unknown degradation trigger %d" n))
 
 let get_candidates c =
-  let n = get_varint c in
-  if n > 256 then raise (Parse_error "implausible candidate count");
+  let n = int c in
+  if n > 256 then raise (Schema "implausible candidate count");
   (* Explicit loop: the reads must happen left to right. *)
   let rec loop k acc =
-    if k = 0 then List.rev acc else loop (k - 1) (get_varint c :: acc)
+    if k = 0 then List.rev acc else loop (k - 1) (int c :: acc)
   in
   loop n []
 
 let decode_kind c tag =
   match tag with
   | 1 ->
-    let clip = get_string c in
-    let device = get_string c in
-    let quality = get_string c in
-    let frames = get_varint c in
-    let fps_milli = get_varint c in
+    let clip = str c in
+    let device = str c in
+    let quality = str c in
+    let frames = int c in
+    let fps_milli = int c in
     Session_start { clip; device; quality; frames; fps_milli }
   | 2 ->
-    let scene = get_varint c in
-    let first_frame = get_varint c in
-    let frame_count = get_varint c in
-    let register = get_varint c in
-    let effective_max = get_varint c in
-    let compensation_fp = get_varint c in
-    let clipped_permille = get_varint c in
-    let quality_permille = get_varint c in
+    let scene = int c in
+    let first_frame = int c in
+    let frame_count = int c in
+    let register = int c in
+    let effective_max = int c in
+    let compensation_fp = int c in
+    let clipped_permille = int c in
+    let quality_permille = int c in
     let candidates = get_candidates c in
     Scene_decision
       {
@@ -435,150 +363,186 @@ let decode_kind c tag =
         candidates;
       }
   | 3 ->
-    let scene = get_varint c in
-    let frame = get_varint c in
+    let scene = int c in
+    let frame = int c in
     Scene_cut { scene; frame }
   | 4 ->
-    let frame = get_varint c in
-    let from_register = get_varint c in
-    let to_register = get_varint c in
+    let frame = int c in
+    let from_register = int c in
+    let to_register = int c in
     Backlight_switch { frame; from_register; to_register }
   | 5 ->
-    let frame = get_varint c in
-    let over_us = get_varint c in
+    let frame = int c in
+    let over_us = int c in
     Deadline_miss { frame; over_us }
   | 6 ->
-    let packets = get_varint c in
-    let delivered = get_varint c in
+    let packets = int c in
+    let delivered = int c in
     Channel { packets; delivered }
   | 7 ->
-    let round = get_varint c in
-    let missing = get_varint c in
-    let repaired = get_varint c in
+    let round = int c in
+    let missing = int c in
+    let repaired = int c in
     Nack_round { round; missing; repaired }
   | 8 ->
-    let failed_groups = get_varint c in
-    let repaired_packets = get_varint c in
+    let failed_groups = int c in
+    let repaired_packets = int c in
     Fec_outcome { failed_groups; repaired_packets }
   | 9 ->
-    let index = get_varint c - 1 in
+    let index = int c - 1 in
     let trigger = get_trigger c in
-    let policy = get_string c in
+    let policy = str c in
     Degradation { index; trigger; policy }
   | 10 ->
-    let policy = get_string c in
-    let mean_mhz = get_varint c in
-    let misses = get_varint c in
+    let policy = str c in
+    let mean_mhz = int c in
+    let misses = int c in
     Dvfs_choice { policy; mean_mhz; misses }
   | 11 ->
-    let rule = get_string c in
-    let window = get_varint c in
-    let value_milli = unzigzag (get_varint c) in
-    let window_us = get_varint c in
+    let rule = str c in
+    let window = int c in
+    let value_milli = unzigzag (int c) in
+    let window_us = int c in
     Slo_breach { rule; window; value_milli; window_us }
   | 12 ->
-    let survived = get_byte c <> 0 in
-    let degraded_scenes = get_varint c in
-    let retransmissions = get_varint c in
-    let corrupt_records = get_varint c in
+    let survived = byte c <> 0 in
+    let degraded_scenes = int c in
+    let retransmissions = int c in
+    let corrupt_records = int c in
     Session_end { survived; degraded_scenes; retransmissions; corrupt_records }
   | 13 ->
-    let scene = get_varint c - 1 in
-    let depth = get_varint c in
-    let step = get_string c in
+    let scene = int c - 1 in
+    let depth = int c in
+    let step = str c in
     Ladder_step { scene; depth; step }
   | 14 ->
-    let name = get_string c in
-    let from_state = get_varint c in
-    let to_state = get_varint c in
-    let failure_permille = get_varint c in
+    let name = str c in
+    let from_state = int c in
+    let to_state = int c in
+    let failure_permille = int c in
     Breaker_transition { name; from_state; to_state; failure_permille }
   | 15 ->
-    let name = get_string c in
-    let decision = get_string c in
-    let in_flight = get_varint c in
-    let queued = get_varint c in
+    let name = str c in
+    let decision = str c in
+    let in_flight = int c in
+    let queued = int c in
     Bulkhead_decision { name; decision; in_flight; queued }
   | 16 ->
-    let stage = get_string c in
-    let budget_us = get_varint c in
-    let over_us = get_varint c in
+    let stage = str c in
+    let budget_us = int c in
+    let over_us = int c in
     Watchdog_trip { stage; budget_us; over_us }
   | 17 ->
-    let shard = get_varint c in
-    let shards = get_varint c in
-    let sessions = get_varint c in
+    let shard = int c in
+    let shards = int c in
+    let sessions = int c in
     Fleet_shard_start { shard; shards; sessions }
   | 18 ->
-    let session = get_varint c in
-    let clip = get_string c in
+    let session = int c in
+    let clip = str c in
     Fleet_arrival { session; clip }
   | 19 ->
-    let session = get_varint c in
-    let decision = get_string c in
-    let in_flight = get_varint c in
-    let queued = get_varint c in
+    let session = int c in
+    let decision = str c in
+    let in_flight = int c in
+    let queued = int c in
     Fleet_admission { session; decision; in_flight; queued }
   | 20 ->
-    let session = get_varint c in
-    let outcome = get_string c in
-    let degraded_scenes = get_varint c in
+    let session = int c in
+    let outcome = str c in
+    let degraded_scenes = int c in
     Fleet_session_end { session; outcome; degraded_scenes }
-  | n -> raise (Parse_error (Printf.sprintf "unknown event kind %d" n))
+  | n -> raise (Schema (Printf.sprintf "unknown event kind %d" n))
 
-let parse_payload payload =
-  let c = { data = payload; pos = 0 } in
-  try
-    let tag = get_byte c in
-    let t_us = get_varint c in
-    let kind = decode_kind c tag in
-    if c.pos <> String.length payload then
-      raise (Parse_error "trailing bytes in event payload");
-    Ok { t_us; kind }
-  with Parse_error msg -> Error msg
+(* Parses one payload in place: the cursor is bounded by the frame. *)
+let read_event c =
+  let tag = byte c in
+  let t_us = int c in
+  let kind = decode_kind c tag in
+  if c.Wire.Binary.pos <> c.limit then
+    raise (Schema "trailing bytes in event payload");
+  { t_us; kind }
 
 (* A frame longer than this cannot come from [encode]; treating it as
    valid would let one flipped length byte swallow the rest of the
    journal. *)
 let max_frame_len = 65536
 
+type header_error =
+  | Bad_magic
+  | Missing_version
+  | Bad_version of int
+  | Missing_header_crc
+  | Bad_header_crc
+
 let check_header data =
   let len = String.length data in
-  if len < 4 || String.sub data 0 4 <> magic then
-    Error "bad magic: not a decision journal"
-  else if len < 5 then Error "truncated header"
+  if not (String.starts_with ~prefix:magic data) then Error Bad_magic
+  else if len < 5 then Error Missing_version
   else if Char.code data.[4] <> version then
-    Error (Printf.sprintf "unsupported journal version %d" (Char.code data.[4]))
-  else if len < 9 then Error "truncated header CRC"
+    Error (Bad_version (Char.code data.[4]))
+  else if len < 9 then Error Missing_header_crc
+  else if
+    Wire.Binary.get_u32 (Wire.Binary.cursor ~pos:5 data) "header CRC"
+    <> Wire.Binary.crc32_sub data ~pos:0 ~len:5
+  then Error Bad_header_crc
+  else Ok ()
+
+type status = Event of event | Bad_crc | Bad_payload of string
+
+type broken = { index : int; offset : int; error : Wire.Binary.error }
+
+let read_frame c =
+  let module B = Wire.Binary in
+  let len = B.get_varint c "frame length" in
+  if len > max_frame_len then
+    B.fail c "frame" (B.Too_long { len; cap = max_frame_len });
+  B.need c (len + 4) "frame";
+  let data = c.B.data and start = c.pos in
+  c.pos <- start + len;
+  if B.get_u32 c "frame CRC" <> B.crc32_sub data ~pos:start ~len then Bad_crc
   else
-    let stored =
-      let b i = Char.code data.[5 + i] in
-      b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
+    match read_event (B.cursor ~pos:start ~limit:(start + len) data) with
+    | event -> Event event
+    | exception B.Error e -> Bad_payload (B.message e)
+    | exception Schema msg -> Bad_payload msg
+
+let walk data ~init f =
+  match check_header data with
+  | Error e -> Error e
+  | Ok () ->
+    let c = Wire.Binary.cursor ~pos:9 data in
+    let rec frames acc index =
+      if c.Wire.Binary.pos = c.limit then Ok (acc, None)
+      else
+        let offset = c.pos in
+        match read_frame c with
+        | exception Wire.Binary.Error error ->
+          Ok (acc, Some { index; offset; error })
+        | status -> frames (f acc ~index ~offset status) (index + 1)
     in
-    if stored <> crc32 (String.sub data 0 5) then Error "header CRC mismatch"
-    else Ok ()
+    frames init 0
+
+let header_message = function
+  | Bad_magic -> "bad magic: not a decision journal"
+  | Missing_version -> "truncated header"
+  | Bad_version v -> Printf.sprintf "unsupported journal version %d" v
+  | Missing_header_crc -> "truncated header CRC"
+  | Bad_header_crc -> "header CRC mismatch"
+
+exception Rejected of string
 
 let decode data =
-  match check_header data with
-  | Error msg -> Error msg
-  | Ok () -> (
-    let c = { data; pos = 9 } in
-    try
-      let events = ref [] in
-      while c.pos < String.length data do
-        let len = get_varint c in
-        if len > max_frame_len then raise (Parse_error "implausible frame length");
-        need c (len + 4);
-        let payload = String.sub data c.pos len in
-        c.pos <- c.pos + len;
-        let stored = get_u32 c in
-        if stored <> crc32 payload then raise (Parse_error "frame CRC mismatch");
-        match parse_payload payload with
-        | Ok event -> events := event :: !events
-        | Error msg -> raise (Parse_error msg)
-      done;
-      Ok (List.rev !events)
-    with Parse_error msg -> Error msg)
+  let frame events ~index:_ ~offset:_ = function
+    | Event e -> e :: events
+    | Bad_crc -> raise (Rejected "frame CRC mismatch")
+    | Bad_payload msg -> raise (Rejected msg)
+  in
+  match walk data ~init:[] frame with
+  | Error e -> Error (header_message e)
+  | Ok (events, None) -> Ok (List.rev events)
+  | Ok (_, Some b) -> Error (Wire.Binary.message b.error)
+  | exception Rejected msg -> Error msg
 
 type partial = {
   events : event list;
@@ -588,34 +552,22 @@ type partial = {
 }
 
 let decode_partial data =
-  match check_header data with
-  | Error msg -> { events = []; corrupt_frames = 0; truncated = false; error = Some msg }
-  | Ok () ->
-    let c = { data; pos = 9 } in
-    let events = ref [] in
-    let corrupt = ref 0 in
-    let truncated = ref false in
-    (try
-       while c.pos < String.length data do
-         let len = get_varint c in
-         if len > max_frame_len then raise (Parse_error "frame length");
-         need c (len + 4);
-         let payload = String.sub data c.pos len in
-         c.pos <- c.pos + len;
-         let stored = get_u32 c in
-         if stored <> crc32 payload then incr corrupt
-         else
-           match parse_payload payload with
-           | Ok event -> events := event :: !events
-           | Error _ -> incr corrupt
-       done
-     with Parse_error _ ->
-       (* A broken length varint means the framing itself cannot be
-          trusted past this point: stop instead of resyncing on noise. *)
-       truncated := true);
+  let corrupt = ref 0 in
+  let frame events ~index:_ ~offset:_ = function
+    | Event e -> e :: events
+    | Bad_crc | Bad_payload _ ->
+      incr corrupt;
+      events
+  in
+  match walk data ~init:[] frame with
+  | Error e ->
+    { events = []; corrupt_frames = 0; truncated = false; error = Some (header_message e) }
+  | Ok (events, broken) ->
+    (* A broken length varint means the framing itself cannot be
+       trusted past this point: stop instead of resyncing on noise. *)
     {
-      events = List.rev !events;
+      events = List.rev events;
       corrupt_frames = !corrupt;
-      truncated = !truncated;
+      truncated = Option.is_some broken;
       error = None;
     }

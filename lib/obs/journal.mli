@@ -32,7 +32,9 @@
     times), so monotonicity is checked within each contiguous run of
     same-phase events. CRC framing means a corrupt or truncated
     journal still
-    yields every intact prefix event through {!decode_partial}. *)
+    yields every intact prefix event through {!decode_partial}. The
+    byte layer is {!Wire.Binary}; {!walk} is the one reading of the
+    framing that the decoders and the verifier share. *)
 
 type trigger =
   | Record_lost  (** annotation record bytes never arrived *)
@@ -171,10 +173,6 @@ val magic : string
 
 val version : int
 
-val crc32 : string -> int
-(** CRC32 (IEEE 802.3, reflected) over a whole string — the checksum
-    both the header and every frame carry. *)
-
 val phase : kind -> int
 (** Pipeline phase the kind belongs to — 0 session-start, 1 annotate,
     2 transmit, 3 playback, 4 session-end. Timestamps are monotone
@@ -191,10 +189,36 @@ val size_bytes : t -> int
 val write : t -> path:string -> unit
 (** Raises [Sys_error] like any file write. *)
 
-val parse_payload : string -> (event, string) result
-(** Decodes one frame payload (kind tag, timestamp, fields); rejects
-    unknown tags, malformed fields and trailing bytes. Exposed for the
-    offline verifier, which walks the framing itself. *)
+type status =
+  | Event of event
+  | Bad_crc
+  | Bad_payload of string
+      (** CRC-valid, but an unknown kind tag, a malformed field or
+          trailing bytes: the decoder's message *)
+
+type broken = { index : int; offset : int; error : Wire.Binary.error }
+(** Frame [index], from byte [offset], could not be framed: its
+    ["frame length"] varint failed, or the length passed the 64 KiB cap
+    or the end of the data (what ["frame"]). *)
+
+type header_error =
+  | Bad_magic
+  | Missing_version
+  | Bad_version of int
+  | Missing_header_crc
+  | Bad_header_crc
+
+val walk :
+  string ->
+  init:'a ->
+  ('a -> index:int -> offset:int -> status -> 'a) ->
+  ('a * broken option, header_error) result
+(** The one reading of the framing: [walk data ~init f] checks the
+    header, then folds [f] over the frames in order. A frame that
+    cannot be framed ends the walk ([Some broken]); past a broken
+    length nothing can be trusted, so there is no resync. {!decode},
+    {!decode_partial} and the offline verifier
+    ({!Check.Artifact.check_journal}) are folds over it. *)
 
 val decode : string -> (event list, string) result
 (** Strict decode: any framing, CRC or schema problem fails the whole

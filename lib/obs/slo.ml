@@ -111,10 +111,7 @@ let parse text =
   in
   go 1 [] lines
 
-let load ~path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
+let load ~path = Wire.Keyvalue.load parse ~path
 
 let of_string_exn s =
   match parse_line s with

@@ -27,9 +27,8 @@ let is_noop t =
   t.retry = None && t.breaker = None && t.bulkhead = None && t.ladder = []
   && t.stage_deadline_s = None
 
-exception Bad_profile of string
-
 let parse text =
+  let module K = Wire.Keyvalue in
   let budget_s = ref None and base_s = ref None in
   let multiplier = ref None and jitter = ref None and max_rounds = ref None in
   let threshold = ref None and window = ref None and min_samples = ref None in
@@ -37,68 +36,37 @@ let parse text =
   let capacity = ref None and queue = ref None in
   let ladder = ref None in
   let stage_deadline_ms = ref None in
-  let float_of what v =
-    match float_of_string_opt (String.trim v) with
-    | Some f -> f
-    | None -> raise (Bad_profile (Printf.sprintf "%s: bad number %S" what v))
-  in
-  let int_of what v =
-    match int_of_string_opt (String.trim v) with
-    | Some i -> i
-    | None -> raise (Bad_profile (Printf.sprintf "%s: bad integer %S" what v))
-  in
-  let ladder_of n v =
+  let ladder_of line v =
     List.map
       (fun s ->
         let s = String.trim s in
         match Degrade.of_label s with
         | Some step -> step
         | None ->
-          raise
-            (Bad_profile
-               (Printf.sprintf
-                  "line %d: unknown ladder step %S (fresh, stale, clamp, full)"
-                  n s)))
+          K.fail "line %d: unknown ladder step %S (fresh, stale, clamp, full)"
+            line s)
       (String.split_on_char ',' v)
   in
-  let handle_line n line =
-    let body =
-      match String.index_opt line '#' with
-      | Some i -> String.sub line 0 i
-      | None -> line
-    in
-    if String.trim body <> "" then begin
-      match String.index_opt body '=' with
-      | None ->
-        raise (Bad_profile (Printf.sprintf "line %d: expected key = value" n))
-      | Some i ->
-        let key = String.trim (String.sub body 0 i) in
-        let value =
-          String.trim (String.sub body (i + 1) (String.length body - i - 1))
-        in
-        (match key with
-        | "retry_budget_s" -> budget_s := Some (float_of key value)
-        | "retry_base_s" -> base_s := Some (float_of key value)
-        | "retry_multiplier" -> multiplier := Some (float_of key value)
-        | "retry_jitter" -> jitter := Some (float_of key value)
-        | "retry_max_rounds" -> max_rounds := Some (int_of key value)
-        | "breaker_threshold" -> threshold := Some (float_of key value)
-        | "breaker_window" -> window := Some (int_of key value)
-        | "breaker_min_samples" -> min_samples := Some (int_of key value)
-        | "breaker_cooldown_ms" -> cooldown_ms := Some (float_of key value)
-        | "breaker_probes" -> probes := Some (int_of key value)
-        | "bulkhead_capacity" -> capacity := Some (int_of key value)
-        | "bulkhead_queue" -> queue := Some (int_of key value)
-        | "ladder" -> ladder := Some (ladder_of n value)
-        | "stage_deadline_ms" -> stage_deadline_ms := Some (float_of key value)
-        | other ->
-          raise (Bad_profile (Printf.sprintf "line %d: unknown key %S" n other)))
-    end
+  let handle_line ~line key value =
+    match key with
+    | "retry_budget_s" -> budget_s := Some (K.float key value)
+    | "retry_base_s" -> base_s := Some (K.float key value)
+    | "retry_multiplier" -> multiplier := Some (K.float key value)
+    | "retry_jitter" -> jitter := Some (K.float key value)
+    | "retry_max_rounds" -> max_rounds := Some (K.int key value)
+    | "breaker_threshold" -> threshold := Some (K.float key value)
+    | "breaker_window" -> window := Some (K.int key value)
+    | "breaker_min_samples" -> min_samples := Some (K.int key value)
+    | "breaker_cooldown_ms" -> cooldown_ms := Some (K.float key value)
+    | "breaker_probes" -> probes := Some (K.int key value)
+    | "bulkhead_capacity" -> capacity := Some (K.int key value)
+    | "bulkhead_queue" -> queue := Some (K.int key value)
+    | "ladder" -> ladder := Some (ladder_of line value)
+    | "stage_deadline_ms" -> stage_deadline_ms := Some (K.float key value)
+    | other -> K.unknown_key ~line other
   in
   try
-    List.iteri
-      (fun i line -> handle_line (i + 1) line)
-      (String.split_on_char '\n' text);
+    K.iter text handle_line;
     let retry =
       if
         !budget_s = None && !base_s = None && !multiplier = None
@@ -167,12 +135,9 @@ let parse text =
         stage_deadline_s =
           Option.map (fun ms -> ms /. 1000.) !stage_deadline_ms;
       }
-  with Bad_profile msg -> Error msg
+  with K.Invalid msg -> Error msg
 
-let load ~path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
+let load ~path = Wire.Keyvalue.load parse ~path
 
 let pp ppf t =
   let open Format in

@@ -141,90 +141,65 @@ let bandwidth_factor t ~progress =
 
 (* --- profile format ---------------------------------------------------- *)
 
-exception Bad_profile of string
-
 let parse text =
+  let module K = Wire.Keyvalue in
   let model = ref `None in
   let rate = ref None and mean_loss = ref None and burst_length = ref None in
   let loss_good = ref 0. and loss_bad = ref 1. in
   let corrupt = ref 0. and reorder = ref 0. and jitter_ms = ref 0. in
   let collapse_at = ref None and collapse_factor = ref None in
-  let float_of what v =
-    match float_of_string_opt (String.trim v) with
-    | Some f -> f
-    | None -> raise (Bad_profile (Printf.sprintf "%s: bad number %S" what v))
-  in
-  let handle_line n line =
-    let body =
-      match String.index_opt line '#' with
-      | Some i -> String.sub line 0 i
-      | None -> line
-    in
-    if String.trim body <> "" then begin
-      match String.index_opt body '=' with
-      | None -> raise (Bad_profile (Printf.sprintf "line %d: expected key = value" n))
-      | Some i ->
-        let key = String.trim (String.sub body 0 i) in
-        let value =
-          String.trim (String.sub body (i + 1) (String.length body - i - 1))
-        in
-        (match key with
-        | "model" -> (
-          match String.lowercase_ascii value with
-          | "none" -> model := `None
-          | "bernoulli" -> model := `Bernoulli
-          | "gilbert" -> model := `Gilbert
-          | other ->
-            raise
-              (Bad_profile
-                 (Printf.sprintf
-                    "line %d: unknown model %S (none, bernoulli, gilbert)" n other)))
-        | "rate" -> rate := Some (float_of key value)
-        | "mean_loss" -> mean_loss := Some (float_of key value)
-        | "burst_length" | "burst" -> burst_length := Some (float_of key value)
-        | "loss_good" -> loss_good := float_of key value
-        | "loss_bad" -> loss_bad := float_of key value
-        | "corrupt" -> corrupt := float_of key value
-        | "reorder" -> reorder := float_of key value
-        | "jitter_ms" -> jitter_ms := float_of key value
-        | "collapse_at" -> collapse_at := Some (float_of key value)
-        | "collapse_factor" -> collapse_factor := Some (float_of key value)
-        | other ->
-          raise (Bad_profile (Printf.sprintf "line %d: unknown key %S" n other)))
-    end
+  let handle_line ~line key value =
+    match key with
+    | "model" -> (
+      match String.lowercase_ascii value with
+      | "none" -> model := `None
+      | "bernoulli" -> model := `Bernoulli
+      | "gilbert" -> model := `Gilbert
+      | other ->
+        K.fail "line %d: unknown model %S (none, bernoulli, gilbert)" line other)
+    | "rate" -> rate := Some (K.float key value)
+    | "mean_loss" -> mean_loss := Some (K.float key value)
+    | "burst_length" | "burst" -> burst_length := Some (K.float key value)
+    | "loss_good" -> loss_good := K.float key value
+    | "loss_bad" -> loss_bad := K.float key value
+    | "corrupt" -> corrupt := K.float key value
+    | "reorder" -> reorder := K.float key value
+    | "jitter_ms" -> jitter_ms := K.float key value
+    | "collapse_at" -> collapse_at := Some (K.float key value)
+    | "collapse_factor" -> collapse_factor := Some (K.float key value)
+    | other -> K.unknown_key ~line other
   in
   try
-    List.iteri (fun i line -> handle_line (i + 1) line) (String.split_on_char '\n' text);
+    K.iter text handle_line;
     let base =
       match !model with
       | `None ->
         if !rate <> None || !mean_loss <> None then
-          raise (Bad_profile "loss parameters given but model = none (or missing)");
+          K.fail "loss parameters given but model = none (or missing)";
         none
       | `Bernoulli -> (
         match !rate with
-        | None -> raise (Bad_profile "model = bernoulli needs rate")
+        | None -> K.fail "model = bernoulli needs rate"
         | Some r -> bernoulli ~rate:r)
       | `Gilbert -> (
         match (!mean_loss, !burst_length) with
         | Some m, Some b ->
           gilbert ~loss_good:!loss_good ~loss_bad:!loss_bad ~mean_loss:m
             ~burst_length:b ()
-        | _ -> raise (Bad_profile "model = gilbert needs mean_loss and burst_length"))
+        | _ -> K.fail "model = gilbert needs mean_loss and burst_length")
     in
     check_prob "corrupt" !corrupt;
     check_prob "reorder" !reorder;
-    if !jitter_ms < 0. then raise (Bad_profile "jitter_ms must be >= 0");
+    if !jitter_ms < 0. then K.fail "jitter_ms must be >= 0";
     let collapse =
       match (!collapse_at, !collapse_factor) with
       | None, None -> None
       | Some at, Some factor ->
-        if not (at >= 0. && at <= 1.) then
-          raise (Bad_profile "collapse_at must be in [0, 1]");
+        if not (at >= 0. && at <= 1.) then K.fail "collapse_at must be in [0, 1]";
         if not (factor > 0. && factor <= 1.) then
-          raise (Bad_profile "collapse_factor must be in (0, 1]");
+          K.fail "collapse_factor must be in (0, 1]";
         Some { at_fraction = at; factor }
-      | _ -> raise (Bad_profile "collapse_at and collapse_factor go together")
+      | _ -> K.fail "collapse_at and collapse_factor go together"
     in
     Ok
       {
@@ -235,13 +210,10 @@ let parse text =
         collapse;
       }
   with
-  | Bad_profile msg -> Error msg
+  | K.Invalid msg -> Error msg
   | Invalid_argument msg -> Error msg
 
-let load ~path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
+let load ~path = Wire.Keyvalue.load parse ~path
 
 let pp ppf t =
   let open Format in

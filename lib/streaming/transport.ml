@@ -143,19 +143,16 @@ let no_nack =
    resilience profile swaps in its own policy, and a circuit breaker
    can gate rounds — waiting out its cooldown on the simulated clock
    when the budget still allows. *)
-let nack_retransmit ?(backoff_base_s = 0.002) ?(rtt_s = 0.004) ?policy ?breaker
-    ~fault ~link ~budget_s ~seed ~packets present =
+let nack_rtt_s = 0.004
+
+let nack_retransmit ?policy ?breaker ~fault ~link ~budget_s ~seed ~packets
+    present =
   if Array.length present <> Array.length packets then
     invalid_arg "Transport.nack_retransmit: packet array length mismatch";
   let policy =
     match policy with
     | Some p -> p
-    | None ->
-      {
-        Resilience.Retry.default with
-        Resilience.Retry.base_backoff_s = backoff_base_s;
-        budget_s;
-      }
+    | None -> { Resilience.Retry.default with Resilience.Retry.budget_s }
   in
   let present = Array.copy present in
   let retransmitted = ref 0 in
@@ -184,7 +181,7 @@ let nack_retransmit ?(backoff_base_s = 0.002) ?(rtt_s = 0.004) ?policy ?breaker
           +. Fault.delay_s fault ~seed:a.Resilience.Retry.seed ~index:i)
         0. (missing ())
     in
-    rtt_s +. a.Resilience.Retry.backoff_s +. transfer
+    nack_rtt_s +. a.Resilience.Retry.backoff_s +. transfer
   in
   let step (a : Resilience.Retry.attempt) ~now_s () =
     let gaps = missing () in

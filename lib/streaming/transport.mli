@@ -66,8 +66,6 @@ val no_nack : nack_stats
 (** The all-zero stats of a session that never NACKed. *)
 
 val nack_retransmit :
-  ?backoff_base_s:float ->
-  ?rtt_s:float ->
   ?policy:Resilience.Retry.policy ->
   ?breaker:Resilience.Breaker.t ->
   fault:Fault.t ->
@@ -80,21 +78,22 @@ val nack_retransmit :
 (** [nack_retransmit ~fault ~link ~budget_s ~seed ~packets present]
     runs a deadline-budgeted NACK/retransmit loop for the annotation
     side channel: every round NACKs the packets still missing from
-    [present], waits an exponential backoff ([backoff_base_s], default
-    2 ms, doubling per round) plus one [rtt_s] (default 4 ms), and
-    receives the re-sent originals from [packets] through the same
-    fault model (fresh deterministic sub-stream per round — bursts
-    eventually miss a retransmission). A round only runs when its full
-    simulated cost fits in [budget_s]; annotations must arrive before
-    the frames they govern, so the loop gives up rather than stall
-    playback ([budget_exhausted]). [budget_s = 0.] disables
-    retransmission entirely. Returns the augmented arrival array (the
-    input is not mutated) and the loop's statistics.
+    [present], waits an exponential backoff (2 ms, doubling per round)
+    plus one 4 ms round trip, and receives the re-sent originals from
+    [packets] through the same fault model (fresh deterministic
+    sub-stream per round — bursts eventually miss a retransmission). A
+    round only runs when its full simulated cost fits in [budget_s];
+    annotations must arrive before the frames they govern, so the loop
+    gives up rather than stall playback ([budget_exhausted]).
+    [budget_s = 0.] disables retransmission entirely. Returns the
+    augmented arrival array (the input is not mutated) and the loop's
+    statistics.
 
-    The loop is a {!Resilience.Retry} schedule. [policy] replaces the
-    historical defaults wholesale — when given, [backoff_base_s] and
-    [budget_s] are ignored in its favour. [breaker] gates each round:
-    every repaired or still-missing packet feeds it as an outcome, a
-    denial while its cooldown runs is waited out on the simulated
-    clock (budget permitting), and a denial with no cooldown left —
-    half-open probe quota exhausted — abandons the schedule. *)
+    The loop is a {!Resilience.Retry} schedule:
+    {!Resilience.Retry.default} with [budget_s] as its budget, unless
+    [policy] replaces it wholesale ([budget_s] is then ignored).
+    [breaker] gates each round: every repaired or still-missing packet
+    feeds it as an outcome, a denial while its cooldown runs is waited
+    out on the simulated clock (budget permitting), and a denial with
+    no cooldown left — half-open probe quota exhausted — abandons the
+    schedule. *)

@@ -412,11 +412,11 @@ let patched ?(fix_record = -1) ?(fix_header = false) f =
   if fix_record >= 0 then begin
     let off = records_offset blob + (fix_record * rsize) in
     set_u32 b (off + 11)
-      (Encoding.crc32_sub (Bytes.to_string b) ~pos:off ~len:(rsize - 4))
+      (Wire.Binary.crc32_sub (Bytes.to_string b) ~pos:off ~len:(rsize - 4))
   end;
   if fix_header then
     set_u32 b (hcrc_offset blob)
-      (Encoding.crc32_sub (Bytes.to_string b) ~pos:0 ~len:(hcrc_offset blob));
+      (Wire.Binary.crc32_sub (Bytes.to_string b) ~pos:0 ~len:(hcrc_offset blob));
   Bytes.to_string b
 
 let check = Artifact.check_annotation ~file:"t.bin"
@@ -494,7 +494,7 @@ let test_coverage () =
   let b = Bytes.of_string shorter in
   Bytes.set_uint8 b (hcrc_offset blob - 1) 2;
   set_u32 b (hcrc_offset blob)
-    (Encoding.crc32_sub (Bytes.to_string b) ~pos:0 ~len:(hcrc_offset blob));
+    (Wire.Binary.crc32_sub (Bytes.to_string b) ~pos:0 ~len:(hcrc_offset blob));
   check_codes "V114" [ "V114" ] (check (Bytes.to_string b))
 
 let test_off_grid_quality () =
@@ -534,7 +534,7 @@ let huge_count_blob =
   Buffer.add_string buf "device";
   varint (1 lsl 40);
   let header = Buffer.contents buf in
-  let crc = Encoding.crc32 header in
+  let crc = Wire.Binary.crc32 header in
   let b = Bytes.create 4 in
   set_u32 b 0 crc;
   header ^ Bytes.to_string b
@@ -561,6 +561,91 @@ let test_decode_rejects_truncation () =
 let test_decode_rejects_varint_overflow () =
   let b = "ANPW\002" ^ String.make 9 '\xff' in
   Alcotest.(check bool) "decode" true (is_error (Encoding.decode b))
+
+(* A clip-name length of max_int: the bounds check must not overflow
+   into accepting it. *)
+let test_decode_rejects_huge_name () =
+  let b = "ANPW\002\x64\xe0\x5d\x5a" ^ String.make 8 '\xff' ^ "\x3f" ^ "clip" in
+  Alcotest.(check bool) "decode" true (is_error (Encoding.decode b));
+  Alcotest.(check bool) "decode_partial" true
+    (is_error (Encoding.decode_partial b));
+  check_codes "verifier" [ "V105" ] (check b)
+
+(* --- verifier/decoder agreement ----------------------------------------- *)
+
+(* A random track, encoded, then damaged: a few byte flips, the CRCs
+   optionally recomputed at their pristine offsets (so the semantic
+   checks, not just the checksums, see the damage), and an optional
+   cut. *)
+let mutated_stream rng =
+  let int n = Random.State.int rng n in
+  let n = int 6 in
+  let next = ref 0 in
+  let entries =
+    Array.init n (fun _ ->
+        let frame_count = 1 + int 40 in
+        let e =
+          {
+            Annotation.Track.first_frame = !next;
+            frame_count;
+            register = int 256;
+            compensation = float_of_int (4096 + int 8000) /. 4096.;
+            effective_max = int 256;
+          }
+        in
+        next := !next + frame_count;
+        e)
+  in
+  let quality =
+    List.nth
+      Annotation.Quality_level.[ Lossless; Loss_5; Loss_10; Custom 0.123 ]
+      (int 4)
+  in
+  let track =
+    Annotation.Track.make ~clip_name:"clip"
+      ~device_name:(if int 2 = 0 then "ipaq_h5555" else "unknown")
+      ~quality ~fps:(List.nth [ 8.; 12.5; 30. ] (int 3)) ~total_frames:!next
+      entries
+  in
+  let pristine = Encoding.encode track in
+  let records =
+    Array.length (Annotation.Track.merge_runs track).Annotation.Track.entries
+  in
+  let hcrc = String.length pristine - (records * rsize) - 4 in
+  let b = Bytes.of_string pristine in
+  for _ = 1 to int 4 do
+    let off = int (Bytes.length b) in
+    Bytes.set_uint8 b off (Bytes.get_uint8 b off lxor (1 + int 255))
+  done;
+  if int 2 = 0 then begin
+    set_u32 b hcrc (Wire.Binary.crc32_sub (Bytes.to_string b) ~pos:0 ~len:hcrc);
+    for r = 0 to records - 1 do
+      let off = hcrc + 4 + (r * rsize) in
+      set_u32 b (off + rsize - 4)
+        (Wire.Binary.crc32_sub (Bytes.to_string b) ~pos:off ~len:(rsize - 4))
+    done
+  end;
+  let s = Bytes.to_string b in
+  if int 3 = 0 then String.sub s 0 (int (String.length s)) else s
+
+let prop_verifier_clean_decodes =
+  QCheck2.Test.make ~count:5000
+    ~name:"no verifier error means decode is Ok, and salvage agrees"
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let data = mutated_stream (Random.State.make [| seed |]) in
+      let clean = Diagnostic.errors (check data) = 0 in
+      match Encoding.decode data with
+      | Error _ -> not clean
+      | Ok track -> (
+        match Encoding.decode_partial data with
+        | Error _ -> false
+        | Ok p ->
+          p.Encoding.corrupt_records = 0
+          && p.Encoding.missing_records = 0
+          && Array.to_list p.Encoding.records
+             = List.map
+                 (fun e -> Encoding.Intact e)
+                 (Array.to_list track.Annotation.Track.entries)))
 
 (* --- SLO files ---------------------------------------------------------- *)
 
@@ -744,6 +829,9 @@ let () =
           Alcotest.test_case "huge count" `Quick test_decode_rejects_huge_count;
           Alcotest.test_case "truncation" `Quick test_decode_rejects_truncation;
           Alcotest.test_case "varint overflow" `Quick test_decode_rejects_varint_overflow;
+          Alcotest.test_case "huge name length" `Quick test_decode_rejects_huge_name;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+            prop_verifier_clean_decodes;
         ] );
       ( "slo",
         [

@@ -88,6 +88,57 @@ let test_profile_rejects_garbage () =
   check bool "missing file is an error" true
     (Result.is_error (Streaming.Fault.load ~path:"/nonexistent/x.fault"))
 
+(* The key = value grammar is shared by all four profile formats; its
+   messages, and each format's bad-value message, are pinned here. *)
+let test_profile_grammar_messages () =
+  let msg = function Ok _ -> "ok" | Error m -> m in
+  let parsers =
+    [
+      ( "fault",
+        (fun t -> msg (Streaming.Fault.parse t)),
+        fun path -> msg (Streaming.Fault.load ~path) );
+      ( "resilience",
+        (fun t -> msg (Resilience.Profile.parse t)),
+        fun path -> msg (Resilience.Profile.load ~path) );
+      ( "load",
+        (fun t -> msg (Fleet.Load.parse t)),
+        fun path -> msg (Fleet.Load.load ~path) );
+      ( "device",
+        (fun t -> msg (Display.Device_config.of_string t)),
+        fun path -> msg (Display.Device_config.load ~path) );
+    ]
+  in
+  let cases =
+    [
+      ("fault", "# c\n\nno equals\n", "line 3: expected key = value");
+      ("resilience", "# c\n\nno equals\n", "line 3: expected key = value");
+      ("load", "# c\n\nno equals\n", "line 3: expected key = value");
+      ("device", "# c\n\nno equals\n", "line 3: expected key = value");
+      ("fault", "frob = 1 # c\n", "line 1: unknown key \"frob\"");
+      ("resilience", "frob = 1 # c\n", "line 1: unknown key \"frob\"");
+      ("load", "frob = 1 # c\n", "line 1: unknown key \"frob\"");
+      ("device", "frob = 1 # c\n", "line 1: unknown key \"frob\"");
+      ("fault", "rate = x\n", "rate: bad number \"x\"");
+      ("resilience", "retry_budget_s = x\n", "retry_budget_s: bad number \"x\"");
+      ("load", "rate_per_s = x\n", "rate_per_s: bad number \"x\"");
+      ("device", "lcd_mw = x\n", "line 1: expected a non-negative number");
+      ("resilience", "retry_max_rounds = 2.5\n",
+        "retry_max_rounds: bad integer \"2.5\"");
+      ("load", "sessions = 1.5\n", "sessions: bad integer \"1.5\"");
+    ]
+  in
+  List.iter
+    (fun (name, text, expected) ->
+      let _, parse, _ = List.find (fun (n, _, _) -> n = name) parsers in
+      check Alcotest.string (name ^ " " ^ String.escaped text) expected (parse text))
+    cases;
+  List.iter
+    (fun (name, _, load) ->
+      check Alcotest.string (name ^ " missing file")
+        "/nonexistent/x.profile: No such file or directory"
+        (load "/nonexistent/x.profile"))
+    parsers
+
 let test_loss_mask_edges () =
   let none = Streaming.Fault.none in
   check bool "no loss" true
@@ -269,7 +320,7 @@ let sample_track () =
 
 let test_crc32_vector () =
   (* The classic IEEE 802.3 check value. *)
-  check int "crc32(123456789)" 0xCBF43926 (Annotation.Encoding.crc32 "123456789")
+  check int "crc32(123456789)" 0xCBF43926 (Wire.Binary.crc32 "123456789")
 
 let test_v1_rejected () =
   let v1 = Wire_v1.blob () in
@@ -755,6 +806,8 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_profile_parse;
           Alcotest.test_case "rejects garbage" `Quick test_profile_rejects_garbage;
+          Alcotest.test_case "grammar messages" `Quick
+            test_profile_grammar_messages;
         ] );
       ( "models",
         [

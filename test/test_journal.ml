@@ -367,7 +367,7 @@ let test_v401_bad_magic () =
 let test_v402_bad_version () =
   let b = Bytes.of_string blob in
   Bytes.set_uint8 b 4 9;
-  set_u32 b 5 (Journal.crc32 (String.sub (Bytes.to_string b) 0 5));
+  set_u32 b 5 (Wire.Binary.crc32 (String.sub (Bytes.to_string b) 0 5));
   check_codes "V402" [ "V402" ] (check (Bytes.to_string b))
 
 let test_v403_truncated () =
@@ -443,7 +443,7 @@ let test_v407_unknown_tag () =
   let frame = Bytes.create (1 + String.length payload + 4) in
   Bytes.set_uint8 frame 0 (String.length payload);
   Bytes.blit_string payload 0 frame 1 (String.length payload);
-  set_u32 frame (1 + String.length payload) (Journal.crc32 payload);
+  set_u32 frame (1 + String.length payload) (Wire.Binary.crc32 payload);
   check_codes "V407" [ "V407" ]
     (check (String.sub blob 0 9 ^ Bytes.to_string frame))
 
@@ -463,6 +463,68 @@ let test_inspect_never_rejects_what_verify_accepts () =
     (p.Journal.error = None && p.Journal.corrupt_frames = 0
     && (not p.Journal.truncated)
     && p.Journal.events = events)
+
+(* --- verifier/decoder agreement ------------------------------------------ *)
+
+(* A random run of events (timestamps drawn small, so some runs go
+   backwards), encoded, then damaged: a few byte flips, the frame CRCs
+   and sometimes the header CRC recomputed at their pristine offsets,
+   and an optional cut. *)
+let mutated_journal rng =
+  let int n = Random.State.int rng n in
+  let kinds = Array.of_list all_kinds_events in
+  let events =
+    List.init (int 12) (fun _ ->
+        { (kinds.(int (Array.length kinds))) with Journal.t_us = int 5000 })
+  in
+  let pristine = Journal.encode events in
+  let b = Bytes.of_string pristine in
+  for _ = 1 to int 4 do
+    let off = int (Bytes.length b) in
+    Bytes.set_uint8 b off (Bytes.get_uint8 b off lxor (1 + int 255))
+  done;
+  let crc ~pos ~len = Wire.Binary.crc32 (Bytes.sub_string b pos len) in
+  if int 4 = 0 then set_u32 b 5 (crc ~pos:0 ~len:5);
+  if int 2 = 0 then begin
+    (* Every test payload is short enough for a 1-byte length. *)
+    let pos = ref 9 in
+    while !pos < String.length pristine do
+      let len = Char.code pristine.[!pos] in
+      set_u32 b (!pos + 1 + len) (crc ~pos:(!pos + 1) ~len);
+      pos := !pos + 1 + len + 4
+    done
+  end;
+  let s = Bytes.to_string b in
+  let s = if int 3 = 0 then String.sub s 0 (int (String.length s)) else s in
+  (String.sub pristine 0 9, s)
+
+let count code ds =
+  List.length (List.filter (fun d -> d.Diagnostic.code = code) ds)
+
+let prop_verifier_agrees_with_decoders =
+  QCheck2.Test.make ~count:5000
+    ~name:"verifier findings match the strict and salvage decoders"
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let header, data = mutated_journal (Random.State.make [| seed |]) in
+      let ds = check data in
+      let p = Journal.decode_partial data in
+      let valid_header =
+        String.length data >= 9 && String.sub data 0 9 = header
+      in
+      let clean_decode =
+        match Journal.decode data with
+        | Error _ -> ds <> []
+        | Ok events ->
+          List.for_all (fun d -> d.Diagnostic.code = "V406") ds
+          && p.Journal.events = events
+          && p.Journal.corrupt_frames = 0
+          && not p.Journal.truncated
+      in
+      clean_decode
+      && (p.Journal.error = None) = valid_header
+      && p.Journal.corrupt_frames = count "V405" ds + count "V407" ds
+      && p.Journal.truncated
+         = (valid_header && count "V403" ds + count "V408" ds > 0))
 
 let () =
   Alcotest.run "journal"
@@ -500,5 +562,7 @@ let () =
           Alcotest.test_case "implausible length" `Quick test_v408_implausible_length;
           Alcotest.test_case "verify/salvage agree" `Quick
             test_inspect_never_rejects_what_verify_accepts;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+            prop_verifier_agrees_with_decoders;
         ] );
     ]
