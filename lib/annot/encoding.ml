@@ -162,6 +162,8 @@ let trusted_header ?byte_ok c =
   | Ok _ when not (span_ok byte_ok ~pos:0 ~len:c.pos) ->
     fail "header bytes lost in transit"
   | Ok h when not h.fits -> fail "record section length mismatch"
+  | Ok h when h.quality_permille > 1000 ->
+    fail (Printf.sprintf "quality %d permille exceeds 1000" h.quality_permille)
   | Ok h -> h
 
 let decode data =

@@ -9,7 +9,7 @@
     {v
     magic   "ANPW"            4 bytes
     version u8                2; any other version is rejected
-    quality varint            allowed loss in permille
+    quality varint            allowed loss in permille, at most 1000
     fps     varint            fps * 1000
     frames  varint            total frame count
     names   2 x (len varint, bytes)   clip name, device name
@@ -41,8 +41,9 @@ val encode : Track.t -> string
 
 val decode : string -> (Track.t, string) result
 (** [decode bytes] parses and re-validates; any corruption (including
-    any CRC mismatch and any version other than {!version}) yields
-    [Error] with a human-readable reason, never an exception. *)
+    any CRC mismatch, any version other than {!version} and a quality
+    above 1000 permille) yields [Error] with a human-readable reason,
+    never an exception. *)
 
 type record =
   | Intact of Track.entry

@@ -425,11 +425,6 @@ let broken_frame_finding ~file data { Obs.Journal.index; offset; error = e } =
     err ~file "V403"
       (Printf.sprintf "truncated journal: frame %d length cut off at byte %d"
          index e.at)
-  | Varint_too_long when e.at >= String.length data ->
-    (* The ninth byte still continued, and nothing follows it. *)
-    err ~file "V403"
-      (Printf.sprintf "truncated journal: frame %d length cut off at byte %d"
-         index e.at)
   | Varint_too_long ->
     err ~file "V408"
       (Printf.sprintf "frame %d length: varint longer than 8 bytes at byte %d"

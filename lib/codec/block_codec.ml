@@ -4,6 +4,7 @@ type scratch = {
   mid_grey : float array;
   coeffs : float array;
   tmp : float array;
+  window : Motion.window;
 }
 
 let scratch () =
@@ -13,7 +14,25 @@ let scratch () =
     mid_grey = Array.make 64 128.;
     coeffs = Array.make 64 0.;
     tmp = Array.make 64 0.;
+    window = Motion.window ~range:0;
   }
+
+type luma_mode = Intra | Inter of Motion.vector
+
+(* The co-located luma block is the top-left one of the chroma block's
+   16x16 luma area; its half-pel vector floored to whole chroma samples
+   is [Motion.chroma_vector], here in half-pels, with no record. *)
+let chroma_prediction s ~luma_modes ~luma_bw ~reference ~x ~y =
+  let luma_bh = Array.length luma_modes / luma_bw in
+  let lx = min (x / 4) (luma_bw - 1) and ly = min (y / 4) (luma_bh - 1) in
+  match luma_modes.((ly * luma_bw) + lx) with
+  | Inter v ->
+    Motion.predict s.window ~reference ~x ~y
+      ~hx:(2 * (v.Motion.dx asr 2))
+      ~hy:(2 * (v.Motion.dy asr 2))
+      s.prediction;
+    s.prediction
+  | Intra -> s.mid_grey
 
 type coder = {
   recon : scratch;
@@ -46,12 +65,6 @@ let coder ~search_range =
 let transform_quantise c q kind levels =
   Dct.forward_into c.residual ~tmp:c.recon.tmp c.residual;
   Quant.quantise_into q kind c.residual levels
-
-let code_intra c q kind levels =
-  for i = 0 to 63 do
-    c.residual.(i) <- c.samples.(i) -. 128.
-  done;
-  transform_quantise c q kind levels
 
 let code_inter c q kind ~prediction levels =
   for i = 0 to 63 do

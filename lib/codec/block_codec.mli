@@ -8,11 +8,28 @@ type scratch = {
   mid_grey : float array;  (** 64 samples of 128, the intra prediction *)
   coeffs : float array;
   tmp : float array;
+  window : Motion.window;  (** {!Motion.predict}'s edge copy *)
 }
 (** Per-call working memory: each decode or encode call makes its own,
     so no block allocates and no two calls share one. *)
 
 val scratch : unit -> scratch
+
+type luma_mode =
+  | Intra
+  | Inter of Motion.vector  (** a half-pel vector *)
+(** How a P frame's luma block was coded; its chroma blocks follow it. *)
+
+val chroma_prediction :
+  scratch -> luma_modes:luma_mode array -> luma_bw:int -> reference:Plane.t ->
+  x:int -> y:int -> float array
+(** [chroma_prediction s ~luma_modes ~luma_bw ~reference ~x ~y] is the
+    prediction of the P-frame chroma block at [(x, y)]: the co-located
+    luma block's mode (the top-left one of its 16x16 luma area, in a
+    mode grid [luma_bw] blocks wide) decides it. An inter block is
+    {!Motion.predict}ed from [reference] under {!Motion.chroma_vector}
+    of the luma vector into [s.prediction]; an intra block predicts
+    [s.mid_grey]. The encoder and the decoder both call it. *)
 
 type coder = {
   recon : scratch;  (** for {!reconstruct} *)
@@ -32,14 +49,11 @@ val coder : search_range:int -> coder
 (** [coder ~search_range] sizes [search] for motion vectors within
     [search_range]. *)
 
-val code_intra : coder -> Quant.t -> Quant.plane_kind -> int array -> unit
-(** [code_intra c q kind levels] centres [c.samples] at 0, applies the
-    DCT and quantises into [levels]. *)
-
 val code_inter :
   coder -> Quant.t -> Quant.plane_kind -> prediction:float array -> int array -> unit
 (** [code_inter c q kind ~prediction levels] codes the residual
-    [c.samples - prediction] into [levels]. *)
+    [c.samples - prediction] into [levels]; an intra block codes it
+    over [c.recon.mid_grey]. *)
 
 val reconstruct :
   scratch -> Quant.t -> Quant.plane_kind -> prediction:float array -> int array ->

@@ -17,8 +17,6 @@ type stream_info = {
 
 type reference = Plane.ycbcr
 
-type luma_mode = Intra | Inter of Motion.vector
-
 let obs_frames_decoded =
   let family t =
     Obs.counter ~help:"Frames reconstructed by the decoder"
@@ -86,18 +84,18 @@ let decode_plane_intra r s q kind (plane : Plane.t) =
 
 let decode_luma_p r s q ~(reference : Plane.t) (plane : Plane.t) =
   let bw = plane.Plane.width / 8 and bh = plane.Plane.height / 8 in
-  let modes = Array.make (bw * bh) Intra in
+  let modes = Array.make (bw * bh) Block_codec.Intra in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
       match Golomb.read_ue r with
       | 0 ->
+        (* Vectors are coded in half-pel units. *)
         let dx = Golomb.read_se r in
         let dy = Golomb.read_se r in
-        (* Vectors are coded in half-pel units. *)
-        let vec = { Motion.dx; dy } in
-        Motion.extract_predicted_halfpel_into reference ~x ~y vec s.Block_codec.prediction;
-        modes.((by * bw) + bx) <- Inter vec;
+        Motion.predict s.Block_codec.window ~reference ~x ~y ~hx:dx ~hy:dy
+          s.Block_codec.prediction;
+        modes.((by * bw) + bx) <- Block_codec.Inter { Motion.dx; dy };
         decode_block r s q Quant.Luma ~prediction:s.Block_codec.prediction plane ~x ~y
       | 1 -> decode_block r s q Quant.Luma ~prediction:s.Block_codec.mid_grey plane ~x ~y
       | m -> fail (Printf.sprintf "bad block mode %d" m)
@@ -105,20 +103,13 @@ let decode_luma_p r s q ~(reference : Plane.t) (plane : Plane.t) =
   done;
   modes
 
-let decode_chroma_p r s q ~luma_modes ~luma_bw ~luma_bh ~(reference : Plane.t)
-    (plane : Plane.t) =
+let decode_chroma_p r s q ~luma_modes ~luma_bw ~reference (plane : Plane.t) =
   let bw = plane.Plane.width / 8 and bh = plane.Plane.height / 8 in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
-      let lx = min (2 * bx) (luma_bw - 1) and ly = min (2 * by) (luma_bh - 1) in
       let prediction =
-        match luma_modes.((ly * luma_bw) + lx) with
-        | Inter vec ->
-          Motion.extract_predicted_into reference ~x ~y (Motion.chroma_vector vec)
-            s.Block_codec.prediction;
-          s.Block_codec.prediction
-        | Intra -> s.Block_codec.mid_grey
+        Block_codec.chroma_prediction s ~luma_modes ~luma_bw ~reference ~x ~y
       in
       decode_block r s q Quant.Chroma ~prediction plane ~x ~y
     done
@@ -146,13 +137,12 @@ let decode_frame_body r s ~planes ~reference =
     decode_plane_intra r s q Quant.Chroma planes.Plane.cb;
     decode_plane_intra r s q Quant.Chroma planes.Plane.cr
   | 'P', Some prev ->
-    let luma_bw = planes.Plane.y.Plane.width / 8
-    and luma_bh = planes.Plane.y.Plane.height / 8 in
-    let modes = decode_luma_p r s q ~reference:prev.Plane.y planes.Plane.y in
-    decode_chroma_p r s q ~luma_modes:modes ~luma_bw ~luma_bh
-      ~reference:prev.Plane.cb planes.Plane.cb;
-    decode_chroma_p r s q ~luma_modes:modes ~luma_bw ~luma_bh
-      ~reference:prev.Plane.cr planes.Plane.cr
+    let luma_bw = planes.Plane.y.Plane.width / 8 in
+    let luma_modes = decode_luma_p r s q ~reference:prev.Plane.y planes.Plane.y in
+    decode_chroma_p r s q ~luma_modes ~luma_bw ~reference:prev.Plane.cb
+      planes.Plane.cb;
+    decode_chroma_p r s q ~luma_modes ~luma_bw ~reference:prev.Plane.cr
+      planes.Plane.cr
   | 'P', None -> fail "P frame without reference"
   | _ -> fail "bad frame marker"
   | exception Invalid_argument _ -> fail "bad frame marker");

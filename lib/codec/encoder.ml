@@ -22,8 +22,6 @@ let obs_encoded_bytes =
   Obs.counter ~help:"Total compressed stream bytes produced"
     "codec_encoded_bytes_total" []
 
-type luma_mode = Intra | Inter of Motion.vector
-
 (* Bit cost of coding a motion vector. *)
 let vector_cost (v : Motion.vector) =
   let z n = if n > 0 then (2 * n) - 1 else -2 * n in
@@ -54,7 +52,7 @@ let inter_cost (c : Block_codec.coder) q vector ~prediction levels =
 let code_luma_p w (c : Block_codec.coder) q ~(current : Plane.t)
     ~(reference : Plane.t) ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
-  let modes = Array.make (bw * bh) Intra in
+  let modes = Array.make (bw * bh) Block_codec.Intra in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
@@ -89,13 +87,14 @@ let code_luma_p w (c : Block_codec.coder) q ~(current : Plane.t)
       in
       let zero_wins = zero_cost < searched_cost in
       (* Candidate 2: intra. *)
-      Block_codec.code_intra c q Quant.Luma c.intra_levels;
+      Block_codec.code_inter c q Quant.Luma ~prediction:c.recon.Block_codec.mid_grey
+        c.intra_levels;
       let intra_cost = 1 + Coeff.bit_cost c.intra_levels in
       if (if zero_wins then zero_cost else searched_cost) <= intra_cost then begin
         let vec = if zero_wins then Motion.zero else searched in
         let prediction = if zero_wins then c.alt_prediction else c.coded_prediction
         and levels = if zero_wins then c.alt_levels else c.coded_levels in
-        modes.((by * bw) + bx) <- Inter vec;
+        modes.((by * bw) + bx) <- Block_codec.Inter vec;
         Golomb.write_ue w 0;
         Golomb.write_se w vec.Motion.dx;
         Golomb.write_se w vec.Motion.dy;
@@ -119,36 +118,26 @@ let code_plane_intra w (c : Block_codec.coder) q kind ~(current : Plane.t)
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
       Motion.extract_block_into current ~x ~y c.samples;
-      Block_codec.code_intra c q kind c.coded_levels;
+      let prediction = c.recon.Block_codec.mid_grey in
+      Block_codec.code_inter c q kind ~prediction c.coded_levels;
       Coeff.write_block w c.coded_levels;
-      Block_codec.reconstruct c.recon q kind ~prediction:c.recon.Block_codec.mid_grey
-        c.coded_levels recon ~x ~y
+      Block_codec.reconstruct c.recon q kind ~prediction c.coded_levels recon ~x ~y
     done
   done
 
-(* Chroma of a P frame: mode and vector derived from the co-located
-   luma block (top-left of the 16x16 luma area), so only the residual
-   is written. *)
-let code_chroma_p w (c : Block_codec.coder) q ~luma_modes ~luma_bw ~luma_bh
-    ~(current : Plane.t) ~(reference : Plane.t) ~(recon : Plane.t) =
+(* Chroma of a P frame: mode and vector come from the co-located luma
+   block, so only the residual is written. *)
+let code_chroma_p w (c : Block_codec.coder) q ~luma_modes ~luma_bw
+    ~(current : Plane.t) ~reference ~(recon : Plane.t) =
   let bw = current.Plane.width / 8 and bh = current.Plane.height / 8 in
   for by = 0 to bh - 1 do
     for bx = 0 to bw - 1 do
       let x = bx * 8 and y = by * 8 in
       Motion.extract_block_into current ~x ~y c.samples;
-      let lx = min (2 * bx) (luma_bw - 1) and ly = min (2 * by) (luma_bh - 1) in
       let prediction =
-        match luma_modes.((ly * luma_bw) + lx) with
-        | Inter vec ->
-          Motion.extract_predicted_into reference ~x ~y (Motion.chroma_vector vec)
-            c.coded_prediction;
-          Block_codec.code_inter c q Quant.Chroma ~prediction:c.coded_prediction
-            c.coded_levels;
-          c.coded_prediction
-        | Intra ->
-          Block_codec.code_intra c q Quant.Chroma c.coded_levels;
-          c.recon.Block_codec.mid_grey
+        Block_codec.chroma_prediction c.recon ~luma_modes ~luma_bw ~reference ~x ~y
       in
+      Block_codec.code_inter c q Quant.Chroma ~prediction c.coded_levels;
       Coeff.write_block w c.coded_levels;
       Block_codec.reconstruct c.recon q Quant.Chroma ~prediction c.coded_levels recon
         ~x ~y
@@ -210,16 +199,15 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
        let prev =
          match !reference with Some r -> r | None -> assert false
        in
-       let luma_bw = frame.Plane.y.Plane.width / 8
-       and luma_bh = frame.Plane.y.Plane.height / 8 in
-       let modes =
+       let luma_bw = frame.Plane.y.Plane.width / 8 in
+       let luma_modes =
          code_luma_p w c q ~current:frame.Plane.y ~reference:prev.Plane.y
            ~recon:recon.Plane.y
        in
-       code_chroma_p w c q ~luma_modes:modes ~luma_bw ~luma_bh
-         ~current:frame.Plane.cb ~reference:prev.Plane.cb ~recon:recon.Plane.cb;
-       code_chroma_p w c q ~luma_modes:modes ~luma_bw ~luma_bh
-         ~current:frame.Plane.cr ~reference:prev.Plane.cr ~recon:recon.Plane.cr
+       code_chroma_p w c q ~luma_modes ~luma_bw ~current:frame.Plane.cb
+         ~reference:prev.Plane.cb ~recon:recon.Plane.cb;
+       code_chroma_p w c q ~luma_modes ~luma_bw ~current:frame.Plane.cr
+         ~reference:prev.Plane.cr ~recon:recon.Plane.cr
      end);
     Plane.clamp recon.Plane.y;
     Plane.clamp recon.Plane.cb;

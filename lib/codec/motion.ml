@@ -10,73 +10,43 @@ let vector_norm v = abs v.dx + abs v.dy
 let inside (p : Plane.t) ~x ~y ~w ~h =
   x >= 0 && y >= 0 && x + w <= p.Plane.width && y + h <= p.Plane.height
 
+(* The codec places 8-aligned blocks in planes padded to multiples of
+   8, so a block that overhangs its plane is a caller's error. *)
+let check_inside (p : Plane.t) ~x ~y =
+  if not (inside p ~x ~y ~w:block ~h:block) then
+    invalid_arg "Motion: block outside the plane"
+
 let extract_block_into (p : Plane.t) ~x ~y out =
-  if inside p ~x ~y ~w:block ~h:block then begin
-    let s = p.Plane.samples and w = p.Plane.width in
-    for by = 0 to block - 1 do
-      let o = ((y + by) * w) + x in
-      for bx = 0 to block - 1 do
-        out.((by * block) + bx) <- float_of_int s.(o + bx)
-      done
+  check_inside p ~x ~y;
+  let s = p.Plane.samples and w = p.Plane.width in
+  for by = 0 to block - 1 do
+    let o = ((y + by) * w) + x in
+    for bx = 0 to block - 1 do
+      out.((by * block) + bx) <- float_of_int s.(o + bx)
     done
-  end
-  else
-    for by = 0 to block - 1 do
-      for bx = 0 to block - 1 do
-        out.((by * block) + bx) <-
-          float_of_int (Plane.get p ~x:(x + bx) ~y:(y + by))
-      done
-    done
+  done
 
 let extract_block p ~x ~y =
   let out = Array.make (block * block) 0. in
   extract_block_into p ~x ~y out;
   out
 
-let extract_predicted_into p ~x ~y v out =
-  extract_block_into p ~x:(x + v.dx) ~y:(y + v.dy) out
-
-let extract_predicted p ~x ~y v = extract_block p ~x:(x + v.dx) ~y:(y + v.dy)
-
 let store_block (p : Plane.t) ~x ~y samples =
-  if inside p ~x ~y ~w:block ~h:block then begin
-    let s = p.Plane.samples and w = p.Plane.width in
-    for by = 0 to block - 1 do
-      let o = ((y + by) * w) + x in
-      for bx = 0 to block - 1 do
-        s.(o + bx) <- int_of_float (Float.round samples.((by * block) + bx))
-      done
+  check_inside p ~x ~y;
+  let s = p.Plane.samples and w = p.Plane.width in
+  for by = 0 to block - 1 do
+    let o = ((y + by) * w) + x in
+    for bx = 0 to block - 1 do
+      s.(o + bx) <- int_of_float (Float.round samples.((by * block) + bx))
     done
-  end
-  else
-    for i = 0 to (block * block) - 1 do
-      let bx = i mod block and by = i / block in
-      let px = x + bx and py = y + by in
-      if px >= 0 && px < p.Plane.width && py >= 0 && py < p.Plane.height then
-        Plane.set p ~x:px ~y:py (int_of_float (Float.round samples.(i)))
-    done
-
-let halve v = { dx = v.dx / 2; dy = v.dy / 2 }
+  done
 
 let to_halfpel v = { dx = 2 * v.dx; dy = 2 * v.dy }
 
-(* Bilinear sample at half-pel position (2*px + fx, 2*py + fy)/2 where
-   fx, fy are the fractional half-pel bits. Integer parts use
-   arithmetic shifts so negative vectors floor correctly. *)
-let halfpel_sample p ~hx ~hy =
-  let ix = hx asr 1 and iy = hy asr 1 in
-  let fx = hx land 1 and fy = hy land 1 in
-  let s dx dy = Plane.get p ~x:(ix + dx) ~y:(iy + dy) in
-  match (fx, fy) with
-  | 0, 0 -> s 0 0
-  | 1, 0 -> (s 0 0 + s 1 0 + 1) / 2
-  | 0, 1 -> (s 0 0 + s 0 1 + 1) / 2
-  | _ -> (s 0 0 + s 1 0 + s 0 1 + s 1 1 + 2) / 4
-
-(* [halfpel_sample] for a footprint known to lie inside [s], taps
-   included: [o] indexes the integer sample, [w] is the row stride.
-   Both callers check the footprint once per block, so the reads skip
-   the bounds check. *)
+(* The bilinear half-pel sample at [o] in [s], a buffer of row stride
+   [w] that holds the +1 taps the fractional bits [fx], [fy] read.
+   Every caller checks the whole footprint once per block, so the
+   reads skip the bounds check. *)
 let halfpel_interior (s : int array) ~w o ~fx ~fy =
   let a = Array.unsafe_get s o in
   if fx = 0 then if fy = 0 then a else (a + Array.unsafe_get s (o + w) + 1) / 2
@@ -86,38 +56,14 @@ let halfpel_interior (s : int array) ~w o ~fx ~fy =
     + Array.unsafe_get s (o + w + 1) + 2)
     / 4
 
-(* Sample [(x, y)] of a block displaced by half-pel [v] splits into the
-   integer sample [(x + v.dx asr 1, y + v.dy asr 1)] and the fractional
-   bits [v.dx land 1], [v.dy land 1] for every [(x, y)], because
-   [2 * x] is even. The +1 taps widen the footprint by one sample on
-   each axis with a fractional bit. *)
-let extract_predicted_halfpel_into (p : Plane.t) ~x ~y v out =
-  let ix = x + (v.dx asr 1) and iy = y + (v.dy asr 1) in
-  let fx = v.dx land 1 and fy = v.dy land 1 in
-  if inside p ~x:ix ~y:iy ~w:(block + fx) ~h:(block + fy) then begin
-    let s = p.Plane.samples and w = p.Plane.width in
-    for by = 0 to block - 1 do
-      let o = ((iy + by) * w) + ix in
-      for bx = 0 to block - 1 do
-        out.((by * block) + bx) <-
-          float_of_int (halfpel_interior s ~w (o + bx) ~fx ~fy)
-      done
+(* The 8x8 prediction whose top-left integer sample is [o] in [s]. *)
+let halfpel_block (s : int array) ~w o ~fx ~fy out =
+  for by = 0 to block - 1 do
+    let r = o + (by * w) in
+    for bx = 0 to block - 1 do
+      out.((by * block) + bx) <- float_of_int (halfpel_interior s ~w (r + bx) ~fx ~fy)
     done
-  end
-  else
-    for by = 0 to block - 1 do
-      for bx = 0 to block - 1 do
-        out.((by * block) + bx) <-
-          float_of_int
-            (halfpel_sample p ~hx:((2 * (x + bx)) + v.dx)
-               ~hy:((2 * (y + by)) + v.dy))
-      done
-    done
-
-let extract_predicted_halfpel p ~x ~y v =
-  let out = Array.make (block * block) 0. in
-  extract_predicted_halfpel_into p ~x ~y v out;
-  out
+  done
 
 (* --- The search window ------------------------------------------------- *)
 
@@ -152,7 +98,7 @@ let window ~range =
   }
 
 (* [n] samples of row [py] of [p] from column [x0] into [dst] at [o],
-   each coordinate clamped as [Plane.get] clamps it: the row once, the
+   each coordinate clamped to the nearest edge: the row once, the
    columns as three runs, those left of the plane (its first sample),
    those on it (a copy) and those right of it (its last sample). *)
 let fill_row (p : Plane.t) ~x0 ~py (dst : int array) ~o ~n =
@@ -287,15 +233,29 @@ let window_refine w best_integer =
   (!best, !best_sad)
 
 let window_predicted_halfpel_into w v out =
-  let o = halfpel_origin w v in
-  let fx = v.dx land 1 and fy = v.dy land 1 in
-  let rs = w.reference and ws = w.stride in
-  for by = 0 to block - 1 do
-    let r = o + (by * ws) in
-    for bx = 0 to block - 1 do
-      out.((by * block) + bx) <- float_of_int (halfpel_interior rs ~w:ws (r + bx) ~fx ~fy)
-    done
-  done
+  halfpel_block w.reference ~w:w.stride (halfpel_origin w v) ~fx:(v.dx land 1)
+    ~fy:(v.dy land 1) out
+
+(* Sample [(x + bx, y + by)] of a block displaced by [(hx, hy)]
+   half-pels splits into the integer sample [(ix + bx, iy + by)] and
+   the fractional bits [(fx, fy)], the same for every sample because
+   [2 (x + bx)] is even. The +1 taps widen the footprint by one sample
+   on each axis with a fractional bit. A footprint inside the plane is
+   read in place; any other is copied into the window first, each
+   coordinate clamped as [fill] clamps it. *)
+let predict w ~(reference : Plane.t) ~x ~y ~hx ~hy out =
+  let ix = x + (hx asr 1) and iy = y + (hy asr 1) in
+  let fx = hx land 1 and fy = hy land 1 in
+  let pw = reference.Plane.width in
+  if inside reference ~x:ix ~y:iy ~w:(block + fx) ~h:(block + fy) then
+    halfpel_block reference.Plane.samples ~w:pw ((iy * pw) + ix) ~fx ~fy out
+  else begin
+    for wy = 0 to block + fy - 1 do
+      fill_row reference ~x0:ix ~py:(iy + wy) w.reference ~o:(wy * w.stride)
+        ~n:(block + fx)
+    done;
+    halfpel_block w.reference ~w:w.stride 0 ~fx ~fy out
+  end
 
 (* The plane-level kernels: a window centred on the block displaced by
    an integer vector, just wide enough for the one call. *)

@@ -3,22 +3,33 @@
     Full-search over a square window on 8x8 luma blocks with
     sum-of-absolute-differences matching; ties prefer the shorter
     vector so static content codes as (0, 0). Chroma reuses the luma
-    vector halved (4:2:0 geometry).
+    vector, in whole chroma samples ({!chroma_vector}).
+
+    {b One predictor.} Every inter prediction (the decoder's luma and
+    chroma, the encoder's chroma) is {!predict}. A block whose
+    footprint, the +1 taps of a half-pel vector included, lies inside
+    the reference is read from [Plane.samples] in place; any other
+    footprint is first copied into a {!window} with every coordinate
+    clamped to the nearest edge. Clamping a coordinate gives the sample
+    that a copy with replicated edges holds, so both branches give the
+    edge-clamped prediction, and both run the same bilinear kernel the
+    encoder's luma candidates run on the search window.
 
     {b The search window.} The searches read no plane. {!fill} copies
     the current block and a square window of the reference around it,
-    [8 + 2 (range + 1)] samples on a side, into a {!window}; every
-    coordinate is clamped to the nearest edge once, at fill time, as
-    {!Plane.get} clamps it. Clamping a coordinate gives the sample that
-    a copy with replicated edges holds, and the window covers every
-    sample a candidate within [range] reads, the +1 taps of a half-pel
-    vector included, so the kernels read the window at fixed strides
-    with no edge branch and sum exactly what a per-sample clamped read
-    sums. The plane-level {!sad}, {!search}, {!sad_halfpel} and
+    [8 + 2 (range + 1)] samples on a side, into a {!window}, clamping
+    each coordinate once, at fill time. The window covers every sample
+    a candidate within [range] reads, the +1 taps of a half-pel vector
+    included, so the kernels read the window at fixed strides with no
+    edge branch and sum exactly what a per-sample clamped read sums.
+    The plane-level {!sad}, {!search}, {!sad_halfpel} and
     {!refine_halfpel} fill a window sized to their one call and run the
-    same kernels. Block extraction and store keep their interior and
-    edge paths: they index [Plane.samples] directly when the block's
-    footprint is inside the plane and clamp per sample otherwise.
+    same kernels.
+
+    {b Block extraction and store} index [Plane.samples] directly and
+    raise [Invalid_argument] on a block that overhangs its plane: the
+    codec places only 8-aligned blocks, in planes padded to multiples
+    of 8.
 
     {b Partial SAD.} {!search} and {!refine_halfpel} pass the running
     best SAD as a bound and stop summing a candidate after the first
@@ -44,23 +55,15 @@ val search :
     within [[-range, range]] on both axes and its SAD. *)
 
 val extract_block : Plane.t -> x:int -> y:int -> float array
-(** 8x8 block as floats (edge-clamped reads). *)
+(** 8x8 block as floats. Raises [Invalid_argument] if the block
+    overhangs the plane. *)
 
 val extract_block_into : Plane.t -> x:int -> y:int -> float array -> unit
 (** {!extract_block} into the caller's 64-element array. *)
 
-val extract_predicted : Plane.t -> x:int -> y:int -> vector -> float array
-(** Reference block displaced by a vector, as floats. *)
-
-val extract_predicted_into : Plane.t -> x:int -> y:int -> vector -> float array -> unit
-(** {!extract_predicted} into the caller's 64-element array. *)
-
 val store_block : Plane.t -> x:int -> y:int -> float array -> unit
-(** Rounds, then writes the 8x8 block; samples falling outside the
-    plane are dropped (blocks may overhang padded edges). *)
-
-val halve : vector -> vector
-(** Chroma vector: arithmetic halving towards zero. *)
+(** Rounds, then writes the 8x8 block. Raises [Invalid_argument] if the
+    block overhangs the plane. *)
 
 (** {1 Half-pel precision}
 
@@ -72,14 +75,6 @@ val halve : vector -> vector
 val to_halfpel : vector -> vector
 (** [to_halfpel v] converts an integer-pel vector to half-pel units
     (doubles both components). *)
-
-val extract_predicted_halfpel : Plane.t -> x:int -> y:int -> vector -> float array
-(** Reference block displaced by a *half-pel* vector, bilinearly
-    interpolated, as floats. *)
-
-val extract_predicted_halfpel_into :
-  Plane.t -> x:int -> y:int -> vector -> float array -> unit
-(** {!extract_predicted_halfpel} into the caller's 64-element array. *)
 
 val sad_halfpel : Plane.t -> Plane.t -> x:int -> y:int -> vector -> int
 (** SAD against the interpolated prediction for a half-pel vector. *)
@@ -131,9 +126,22 @@ val window_refine : window -> vector -> vector * int
     range. *)
 
 val window_predicted_halfpel_into : window -> vector -> float array -> unit
-(** {!extract_predicted_halfpel_into} from the window, for a half-pel
-    vector within [2 range + 1] on both axes.
+(** {!predict} from the window's reference, for a half-pel vector
+    within [2 range + 1] on both axes.
 
     The [window_*] kernels raise [Invalid_argument] on a vector out of
     their reach. {!window_search} and {!window_refine} add the 8-sample
     rows they sum to [codec_sad_rows_total], once per call. *)
+
+(** {1 Predicting from a plane} *)
+
+val predict :
+  window -> reference:Plane.t -> x:int -> y:int -> hx:int -> hy:int ->
+  float array -> unit
+(** [predict w ~reference ~x ~y ~hx ~hy out] writes into [out] the 8x8
+    block of [reference] at [(x, y)] displaced by the half-pel vector
+    [(hx, hy)], bilinearly interpolated and edge-clamped, as floats.
+    It reads the plane in place when the footprint is inside it and
+    otherwise overwrites [w]'s reference samples with the footprint, so
+    any window will do, and it allocates nothing. Any vector is valid,
+    however far outside the plane. *)

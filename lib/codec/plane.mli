@@ -12,7 +12,9 @@ val create : width:int -> height:int -> t
 
 val get : t -> x:int -> y:int -> int
 (** Edge-clamped access: coordinates outside the plane read the nearest
-    edge sample (used by motion compensation at borders). *)
+    edge sample. Motion compensation does not read through it: its
+    kernels index [samples], and {!Motion.predict} copies an off-plane
+    footprint with the same clamping. *)
 
 val set : t -> x:int -> y:int -> int -> unit
 (** Raises [Invalid_argument] out of bounds. *)

@@ -571,6 +571,20 @@ let test_decode_rejects_huge_name () =
     (is_error (Encoding.decode_partial b));
   check_codes "verifier" [ "V105" ] (check b)
 
+(* Quality 1001 permille, a two-byte varint where the pristine blob
+   has 100's one byte, with the header CRC recomputed: a well-formed
+   header whose loss fraction is above 1. *)
+let test_decode_rejects_quality_above_1000 () =
+  let h = hcrc_offset blob in
+  let header = Bytes.of_string ("ANPW\002\xe9\x07" ^ String.sub blob 6 (h - 6) ^ "CRC.") in
+  let covered = Bytes.length header - 4 in
+  set_u32 header covered (Wire.Binary.crc32_sub (Bytes.to_string header) ~pos:0 ~len:covered);
+  let b = Bytes.to_string header ^ String.sub blob (h + 4) (String.length blob - h - 4) in
+  Alcotest.(check bool) "decode" true (is_error (Encoding.decode b));
+  Alcotest.(check bool) "decode_partial" true
+    (is_error (Encoding.decode_partial b));
+  check_codes "verifier" [ "V105" ] (check b)
+
 (* --- verifier/decoder agreement ----------------------------------------- *)
 
 (* A random track, encoded, then damaged: a few byte flips, the CRCs
@@ -637,6 +651,10 @@ let prop_verifier_clean_decodes =
       match Encoding.decode data with
       | Error _ -> not clean
       | Ok track -> (
+        (match Encoding.encode track with
+        | _ -> true
+        | exception Invalid_argument _ -> false)
+        &&
         match Encoding.decode_partial data with
         | Error _ -> false
         | Ok p ->
@@ -830,6 +848,8 @@ let () =
           Alcotest.test_case "truncation" `Quick test_decode_rejects_truncation;
           Alcotest.test_case "varint overflow" `Quick test_decode_rejects_varint_overflow;
           Alcotest.test_case "huge name length" `Quick test_decode_rejects_huge_name;
+          Alcotest.test_case "quality above 1000 permille" `Quick
+            test_decode_rejects_quality_above_1000;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
             prop_verifier_clean_decodes;
         ] );

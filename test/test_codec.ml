@@ -672,20 +672,20 @@ let test_motion_zero_preferred_on_tie () =
   check int "zero dy" 0 v.Codec.Motion.dy;
   check int "flat sad" 0 sad
 
-let test_motion_halve () =
-  let h = Codec.Motion.halve { Codec.Motion.dx = 5; dy = -5 } in
-  check int "halved dx towards zero" 2 h.Codec.Motion.dx;
-  check int "halved dy towards zero" (-2) h.Codec.Motion.dy
+let predict p ~x ~y (v : Codec.Motion.vector) =
+  let out = Array.make 64 0. in
+  Codec.Motion.predict (Codec.Motion.window ~range:0) ~reference:p ~x ~y ~hx:v.dx
+    ~hy:v.dy out;
+  out
 
 let test_motion_halfpel_integer_positions_exact () =
   (* At even half-pel coordinates the interpolated prediction equals
-     the integer-pel one. *)
+     the integer-pel block. *)
   let p = textured_plane 11 in
   let v_int = { Codec.Motion.dx = 2; dy = -1 } in
   let v_half = Codec.Motion.to_halfpel v_int in
   check bool "same block" true
-    (Codec.Motion.extract_predicted p ~x:8 ~y:8 v_int
-    = Codec.Motion.extract_predicted_halfpel p ~x:8 ~y:8 v_half)
+    (Codec.Motion.extract_block p ~x:10 ~y:7 = predict p ~x:8 ~y:8 v_half)
 
 let test_motion_halfpel_interpolates () =
   (* A horizontal ramp: the half-pel sample between columns is their
@@ -696,9 +696,7 @@ let test_motion_halfpel_interpolates () =
       Codec.Plane.set p ~x ~y (x * 10)
     done
   done;
-  let block =
-    Codec.Motion.extract_predicted_halfpel p ~x:4 ~y:4 { Codec.Motion.dx = 1; dy = 0 }
-  in
+  let block = predict p ~x:4 ~y:4 { Codec.Motion.dx = 1; dy = 0 } in
   (* Sample at (4.5, 4): average of 40 and 50. *)
   check (Alcotest.float 1e-9) "bilinear midpoint" 45. block.(0)
 
@@ -877,6 +875,9 @@ let random_plane ~width ~height rng =
     p.Codec.Plane.samples;
   p
 
+(* The searches and [predict] must equal the clamped definitions for
+   any block position and vector; block extract and store must equal
+   them for a block inside the plane and raise on one that overhangs. *)
 let prop_motion_kernels_match_clamped =
   QCheck2.Test.make ~count:1000
     ~name:"motion kernels equal the edge-clamped definitions"
@@ -889,8 +890,21 @@ let prop_motion_kernels_match_clamped =
       let stored = Codec.Plane.copy reference
       and stored' = Codec.Plane.copy reference in
       let samples = Array.init 64 (fun _ -> Image.Prng.float rng 300. -. 20.) in
-      Codec.Motion.store_block stored ~x ~y samples;
-      Clamped.store stored' ~x ~y samples;
+      let chroma = Codec.Motion.chroma_vector v in
+      let extract_store_ok =
+        if x >= 0 && y >= 0 && x + 8 <= width && y + 8 <= height then begin
+          Codec.Motion.store_block stored ~x ~y samples;
+          Clamped.store stored' ~x ~y samples;
+          Codec.Motion.extract_block reference ~x ~y
+          = Clamped.predicted reference ~x ~y Codec.Motion.zero
+          && Codec.Plane.equal stored stored'
+        end
+        else
+          let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+          raises (fun () -> ignore (Codec.Motion.extract_block reference ~x ~y))
+          && raises (fun () -> Codec.Motion.store_block stored ~x ~y samples)
+          && Codec.Plane.equal stored reference
+      in
       Codec.Motion.sad current reference ~x ~y v = Clamped.sad current reference ~x ~y v
       && Codec.Motion.search ~range ~current ~reference ~x ~y ()
          = Clamped.search ~range ~current ~reference ~x ~y
@@ -898,13 +912,116 @@ let prop_motion_kernels_match_clamped =
          = Clamped.sad_halfpel current reference ~x ~y v
       && Codec.Motion.refine_halfpel ~current ~reference ~x ~y integer
          = Clamped.refine_halfpel ~current ~reference ~x ~y integer
-      && Codec.Motion.extract_block reference ~x ~y
-         = Clamped.predicted reference ~x ~y Codec.Motion.zero
-      && Codec.Motion.extract_predicted reference ~x ~y v
-         = Clamped.predicted reference ~x ~y v
-      && Codec.Motion.extract_predicted_halfpel reference ~x ~y v
-         = Clamped.predicted_halfpel reference ~x ~y v
-      && Codec.Plane.equal stored stored')
+      && predict reference ~x ~y v = Clamped.predicted_halfpel reference ~x ~y v
+      && predict reference ~x ~y (Codec.Motion.to_halfpel chroma)
+         = Clamped.predicted reference ~x ~y chroma
+      && extract_store_ok)
+
+(* Hand-built P frames whose vectors the encoder would never choose:
+   far outside the plane, and half-pel taps that reach one sample past
+   the right and bottom edges. Every residual is zero, so each decoded
+   block is its prediction, which must be the edge-clamped one. *)
+let test_hostile_vectors () =
+  List.iter
+    (fun (width, height, shift) ->
+      let info =
+        {
+          Codec.Decoder.info_width = width;
+          info_height = height;
+          info_fps = 8.;
+          info_frame_count = 2;
+          info_params = Codec.Stream.default_params;
+          header_bytes = 0;
+        }
+      in
+      let rng = Image.Prng.create ~seed:(width + height) in
+      let reference = Codec.Decoder.reference_planes info in
+      List.iter
+        (fun (p : Codec.Plane.t) ->
+          Array.iteri
+            (fun i _ -> p.Codec.Plane.samples.(i) <- Image.Prng.int rng 256)
+            p.Codec.Plane.samples)
+        [ reference.Codec.Plane.y; reference.Codec.Plane.cb; reference.Codec.Plane.cr ];
+      let luma = reference.Codec.Plane.y in
+      let lw = luma.Codec.Plane.width and lh = luma.Codec.Plane.height in
+      let bw = lw / 8 and bh = lh / 8 in
+      (* Per block: the half-pel vector whose +1 taps land one sample
+         past the right and bottom edges, the far vectors, and small
+         half-pel vectors in every direction. *)
+      let vector i ~x ~y =
+        let edge = ((2 * (lw - 8 - x)) + 1, (2 * (lh - 8 - y)) + 1) in
+        let far = 4000 in
+        let table =
+          [|
+            edge; (far, far); (-far, -far); (far, -far); (-far, far);
+            (2 * (lw - 8 - x) + 1, 0); (0, 2 * (lh - 8 - y) + 1);
+            (1, 1); (-1, -1); (3, -3); (-far, 1); (1, far);
+          |]
+        in
+        let dx, dy = table.((i + shift) mod Array.length table) in
+        { Codec.Motion.dx; dy }
+      in
+      let vectors =
+        Array.init (bw * bh) (fun i -> vector i ~x:(i mod bw * 8) ~y:(i / bw * 8))
+      in
+      let zeros = Array.make 64 0 in
+      let w = Codec.Bitio.Writer.create () in
+      Codec.Bitio.Writer.put_byte_aligned w (Char.code 'P');
+      Codec.Bitio.Writer.put_byte_aligned w 8;
+      Array.iter
+        (fun (v : Codec.Motion.vector) ->
+          Codec.Golomb.write_ue w 0;
+          Codec.Golomb.write_se w v.dx;
+          Codec.Golomb.write_se w v.dy;
+          Codec.Coeff.write_block w zeros)
+        vectors;
+      let chroma_blocks =
+        let c = reference.Codec.Plane.cb in
+        c.Codec.Plane.width / 8 * (c.Codec.Plane.height / 8)
+      in
+      for _ = 1 to 2 * chroma_blocks do
+        Codec.Coeff.write_block w zeros
+      done;
+      let into = Codec.Decoder.reference_planes info in
+      (match
+         Codec.Decoder.decode_frame_into ~scratch:(Codec.Block_codec.scratch ()) ~into
+           ~info ~reference:(Some reference)
+           (Codec.Bitio.Writer.contents w)
+       with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%dx%d shift %d: %s" width height shift msg);
+      let block (p : Codec.Plane.t) ~x ~y =
+        Array.init 64 (fun i ->
+            float_of_int (Codec.Plane.get p ~x:(x + (i mod 8)) ~y:(y + (i / 8))))
+      in
+      Array.iteri
+        (fun i v ->
+          let x = i mod bw * 8 and y = i / bw * 8 in
+          check bool
+            (Printf.sprintf "%dx%d shift %d luma block %d" width height shift i)
+            true
+            (block into.Codec.Plane.y ~x ~y
+            = Clamped.predicted_halfpel luma ~x ~y v))
+        vectors;
+      List.iter
+        (fun (name, (p : Codec.Plane.t), (r : Codec.Plane.t)) ->
+          for by = 0 to (p.Codec.Plane.height / 8) - 1 do
+            for bx = 0 to (p.Codec.Plane.width / 8) - 1 do
+              let lx = min (2 * bx) (bw - 1) and ly = min (2 * by) (bh - 1) in
+              let v = Codec.Motion.chroma_vector vectors.((ly * bw) + lx) in
+              let x = bx * 8 and y = by * 8 in
+              check bool
+                (Printf.sprintf "%dx%d shift %d %s block (%d, %d)" width height shift
+                   name bx by)
+                true
+                (block p ~x ~y = Clamped.predicted r ~x ~y v)
+            done
+          done)
+        [
+          ("cb", into.Codec.Plane.cb, reference.Codec.Plane.cb);
+          ("cr", into.Codec.Plane.cr, reference.Codec.Plane.cr);
+        ])
+    [ (16, 12, 0); (16, 12, 4); (16, 12, 8); (32, 24, 0) ]
 
 (* --- Encoder / Decoder ------------------------------------------------ *)
 
@@ -1659,7 +1776,6 @@ let () =
         [
           Alcotest.test_case "finds exact shift" `Quick test_motion_finds_exact_shift;
           Alcotest.test_case "zero preferred on tie" `Quick test_motion_zero_preferred_on_tie;
-          Alcotest.test_case "halve" `Quick test_motion_halve;
           Alcotest.test_case "halfpel exact at integers" `Quick
             test_motion_halfpel_integer_positions_exact;
           Alcotest.test_case "halfpel interpolates" `Quick test_motion_halfpel_interpolates;
@@ -1669,6 +1785,7 @@ let () =
           Alcotest.test_case "extract/store roundtrip" `Quick
             test_motion_extract_store_roundtrip;
           Alcotest.test_case "window reach" `Quick test_motion_window_reach;
+          Alcotest.test_case "hostile vectors" `Quick test_hostile_vectors;
         ] );
       ( "end-to-end",
         [

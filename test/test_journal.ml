@@ -452,6 +452,24 @@ let test_v408_implausible_length () =
   let huge = "\x80\x80\x80\x01" in
   check_codes "V408" [ "V408" ] (check (String.sub blob 0 9 ^ huge))
 
+(* A frame length of nine varint bytes whose last still continues,
+   with nothing after it: the cap on the length is hit before the end
+   of the file, so the verifier and the strict decoder both call it a
+   varint too long, not a cut. *)
+let test_v408_varint_too_long_at_eof () =
+  let data = String.sub blob 0 9 ^ String.make 9 '\x80' in
+  let ds = check data in
+  check_codes "V408" [ "V408" ] ds;
+  Alcotest.(check bool)
+    "message" true
+    (List.exists
+       (fun (d : Diagnostic.t) ->
+         d.Diagnostic.message = "frame 0 length: varint longer than 8 bytes at byte 18")
+       ds);
+  Alcotest.(check (result reject string))
+    "decode" (Error "varint too long") (Journal.decode data);
+  Alcotest.(check bool) "salvage truncated" true (Journal.decode_partial data).truncated
+
 let test_inspect_never_rejects_what_verify_accepts () =
   (* The salvage decoder must accept at least everything the strict
      verifier passes: a session journal straight off the recorder. *)
@@ -560,6 +578,8 @@ let () =
           Alcotest.test_case "stage reruns allowed" `Quick test_v406_allows_stage_reruns;
           Alcotest.test_case "unknown tag" `Quick test_v407_unknown_tag;
           Alcotest.test_case "implausible length" `Quick test_v408_implausible_length;
+          Alcotest.test_case "varint too long at end of file" `Quick
+            test_v408_varint_too_long_at_eof;
           Alcotest.test_case "verify/salvage agree" `Quick
             test_inspect_never_rejects_what_verify_accepts;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
