@@ -48,8 +48,6 @@ let solve ~device ~quality hist =
   Obs.Metrics.Histogram.observe obs_clip_fraction clipped_fraction;
   of_effective_max ~device ~effective_max ~clipped_fraction
 
-let backlight_power_fraction s = float_of_int s.register /. 255.
-
 let pp ppf s =
   Format.fprintf ppf
     "<eff-max %d gain %.3f->%.3f reg %d comp x%.2f clip %.2f%%>" s.effective_max

@@ -52,10 +52,4 @@ val of_effective_max :
     region-of-interest protection). [effective_max] must be in
     [0, 255]. *)
 
-val backlight_power_fraction : solution -> float
-(** Relative backlight *level* after optimisation, [register / 255] —
-    the quantity whose complement Fig 6 plots as "Backlight Power
-    Saved", given the near-proportionality of backlight power to level
-    (§5). *)
-
 val pp : Format.formatter -> solution -> unit

@@ -21,8 +21,6 @@ let of_percent p =
   | 20. -> Loss_20
   | p -> Custom (p /. 100.)
 
-let to_percent t = allowed_loss t *. 100.
-
 let label t =
   match t with
   | Lossless -> "0%"

@@ -25,8 +25,6 @@ val standard_grid : t list
 val of_percent : float -> t
 (** [of_percent 10.] is [Loss_10]; non-grid values become [Custom]. *)
 
-val to_percent : t -> float
-
 val label : t -> string
 (** Short label as used in figure legends, e.g. ["10%"]. *)
 

@@ -70,8 +70,6 @@ let segment_with_means params ~max_track ~mean_track =
   in
   segment_general params ~n:(Array.length max_track) ~signals
 
-let scene_count params track = List.length (segment params track)
-
 let scene_max track s =
   let best = ref 0 in
   for i = s.first to s.last do
@@ -80,5 +78,3 @@ let scene_max track s =
   !best
 
 let switches scenes = max 0 (List.length scenes - 1)
-
-let pp_scene ppf s = Format.fprintf ppf "[%d..%d]" s.first s.last

@@ -58,8 +58,6 @@ val segment_with_means :
     [mean_change_threshold] — the extended heuristic the annotator
     uses. The two tracks must have equal length. *)
 
-val scene_count : params -> int array -> int
-
 val scene_max : int array -> scene -> int
 (** [scene_max track s] is the maximum of [track] over the scene — the
     "Scene Max. Lum." series of Fig 6. *)
@@ -67,5 +65,3 @@ val scene_max : int array -> scene -> int
 val switches : scene list -> int
 (** Number of scene boundaries (backlight switching opportunities):
     [max 0 (scenes - 1)]. *)
-
-val pp_scene : Format.formatter -> scene -> unit

@@ -60,9 +60,6 @@ let expand f t =
 let register_track t =
   if t.total_frames = 0 then [||] else expand (fun e -> e.register) t
 
-let compensation_track t =
-  if t.total_frames = 0 then [||] else expand (fun e -> e.compensation) t
-
 let switch_count t =
   let regs = register_track t in
   let switches = ref 0 in

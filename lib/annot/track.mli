@@ -43,9 +43,6 @@ val lookup : t -> int -> entry
 val register_track : t -> int array
 (** Per-frame backlight register, expanded — handy for power traces. *)
 
-val compensation_track : t -> float array
-(** Per-frame compensation gain, expanded. *)
-
 val switch_count : t -> int
 (** Number of frames at which the register actually changes — the
     flicker metric of ablation A1. *)

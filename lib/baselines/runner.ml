@@ -163,12 +163,3 @@ let standard_lineup =
     Strategy.History_prediction { window = 6 };
     Strategy.Qabs_smoothed { max_step = 8 };
   ]
-
-let pp_outcome ppf o =
-  Format.fprintf ppf
-    "%-20s backlight %5.1f%%  total %5.1f%%  switches %4d  violations %4d (worst %+.3f)  annot %4dB"
-    (Strategy.name o.strategy)
-    (100. *. o.report.Streaming.Playback.backlight_savings)
-    (100. *. o.report.Streaming.Playback.total_savings)
-    o.report.Streaming.Playback.switch_count o.violations o.worst_excess_clip
-    o.annotation_bytes

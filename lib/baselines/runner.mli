@@ -53,5 +53,3 @@ val standard_lineup : Strategy.t list
 (** The comparison set used by the A2 bench: annotated (scene and
     per-frame), full backlight, static 70 %, client analysis, history
     prediction, QABS-style smoothing. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -31,5 +31,3 @@ let is_clairvoyant = function
   | Full_backlight | Static_dim _ | Client_analysis _ | History_prediction _
   | Qabs_smoothed _ ->
     false
-
-let pp ppf t = Format.pp_print_string ppf (name t)

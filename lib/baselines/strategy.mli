@@ -38,5 +38,3 @@ val cpu_overhead_fraction : t -> float
 val is_clairvoyant : t -> bool
 (** True when the decision for frame [i] uses information a streaming
     client could not have at display time without annotations. *)
-
-val pp : Format.formatter -> t -> unit

@@ -106,7 +106,7 @@ let resilience_mut_idents =
 let resilience_hook_files =
   [
     "lib/streaming/session.ml"; "lib/streaming/transport.ml";
-    "lib/streaming/server.ml"; "lib/streaming/proxy.ml";
+    "lib/streaming/server.ml";
   ]
 
 let sorters =
@@ -587,8 +587,6 @@ let lint_source ?in_lib ?in_par ?in_power ?in_journal ?in_resilience ?has_mli
   lint_parsed
     (of_string ?in_lib ?in_par ?in_power ?in_journal ?in_resilience ?has_mli
        ~path contents)
-
-let lint_file ?in_lib path = lint_parsed (load_file ?in_lib path)
 
 let rec ml_files_under path =
   if Sys.is_directory path then

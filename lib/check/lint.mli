@@ -53,8 +53,8 @@
     - [L012] [Resilience.Breaker.allow]/[record] or
       [Resilience.Degrade.note] anywhere but [lib/resilience] and the
       sanctioned streaming integration sites
-      ([lib/streaming/session.ml], [transport.ml], [server.ml],
-      [proxy.ml]) — breaker trips and ladder descents are journaled
+      ([lib/streaming/session.ml], [transport.ml], [server.ml]) —
+      breaker trips and ladder descents are journaled
       control-plane decisions; mutating their state from arbitrary
       code would bend a breaker open (or fake a rung) without an
       auditable trace.
@@ -172,11 +172,6 @@ val lint_source : ?in_lib:bool -> ?in_par:bool -> ?in_power:bool ->
     stays quiet) tells the linter whether a sibling interface exists.
     An unparsable file yields a single [L000] error. Results are
     sorted with {!Check.Diagnostic.compare}. *)
-
-val lint_file : ?in_lib:bool -> string -> Check.Diagnostic.t list
-(** [lint_file path] reads [path] and lints it; [has_mli] is taken
-    from the filesystem. An unreadable file yields a single [L000]
-    error. *)
 
 val ml_files_under : string -> string list
 (** [ml_files_under path] is [path] itself for a regular [.ml] file,

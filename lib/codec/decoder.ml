@@ -168,13 +168,6 @@ let decode_frame_into ~scratch ~into:planes ~info ~reference payload =
   | exception Bitio.Reader.Out_of_bits -> Error "truncated frame"
   | exception Invalid_argument msg -> Error msg
 
-let decode_frame ~info ~reference payload =
-  let planes = reference_planes info in
-  Result.map
-    (fun () -> (raster_of_planes info planes, planes))
-    (decode_frame_into ~scratch:(Block_codec.scratch ()) ~into:planes ~info ~reference
-       payload)
-
 let decode_body r =
   let info = read_header r in
   (* Every frame carries at least its marker and qp bytes, so a count

@@ -48,16 +48,6 @@ val reference_planes : stream_info -> reference
 (** [reference_planes info] is a fresh zeroed set of planes of the
     stream's padded geometry, for {!decode_frame_into}. *)
 
-val decode_frame :
-  info:stream_info ->
-  reference:reference option ->
-  string ->
-  (Image.Raster.t * reference, string) result
-(** [decode_frame ~info ~reference payload] decodes exactly one frame
-    from its own byte string (as produced by
-    {!Encoder.frame_payloads}) into fresh planes. P-frames require
-    [reference]; I-frames ignore it. *)
-
 val decode_frame_into :
   scratch:Block_codec.scratch ->
   into:reference ->
@@ -66,10 +56,12 @@ val decode_frame_into :
   string ->
   (unit, string) result
 (** [decode_frame_into ~scratch ~into ~info ~reference payload]
-    reconstructs the frame {!decode_frame} decodes into [into] instead
-    of fresh planes, and converts no picture, so a caller that decodes
-    frame after frame can reuse both its planes and one [scratch]. On
-    [Ok ()] [into] holds the frame's reference, every sample of it
-    rewritten; on [Error] its contents are unspecified. [into] must not
-    be [reference]; both must have the geometry of
-    {!reference_planes}, else [Invalid_argument] is raised. *)
+    decodes exactly one frame from its own byte string (the bytes
+    [frame_sizes_bits] delimits, from [header_bytes] on) into [into],
+    and converts no picture, so a caller that decodes frame after
+    frame can reuse both its planes and one [scratch]. P-frames
+    require [reference]; I-frames ignore it. On [Ok ()] [into] holds
+    the frame's reference, every sample of it rewritten; on [Error]
+    its contents are unspecified. [into] must not be [reference]; both
+    must have the geometry of {!reference_planes}, else
+    [Invalid_argument] is raised. *)

@@ -144,7 +144,7 @@ let code_chroma_p w (c : Block_codec.coder) q ~luma_modes ~luma_bw
     done
   done
 
-let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
+let encode_clip_impl ~params ?i_frame_at clip =
   if params.Stream.qp < 1 || params.Stream.qp > 31 then
     invalid_arg "Encoder: qp out of [1, 31]";
   if params.Stream.gop < 1 then invalid_arg "Encoder: gop must be positive";
@@ -157,6 +157,7 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
   let frame_sizes_bits = Array.make frame_count 0 in
   let frame_types = Array.make frame_count Stream.I_frame in
   let c = Block_codec.coder ~search_range:params.Stream.search_range in
+  let q = Quant.make ~qp:params.Stream.qp in
   let width = clip.Video.Clip.width and height = clip.Video.Clip.height in
   let planes () = Plane.create_ycbcr ~width ~height ~multiple:8 in
   (* Each frame is converted into the same padded planes, and
@@ -177,16 +178,8 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     in
     Bitio.Writer.align w;
     let start_bits = Bitio.Writer.bit_length w in
-    (* Per-frame quantiser: adaptive callers steer the rate here. *)
-    let qp =
-      match qp_for with
-      | None -> params.Stream.qp
-      | Some f -> f ~index:i ~total_bits:start_bits
-    in
-    if qp < 1 || qp > 31 then invalid_arg "Encoder: controller qp out of [1, 31]";
-    let q = Quant.make ~qp in
     Bitio.Writer.put_byte_aligned w (if is_i then Char.code 'I' else Char.code 'P');
-    Bitio.Writer.put_byte_aligned w qp;
+    Bitio.Writer.put_byte_aligned w params.Stream.qp;
     let recon = match !spare with Some planes -> planes | None -> planes () in
     (if is_i then begin
        frame_types.(i) <- Stream.I_frame;
@@ -230,22 +223,13 @@ let encode_clip_impl ~params ?i_frame_at ?qp_for clip =
     frame_types;
   }
 
-let encode_clip ?(params = Stream.default_params) ?i_frame_at ?qp_for clip =
+let encode_clip ?(params = Stream.default_params) ?i_frame_at clip =
   Obs.Trace.with_span "codec.encode"
     ~attrs:
       [
         ("clip", clip.Video.Clip.name);
         ("frames", string_of_int clip.Video.Clip.frame_count);
       ]
-    (fun () -> encode_clip_impl ~params ?i_frame_at ?qp_for clip)
+    (fun () -> encode_clip_impl ~params ?i_frame_at clip)
 
 let total_bytes e = String.length e.data
-
-let mean_frame_bytes e =
-  float_of_int (Array.fold_left ( + ) 0 e.frame_sizes_bits)
-  /. 8. /. float_of_int e.frame_count
-
-let pp_summary ppf e =
-  Format.fprintf ppf "<stream %dx%d %d frames qp=%d %d bytes (%.0f B/frame)>"
-    e.width e.height e.frame_count e.params.Stream.qp (total_bytes e)
-    (mean_frame_bytes e)

@@ -21,7 +21,6 @@ type encoded = {
 val encode_clip :
   ?params:Stream.params ->
   ?i_frame_at:(int -> bool) ->
-  ?qp_for:(index:int -> total_bits:int -> int) ->
   Video.Clip.t ->
   encoded
 (** [encode_clip ?params clip] encodes every frame. [i_frame_at]
@@ -29,9 +28,6 @@ val encode_clip :
     whenever [i_frame_at i] holds (frame 0 is always intra). Content-
     aware callers place I-frames at scene cuts, where a P-frame would
     be nearly as large but leave the GOP open (see {!Gop_planner}).
-    [qp_for] chooses each frame's quantiser, receiving the bits written
-    so far — the hook single-pass rate control steers (see
-    {!Rate_control.single_pass}); it must return values in [1, 31].
     It calls [clip.render i] exactly once per frame, in index order
     from 0, so a clip whose render has side effects (a cold session's
     prepare histograms each frame as it is rendered) sees each frame
@@ -40,7 +36,3 @@ val encode_clip :
     a rendered frame whose dimensions differ from the clip's. *)
 
 val total_bytes : encoded -> int
-
-val mean_frame_bytes : encoded -> float
-
-val pp_summary : Format.formatter -> encoded -> unit

@@ -7,7 +7,3 @@ let default_params = { qp = 8; gop = 12; search_range = 4 }
 let magic = "MVC1"
 
 let version = 3
-
-let pp_frame_type ppf = function
-  | I_frame -> Format.pp_print_char ppf 'I'
-  | P_frame -> Format.pp_print_char ppf 'P'

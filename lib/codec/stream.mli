@@ -14,5 +14,3 @@ val magic : string
 (** ["MVC1"]. *)
 
 val version : int
-
-val pp_frame_type : Format.formatter -> frame_type -> unit

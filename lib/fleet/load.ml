@@ -143,22 +143,3 @@ let plan t ~catalog =
           !now)
   in
   { clip_of; arrival_s }
-
-let pp ppf t =
-  let open Format in
-  fprintf ppf "%s loop, %d sessions"
-    (match t.arrival with Open_loop -> "open" | Closed_loop -> "closed")
-    t.sessions;
-  (match t.arrival with
-  | Open_loop -> fprintf ppf ", %.1f/s" t.rate_per_s
-  | Closed_loop -> fprintf ppf ", concurrency %d" t.concurrency);
-  fprintf ppf ", zipf %.2f" t.zipf_s;
-  if t.diurnal_amplitude > 0. then
-    fprintf ppf ", diurnal %.0f%% over %.0fs" (100. *. t.diurnal_amplitude)
-      t.diurnal_period_s;
-  (match t.spike_at_s with
-  | Some at ->
-    fprintf ppf ", spike x%.1f at %.0fs (+/-%.0fs)" t.spike_factor at
-      (t.spike_width_s /. 2.)
-  | None -> ());
-  fprintf ppf ", seed %d" t.seed

@@ -67,5 +67,3 @@ val plan : t -> catalog:int -> plan
     seeded streams, so reshaping the arrival process never changes
     which clip a session plays (and with it the session's shard).
     Raises [Invalid_argument] on an empty catalog. *)
-
-val pp : Format.formatter -> t -> unit

@@ -21,10 +21,6 @@ let luminance_rgb r g b = ((wr * r) + (wg * g) + (wb * b) + 32768) lsr 16
 
 let luminance { r; g; b } = luminance_rgb r g b
 
-let luminance_exact { r; g; b } =
-  (0.299 *. float_of_int r) +. (0.587 *. float_of_int g)
-  +. (0.114 *. float_of_int b)
-
 let scale k { r; g; b } =
   assert (k >= 0.);
   let s c = clamp_channel (int_of_float ((k *. float_of_int c) +. 0.5)) in

@@ -28,9 +28,6 @@ val luminance_rgb : int -> int -> int -> int
 (** [luminance_rgb r g b] is [luminance (v r g b)] for channels already
     in [0, 255], with no pixel record. *)
 
-val luminance_exact : t -> float
-(** [luminance_exact p] is the unrounded BT.601 luma of [p]. *)
-
 val scale : float -> t -> t
 (** [scale k p] multiplies every channel by [k] and clamps: the paper's
     contrast-enhancement compensation [C' = min(1, C*k)] applied

@@ -17,8 +17,6 @@ let center_band ~width ~height ~fraction =
   let y = (height - band_h) / 2 in
   of_rects [ { x = 0; y; w = width; h = band_h } ]
 
-let is_empty t = t.rects = []
-
 let rect_contains r ~x ~y = x >= r.x && x < r.x + r.w && y >= r.y && y < r.y + r.h
 
 let contains t ~x ~y = List.exists (fun r -> rect_contains r ~x ~y) t.rects

@@ -25,8 +25,6 @@ val center_band : width:int -> height:int -> fraction:float -> t
     frame — the natural protection for rolling credits or subtitles.
     [fraction] in (0, 1]. *)
 
-val is_empty : t -> bool
-
 val contains : t -> x:int -> y:int -> bool
 
 val pixel_count : t -> width:int -> height:int -> int

@@ -49,7 +49,3 @@ let frame_energy_mj level ~cycles ~deadline_s =
   let busy = busy_seconds level ~cycles in
   let idle = Float.max 0. (deadline_s -. busy) in
   (level.busy_power_mw *. busy) +. (level.idle_power_mw *. idle)
-
-let pp_level ppf l =
-  Format.fprintf ppf "%dMHz@%.2fV (%.0f mW busy)" l.frequency_mhz l.voltage_v
-    l.busy_power_mw

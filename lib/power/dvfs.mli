@@ -38,5 +38,3 @@ val frame_energy_mj : level -> cycles:float -> deadline_s:float -> float
 (** Energy to decode one frame: busy at the level for the cycles, then
     idle at the level for the remainder of the frame interval (clamped
     at zero when the frame overruns). *)
-
-val pp_level : Format.formatter -> level -> unit

@@ -68,8 +68,3 @@ let measure_trace ?component m ~dt_s trace =
 let savings_vs ~baseline r =
   if baseline.energy_mj <= 0. then invalid_arg "Meter.savings_vs: zero baseline";
   (baseline.energy_mj -. r.energy_mj) /. baseline.energy_mj
-
-let pp_reading ppf r =
-  Format.fprintf ppf "%.2f s, %d samples, %.1f mJ, avg %.1f mW (min %.1f, peak %.1f)"
-    r.duration_s r.samples r.energy_mj r.average_power_mw r.min_power_mw
-    r.peak_power_mw

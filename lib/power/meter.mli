@@ -42,5 +42,3 @@ val measure_trace : ?component:string -> t -> dt_s:float -> float array -> readi
 val savings_vs : baseline:reading -> reading -> float
 (** [savings_vs ~baseline r] is the fractional energy saving
     [(baseline - r) / baseline]; positive when [r] uses less energy. *)
-
-val pp_reading : Format.formatter -> reading -> unit

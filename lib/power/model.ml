@@ -40,8 +40,3 @@ let device_power_mw d s = total_mw (component_breakdown d s)
 let backlight_share d s =
   let b = component_breakdown d s in
   b.backlight_mw /. total_mw b
-
-let pp_breakdown ppf b =
-  Format.fprintf ppf
-    "backlight %.0f + lcd %.0f + cpu %.0f + net %.0f + base %.0f = %.0f mW"
-    b.backlight_mw b.lcd_logic_mw b.cpu_mw b.network_mw b.base_mw (total_mw b)

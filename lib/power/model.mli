@@ -33,5 +33,3 @@ val backlight_share : Display.Device.t -> State.t -> float
 (** Fraction of device power drawn by the backlight in the given state.
     At full backlight during playback this lands in the 25–30 % band
     the paper quotes for typical PDAs. *)
-
-val pp_breakdown : Format.formatter -> breakdown -> unit

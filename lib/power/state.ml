@@ -15,10 +15,3 @@ let playback_full =
 let clamp r = if r < 0 then 0 else if r > 255 then 255 else r
 
 let with_backlight register state = { state with backlight_register = clamp register }
-
-let pp ppf s =
-  Format.fprintf ppf "<bl=%s/%d cpu=%s net=%s>"
-    (if s.backlight_on then "on" else "off")
-    s.backlight_register
-    (match s.cpu with Cpu_busy -> "busy" | Cpu_idle -> "idle")
-    (match s.network with Net_receiving -> "rx" | Net_idle -> "idle")

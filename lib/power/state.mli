@@ -26,5 +26,3 @@ val playback_full : t
 val with_backlight : int -> t -> t
 (** [with_backlight register state] sets the backlight register
     (clamped to 0–255). *)
-
-val pp : Format.formatter -> t -> unit

@@ -19,8 +19,6 @@ let decision_label = function
   | Queued -> "queued"
   | Shed -> "shed"
 
-let decision_code = function Admitted -> 0 | Queued -> 1 | Shed -> 2
-
 type t = {
   name : string;
   config : config;

@@ -24,9 +24,6 @@ type decision = Admitted | Queued | Shed
 val decision_label : decision -> string
 (** ["admitted"] / ["queued"] / ["shed"]. *)
 
-val decision_code : decision -> int
-(** 0 / 1 / 2 in declaration order. *)
-
 type t
 
 val create : ?config:config -> name:string -> unit -> t

@@ -45,8 +45,3 @@ let annotate ?scene_params s profiled =
     (* Device-neutral: the client maps gains to registers with
        Annotation.Neutral.map_to_device after decoding. *)
     Annotation.Neutral.annotate ?scene_params ~quality:s.quality profiled
-
-let pp_session ppf s =
-  Format.fprintf ppf "<session %s q=%a %s>" s.device.Display.Device.name
-    Annotation.Quality_level.pp s.quality
-    (match s.mapping with Server_side -> "server-mapped" | Client_side -> "client-mapped")

@@ -45,5 +45,3 @@ val annotate :
     [Client_side] (the client finishes them with
     {!Annotation.Neutral.map_to_device}). The one place the server
     pipeline branches on where the mapping runs. *)
-
-val pp_session : Format.formatter -> session -> unit

@@ -38,6 +38,9 @@ let frame_state register =
     network = Power.State.Net_receiving;
   }
 
+(* Per-frame average device power (mW): backlight at the register, CPU
+   busy for the duty-cycle fraction, network receiving, plus fixed
+   components. *)
 let power_trace ~device ~cpu_busy_fraction ~registers =
   if cpu_busy_fraction < 0. || cpu_busy_fraction > 1. then
     invalid_arg "Playback.power_trace: duty cycle out of [0, 1]";

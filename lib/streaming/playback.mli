@@ -35,15 +35,6 @@ type report = {
   total_savings : float;  (** fraction; the Fig 10 quantity *)
 }
 
-val power_trace :
-  device:Display.Device.t ->
-  cpu_busy_fraction:float ->
-  registers:int array ->
-  float array
-(** Per-frame average device power (mW) given per-frame backlight
-    registers: backlight at the register, CPU busy for the duty-cycle
-    fraction, network receiving, plus fixed components. *)
-
 val backlight_trace :
   device:Display.Device.t -> registers:int array -> float array
 (** Per-frame backlight-only power (mW). *)

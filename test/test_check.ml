@@ -102,7 +102,7 @@ let test_l011_journal_exempt () =
     (Lint.lint_source ~path:"lib/streaming/x.ml" allowed)
 
 let test_l012_resilience_exempt () =
-  (* The control plane itself and the four reviewed streaming
+  (* The control plane itself and the three reviewed streaming
      integration files may flip breaker/ladder state; everywhere else
      needs a reasoned allow. *)
   let source = read_file "fixtures/lint/l012_resilience.ml" in
@@ -780,6 +780,107 @@ let test_resilience_noop () =
   check_codes "V505" [ "V505" ] ds;
   Alcotest.(check int) "warning only" 0 (Diagnostic.errors ds)
 
+(* --- reachability -------------------------------------------------------- *)
+
+(* Every module-path component a file mentions in an identifier,
+   constructor, record label, type, module expression or module type.
+   A lib unit is known by the capitalised basename of its .ml, so
+   [Streaming.Session.run] names [Session]; a name two units share
+   (three [Profile]s) names both, which can only over-approximate. *)
+let mentioned_names (ast : Parsetree.structure) =
+  let names = Hashtbl.create 64 in
+  let rec add (lid : Longident.t) =
+    match lid with
+    | Lident s -> Hashtbl.replace names s ()
+    | Ldot (l, s) ->
+      add l;
+      Hashtbl.replace names s ()
+    | Lapply (a, b) ->
+      add a;
+      add b
+  in
+  let add_keys pairs = List.iter (fun ((l : Longident.t Location.loc), _) -> add l.txt) pairs in
+  let super = Ast_iterator.default_iterator in
+  let it =
+    {
+      super with
+      expr =
+        (fun self e ->
+          (match e.pexp_desc with
+          | Pexp_ident l | Pexp_construct (l, _) | Pexp_field (_, l) | Pexp_setfield (_, l, _)
+            ->
+            add l.txt
+          | Pexp_record (fields, _) -> add_keys fields
+          | _ -> ());
+          super.expr self e);
+      pat =
+        (fun self p ->
+          (match p.ppat_desc with
+          | Ppat_construct (l, _) | Ppat_type l -> add l.txt
+          | Ppat_record (fields, _) -> add_keys fields
+          | _ -> ());
+          super.pat self p);
+      typ =
+        (fun self t ->
+          (match t.ptyp_desc with
+          | Ptyp_constr (l, _) -> add l.txt
+          | Ptyp_package (l, constraints) ->
+            add l.txt;
+            add_keys constraints
+          | _ -> ());
+          super.typ self t);
+      module_expr =
+        (fun self m ->
+          (match m.pmod_desc with Pmod_ident l -> add l.txt | _ -> ());
+          super.module_expr self m);
+      module_type =
+        (fun self m ->
+          (match m.pmty_desc with Pmty_ident l | Pmty_alias l -> add l.txt | _ -> ());
+          super.module_type self m);
+      with_constraint =
+        (fun self c ->
+          (match c with
+          | Pwith_type (l, _) | Pwith_typesubst (l, _) | Pwith_modtype (l, _)
+          | Pwith_modtypesubst (l, _) ->
+            add l.txt
+          | Pwith_module (a, b) | Pwith_modsubst (a, b) ->
+            add a.txt;
+            add b.txt);
+          super.with_constraint self c);
+      type_extension =
+        (fun self t ->
+          add t.ptyext_path.txt;
+          super.type_extension self t);
+    }
+  in
+  it.structure it ast;
+  names
+
+let test_every_lib_unit_reachable () =
+  let names path =
+    match (Lint.load_file path).Lint.src_ast with
+    | Some ast -> mentioned_names ast
+    | None -> Alcotest.failf "%s does not parse" path
+  in
+  let lib = List.map (fun path -> (path, names path)) (Lint.ml_files_under "../lib") in
+  let unit_name path = String.capitalize_ascii (Filename.chop_extension (Filename.basename path)) in
+  let reached = Hashtbl.create 256 in
+  let rec visit mentioned =
+    List.iter
+      (fun (path, names) ->
+        if (not (Hashtbl.mem reached path)) && Hashtbl.mem mentioned (unit_name path) then begin
+          Hashtbl.add reached path ();
+          visit names
+        end)
+      lib
+  in
+  List.iter
+    (fun root -> List.iter (fun path -> visit (names path)) (Lint.ml_files_under root))
+    [ "../bin"; "../bench"; "../perfbench" ];
+  Alcotest.(check (list string))
+    "lib units no root reaches" []
+    (List.filter_map (fun (path, _) -> if Hashtbl.mem reached path then None else Some path) lib)
+
 let () =
   Alcotest.run "check"
     [
@@ -882,5 +983,10 @@ let () =
           Alcotest.test_case "threshold range" `Quick
             test_resilience_threshold_range;
           Alcotest.test_case "no-op" `Quick test_resilience_noop;
+        ] );
+      ( "reachability",
+        [
+          Alcotest.test_case "every lib unit is reachable from bin, bench or perfbench"
+            `Quick test_every_lib_unit_reachable;
         ] );
     ]

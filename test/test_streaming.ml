@@ -567,82 +567,6 @@ let test_dvfs_validation () =
         (Streaming.Dvfs_playback.run ~fps:12. [||]
            Streaming.Dvfs_playback.Always_full))
 
-(* --- Adaptive -------------------------------------------------------------------- *)
-
-(* A clip whose quality levels genuinely differ (bright tails to clip),
-   long enough for multiple scenes. *)
-let adaptive_profiled =
-  lazy
-    (let profile =
-       {
-         Video.Profile.name = "adaptive-test";
-         seed = 61;
-         scenes =
-           [
-             Video.Profile.scene ~seconds:2. ~noise_sigma:2.
-               ~highlights:{ Video.Profile.count = 3; peak = 200; radius = 40; drift = 0. }
-               (Video.Profile.Flat 40);
-             Video.Profile.scene ~seconds:2. ~noise_sigma:2.
-               (Video.Profile.Flat 180);
-             Video.Profile.scene ~seconds:2. ~noise_sigma:2.
-               ~highlights:{ Video.Profile.count = 3; peak = 190; radius = 40; drift = 0. }
-               (Video.Profile.Flat 30);
-           ];
-       }
-     in
-     Annotation.Annotator.profile (Video.Clip_gen.render ~width:32 ~height:24 ~fps:8. profile))
-
-let test_adaptive_generous_battery_stays_lossless () =
-  let o =
-    Streaming.Adaptive.run ~device ~battery_mwh:10_000. (Lazy.force adaptive_profiled)
-  in
-  check bool "completed" true o.Streaming.Adaptive.completed;
-  check (Alcotest.float 1e-12) "no quality lost" 0.
-    o.Streaming.Adaptive.mean_quality_loss;
-  check int "every frame played"
-    (Lazy.force adaptive_profiled).Annotation.Annotator.total_frames
-    o.Streaming.Adaptive.frames_played
-
-let test_adaptive_tight_battery_escalates () =
-  let profiled = Lazy.force adaptive_profiled in
-  (* Battery sized between the lossless and most-aggressive needs. *)
-  let energy quality =
-    let track = Annotation.Annotator.annotate_profiled ~device ~quality profiled in
-    let power =
-      Streaming.Playback.power_trace ~device ~cpu_busy_fraction:0.6
-        ~registers:(Annotation.Track.register_track track)
-    in
-    Array.fold_left ( +. ) 0. power /. 8. (* dt = 1/8 s *)
-  in
-  let lossless_mj = energy Annotation.Quality_level.Lossless in
-  let aggressive_mj = energy Annotation.Quality_level.Loss_20 in
-  check bool "levels differ on this content" true (aggressive_mj < lossless_mj *. 0.95);
-  let battery_mwh = (lossless_mj +. aggressive_mj) /. 2. /. 3600. in
-  let o = Streaming.Adaptive.run ~device ~battery_mwh profiled in
-  check bool "completed by escalating" true o.Streaming.Adaptive.completed;
-  check bool "some quality traded" true (o.Streaming.Adaptive.mean_quality_loss > 0.)
-
-let test_adaptive_impossible_battery_dies () =
-  let o =
-    Streaming.Adaptive.run ~device ~battery_mwh:0.05 (Lazy.force adaptive_profiled)
-  in
-  check bool "did not complete" false o.Streaming.Adaptive.completed;
-  check bool "partial playback" true
-    (o.Streaming.Adaptive.frames_played
-     < (Lazy.force adaptive_profiled).Annotation.Annotator.total_frames)
-
-let test_adaptive_steps_contiguous () =
-  let o =
-    Streaming.Adaptive.run ~device ~battery_mwh:10_000. (Lazy.force adaptive_profiled)
-  in
-  let rec contiguous expected = function
-    | [] -> true
-    | s :: rest ->
-      s.Streaming.Adaptive.first_frame = expected
-      && contiguous (expected + s.Streaming.Adaptive.frame_count) rest
-  in
-  check bool "steps tile the clip" true (contiguous 0 o.Streaming.Adaptive.steps)
-
 (* --- Session -------------------------------------------------------------------- *)
 
 let moving_clip () =
@@ -914,13 +838,17 @@ let oracle_scores (p : Streaming.Transport.packetized) (encoded : Codec.Encoder.
             Codec.Plane.to_raster_cropped prev ~width ~height
           | None -> Alcotest.fail "first frame lost"
         else
-          match Codec.Decoder.decode_frame ~info ~reference:!reference payload with
-          | Ok (picture, planes) ->
+          let planes = Codec.Decoder.reference_planes info in
+          match
+            Codec.Decoder.decode_frame_into ~scratch:(Codec.Block_codec.scratch ())
+              ~into:planes ~info ~reference:!reference payload
+          with
+          | Ok () ->
             (match p.Streaming.Transport.frame_types.(i) with
             | Codec.Stream.I_frame -> dirty := false
             | Codec.Stream.P_frame -> if !dirty then incr drifted);
             reference := Some planes;
-            picture
+            Codec.Plane.to_raster_cropped planes ~width ~height
           | Error e -> Alcotest.fail e)
       p.Streaming.Transport.payloads
   in
@@ -1233,51 +1161,6 @@ let test_ramp_cost_small () =
 let test_ramp_validation () =
   Alcotest.check_raises "bad step" (Invalid_argument "Ramp.slew_limit: step must be positive")
     (fun () -> ignore (Streaming.Ramp.slew_limit ~max_dim_step:0 [| 1 |]))
-
-(* --- Proxy ---------------------------------------------------------------- *)
-
-let test_proxy_transcode_shrinks_stream () =
-  let clip = two_scene_clip () in
-  let original = Codec.Encoder.encode_clip clip in
-  match
-    Streaming.Proxy.transcode
-      ~params:{ Codec.Stream.default_params with qp = 24 } original
-  with
-  | Error e -> Alcotest.fail e
-  | Ok coarser ->
-    check bool "coarser quantiser shrinks the stream" true
-      (Codec.Encoder.total_bytes coarser < Codec.Encoder.total_bytes original);
-    check int "frame count preserved" original.Codec.Encoder.frame_count
-      coarser.Codec.Encoder.frame_count
-
-let test_proxy_transcode_rejects_garbage () =
-  let fake =
-    {
-      Codec.Encoder.data = "garbage";
-      width = 8;
-      height = 8;
-      fps = 10.;
-      frame_count = 1;
-      params = Codec.Stream.default_params;
-      frame_sizes_bits = [| 8 |];
-      frame_types = [| Codec.Stream.I_frame |];
-    }
-  in
-  check bool "corrupt input rejected" true
-    (Result.is_error
-       (Streaming.Proxy.transcode ~params:Codec.Stream.default_params fake))
-
-let test_proxy_live_session () =
-  let clip = two_scene_clip () in
-  let session =
-    Streaming.Proxy.annotate_live ~lookahead:8 ~device
-      ~quality:Annotation.Quality_level.Loss_10 clip
-  in
-  check (Alcotest.float 1e-9) "latency" 1. session.Streaming.Proxy.added_latency_s;
-  check bool "annotations decode" true
-    (Result.is_ok (Annotation.Encoding.decode session.Streaming.Proxy.annotation_bytes));
-  check int "track covers clip" clip.Video.Clip.frame_count
-    session.Streaming.Proxy.track.Annotation.Track.total_frames
 
 (* --- Radio ---------------------------------------------------------------- *)
 
@@ -1715,16 +1598,6 @@ let () =
           Alcotest.test_case "quality evaluation" `Quick test_playback_quality_evaluation;
           Alcotest.test_case "empty rejected" `Quick test_playback_empty_rejected;
         ] );
-      ( "adaptive",
-        [
-          Alcotest.test_case "generous battery lossless" `Quick
-            test_adaptive_generous_battery_stays_lossless;
-          Alcotest.test_case "tight battery escalates" `Quick
-            test_adaptive_tight_battery_escalates;
-          Alcotest.test_case "impossible battery dies" `Quick
-            test_adaptive_impossible_battery_dies;
-          Alcotest.test_case "steps contiguous" `Quick test_adaptive_steps_contiguous;
-        ] );
       ( "cold prepare",
         [
           Alcotest.test_case "golden digests" `Quick test_golden_prepare;
@@ -1804,13 +1677,6 @@ let () =
             test_ramp_cost_absolute_energy;
           Alcotest.test_case "fps validation" `Quick
             test_ramp_cost_fps_validation;
-        ] );
-      ( "proxy",
-        [
-          Alcotest.test_case "transcode shrinks" `Quick test_proxy_transcode_shrinks_stream;
-          Alcotest.test_case "transcode rejects garbage" `Quick
-            test_proxy_transcode_rejects_garbage;
-          Alcotest.test_case "live session" `Quick test_proxy_live_session;
         ] );
       ( "radio",
         [
