@@ -71,7 +71,8 @@ fleet-smoke:
 # Chaos gate: every CLI must survive the example fault profiles
 # (burst loss, corruption, reorder, jitter, bandwidth collapse)
 # without crashing. Exit codes are asserted, output is discarded —
-# the chaos test suite (test/test_fault.ml) checks the behaviour.
+# the chaos test suite (test/test_fault.ml) checks the behaviour. A
+# quality outside 0-100 % is a usage error (exit 124), not a crash.
 # Bernoulli loss reaches a session only as a fault model, so its run
 # also leaves a journal for the offline audit.
 chaos:
@@ -92,6 +93,10 @@ chaos:
 	  --fault-profile examples/chaos.fault > /dev/null
 	dune exec bin/characterize.exe -- --monitor --slo examples/default.slo \
 	  > /dev/null
+	dune exec bin/annotate.exe -- -c theincredibles-tlr2 --quality=150 \
+	  > /dev/null 2>&1; test $$? -eq 124
+	dune exec bin/playback.exe -- -c theincredibles-tlr2 --quality=-5 \
+	  > /dev/null 2>&1; test $$? -eq 124
 
 # Chaos × resilience gate: the same hostile channel with the control
 # plane on. Every CLI must exit 0 under both shipped profiles — a

@@ -1668,7 +1668,7 @@ let resilience_ladder () =
             Streaming.Negotiation.negotiate
               {
                 Streaming.Negotiation.device;
-                requested_quality = Annotation.Quality_level.of_percent 0.;
+                requested_quality = Annotation.Quality_level.Lossless;
               }
           with
           | Error e -> failwith e

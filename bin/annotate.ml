@@ -62,8 +62,8 @@ let simulate_side_channel ~fault ~resilience encoded =
       (total - partial.E.missing_records - partial.E.corrupt_records)
       partial.E.missing_records partial.E.corrupt_records total
 
-let run clip_name device_name device_file quality_percent per_frame output width height fps fault_profile resilience_file jobs obs trace_out energy_profile journal monitor slo metrics_out =
-  Common.with_instrumentation ~default_quality:(quality_percent /. 100.)
+let run clip_name device_name device_file quality per_frame output width height fps fault_profile resilience_file jobs obs trace_out energy_profile journal monitor slo metrics_out =
+  Common.with_instrumentation ~default_quality:(Annotation.Quality_level.allowed_loss quality)
     ~energy_profile ~journal ~obs ~trace_out ~monitor ~slo ~metrics_out
   @@ fun () ->
   Common.with_jobs jobs
@@ -74,7 +74,6 @@ let run clip_name device_name device_file quality_percent per_frame output width
   let device =
     Common.or_die (Common.resolve_device_with_file ~file:device_file device_name)
   in
-  let quality = Annotation.Quality_level.of_percent quality_percent in
   let scene_params =
     if per_frame then Annotation.Scene_detect.per_frame_params
     else Annotation.Scene_detect.default_params

@@ -33,7 +33,18 @@ let device_file_arg =
 
 let quality_arg =
   let doc = "Quality level: allowed percentage of clipped bright pixels (0-100)." in
-  Arg.(value & opt float 10. & info [ "q"; "quality" ] ~docv:"PERCENT" ~doc)
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected a number" s))
+    | Some p -> Result.map_error (fun m -> `Msg m) (Annotation.Quality_level.of_percent p)
+  in
+  let print ppf q =
+    Format.fprintf ppf "%g" (100. *. Annotation.Quality_level.allowed_loss q)
+  in
+  Arg.(
+    value
+    & opt (conv (parse, print)) Annotation.Quality_level.Loss_10
+    & info [ "q"; "quality" ] ~docv:"PERCENT" ~doc)
 
 let width_arg =
   Arg.(value & opt int 160 & info [ "width" ] ~docv:"PX" ~doc:"Frame width.")
@@ -194,7 +205,7 @@ let session_resilience ~device clip = function
           Streaming.Negotiation.negotiate
             {
               Streaming.Negotiation.device;
-              requested_quality = Annotation.Quality_level.of_percent 0.;
+              requested_quality = Annotation.Quality_level.Lossless;
             }
         with
         | Error _ -> None

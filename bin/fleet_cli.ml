@@ -137,7 +137,7 @@ let run shards vnodes capacity queue_limit load_file sessions seed device_name
   let session_config =
     {
       (Streaming.Session.default_config ~device) with
-      Streaming.Session.quality = Annotation.Quality_level.of_percent quality;
+      Streaming.Session.quality = quality;
       fault;
     }
   in

@@ -94,15 +94,14 @@ let run_faulty ~device ~quality ~ramp ~fault ~resilience clip =
     Format.printf "%a@." Streaming.Session.pp_report report;
     0
 
-let run clip_name device_name device_file quality_percent with_camera dump ramp width height fps loss_model loss burst fault_profile resilience_file obs trace_out energy_profile journal monitor slo metrics_out =
-  Common.with_instrumentation ~default_quality:(quality_percent /. 100.)
+let run clip_name device_name device_file quality with_camera dump ramp width height fps loss_model loss burst fault_profile resilience_file obs trace_out energy_profile journal monitor slo metrics_out =
+  Common.with_instrumentation ~default_quality:(Annotation.Quality_level.allowed_loss quality)
     ~energy_profile ~journal ~obs ~trace_out ~monitor ~slo ~metrics_out
   @@ fun () ->
   let clip = Common.or_die (Common.resolve_clip clip_name ~width ~height ~fps) in
   let device =
     Common.or_die (Common.resolve_device_with_file ~file:device_file device_name)
   in
-  let quality = Annotation.Quality_level.of_percent quality_percent in
   let resilience = Common.resolve_resilience resilience_file in
   match Common.resolve_fault ~loss_model ~loss ~burst ~fault_profile with
   | Some fault -> run_faulty ~device ~quality ~ramp ~fault ~resilience clip

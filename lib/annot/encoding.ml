@@ -8,6 +8,248 @@ let record_size = 15
 (* first_frame u24, frame_count u24, register u8, compensation u24,
    effective u8, crc32 u32 — see the .mli layout. *)
 
+(* Header bounds: a name no player would show, a frame rate no panel
+   runs at, a clip longer than u24 record spans can address. *)
+let max_name_len = 4096
+let max_fps_milli = 1_000_000
+let max_frames = 0xffffff
+
+(* --- reading ---------------------------------------------------------- *)
+
+type record = Intact of Track.entry | Lost | Corrupt
+
+type partial = {
+  clip_name : string;
+  device_name : string;
+  quality : Quality_level.t;
+  fps : float;
+  total_frames : int;
+  records : record array;
+  corrupt_records : int;
+  missing_records : int;
+}
+
+type rule =
+  | Magic
+  | Version
+  | Truncated
+  | Header_crc
+  | Field
+  | Record_count
+  | Record_crc
+  | Order
+  | Span
+  | Compensation
+  | Coverage
+
+type problem = { rule : rule; message : string }
+
+let arrived byte_ok ~pos ~len =
+  match byte_ok with
+  | None -> true
+  | Some ok -> not (Array.exists not (Array.sub ok pos len))
+
+let malformed data (e : Wire.Binary.error) =
+  match e.failure with
+  | Wire.Binary.Truncated n ->
+    ( Truncated,
+      Printf.sprintf "truncated stream: %s at byte %d needs %d byte(s), %d left"
+        e.what e.at n
+        (String.length data - e.at) )
+  | Varint_too_long ->
+    (Field, Printf.sprintf "%s: varint longer than 8 bytes at byte %d" e.what e.at)
+  | Varint_overflow ->
+    (Field, Printf.sprintf "%s: varint overflows at byte %d" e.what e.at)
+  | Too_long { len; cap } ->
+    (Field, Printf.sprintf "%s: implausible length %d (cap %d)" e.what len cap)
+
+let coverage covered total =
+  Printf.sprintf "records cover %d of %d frames" covered total
+
+type header = {
+  quality : Quality_level.t;
+  fps_milli : int;
+  total_frames : int;
+  clip_name : string;
+  device_name : string;
+  count : int;
+}
+
+exception Unusable
+
+(* Reads the header from the start of the cursor's string and leaves
+   the cursor at the first record. Fields are judged as they are read,
+   so a stream cut later in the header still names them; [Unusable]
+   once a header rule broke that leaves nothing after it worth
+   reading. *)
+let read_header ~broke ?byte_ok (c : Wire.Binary.cursor) =
+  let module B = Wire.Binary in
+  let stop rule message =
+    broke rule message;
+    raise Unusable
+  in
+  if not (String.starts_with ~prefix:magic c.data) then
+    stop Magic "bad magic: not an annotation stream";
+  c.pos <- String.length magic;
+  let v = B.get_u8 c "version" in
+  if v <> version then
+    stop Version (Printf.sprintf "unsupported version %d (know %d)" v version);
+  let quality = Quality_level.of_permille (B.get_varint c "quality") in
+  Result.iter_error (broke Field) quality;
+  let fps_milli = B.get_varint c "fps" in
+  if fps_milli = 0 then broke Field "fps is zero"
+  else if fps_milli > max_fps_milli then
+    broke Field
+      (Printf.sprintf "fps %.3f is implausible" (float_of_int fps_milli /. 1000.));
+  let total_frames = B.get_varint c "total_frames" in
+  if total_frames > max_frames then
+    broke Field
+      (Printf.sprintf "total_frames %d exceeds the u24 span limit %d" total_frames
+         max_frames);
+  let clip_name = B.get_string ~max:max_name_len c "clip name" in
+  let device_name = B.get_string ~max:max_name_len c "device name" in
+  let count = B.get_varint c "record count" in
+  let covered = c.pos in
+  if B.get_u32 c "header CRC" <> B.crc32_sub c.data ~pos:0 ~len:covered then
+    stop Header_crc "header CRC mismatch: header fields cannot be trusted";
+  if not (arrived byte_ok ~pos:0 ~len:c.pos) then
+    stop Truncated "header bytes lost in transit";
+  (* Division keeps the comparison overflow-safe for adversarial
+     counts, so nothing walks (or allocates for) records that a
+     tampered header merely claims. *)
+  let rest = c.limit - c.pos in
+  if rest mod record_size <> 0 || count <> rest / record_size then
+    stop Record_count
+      (Printf.sprintf
+         "declared record count %d disagrees with %d payload byte(s) (%d byte \
+          records); refusing to walk records"
+         count rest record_size);
+  if count = 0 && total_frames <> 0 then broke Coverage (coverage 0 total_frames);
+  match quality with
+  | Ok quality -> { quality; fps_milli; total_frames; clip_name; device_name; count }
+  | Error _ -> raise Unusable
+
+(* Judges each record in turn. A record is [Intact] only when it
+   breaks no record rule; the frame it must start at is exact after an
+   intact record, and a lower bound once a record was lost or corrupt.
+   [header.count] records fit the bytes, so no read can fail. *)
+let read_records ~broke ?byte_ok h (c : Wire.Binary.cursor) =
+  let module B = Wire.Binary in
+  let next = ref 0 and exact = ref true in
+  Array.init h.count (fun i ->
+      let offset = c.pos in
+      if not (arrived byte_ok ~pos:offset ~len:record_size) then begin
+        c.pos <- offset + record_size;
+        exact := false;
+        Lost
+      end
+      else begin
+        let first_frame = B.get_u24 c "first_frame" in
+        let frame_count = B.get_u24 c "frame_count" in
+        let register = B.get_u8 c "register" in
+        let compensation =
+          float_of_int (B.get_u24 c "compensation") /. gain_fixed_point
+        in
+        let effective_max = B.get_u8 c "effective max" in
+        let intact = ref true in
+        let fault rule fmt =
+          Printf.ksprintf
+            (fun s ->
+              intact := false;
+              broke rule (Printf.sprintf "record %d (byte %d): %s" i offset s))
+            fmt
+        in
+        let stop = first_frame + frame_count in
+        let crc = B.crc32_sub c.data ~pos:offset ~len:(record_size - 4) in
+        if B.get_u32 c "record CRC" <> crc then fault Record_crc "record CRC mismatch"
+        else begin
+          if frame_count = 0 then fault Span "zero frame_count";
+          if !exact && first_frame <> !next then
+            fault Order "first_frame %d breaks scene-index monotonicity (expected %d)"
+              first_frame !next
+          else if first_frame < !next then
+            fault Order
+              "first_frame %d breaks scene-index monotonicity (expected at least %d)"
+              first_frame !next;
+          if stop > h.total_frames then
+            fault Span "span %d+%d exceeds total_frames %d" first_frame frame_count
+              h.total_frames;
+          if compensation < 1. then
+            fault Compensation "compensation %.4f below 1.0" compensation;
+          if !intact && i = h.count - 1 && stop <> h.total_frames then begin
+            intact := false;
+            broke Coverage (coverage stop h.total_frames)
+          end
+        end;
+        exact := !intact;
+        if !intact then begin
+          next := stop;
+          Intact { Track.first_frame; frame_count; register; compensation; effective_max }
+        end
+        else Corrupt
+      end)
+
+let judge ?byte_ok data =
+  (match byte_ok with
+  | Some ok when Array.length ok <> String.length data ->
+    invalid_arg "Encoding.decode_partial: byte_ok length mismatch"
+  | _ -> ());
+  let problems = ref [] in
+  let broke rule message = problems := { rule; message } :: !problems in
+  let c = Wire.Binary.cursor data in
+  let header =
+    match read_header ~broke ?byte_ok c with
+    | h -> Some h
+    | exception Unusable -> None
+    | exception Wire.Binary.Error e ->
+      let rule, message = malformed data e in
+      broke rule message;
+      None
+  in
+  match header with
+  | Some h when !problems = [] ->
+    let records = read_records ~broke ?byte_ok h c in
+    let tally r = Array.fold_left (fun n x -> if x = r then n + 1 else n) 0 records in
+    ( Ok
+        {
+          clip_name = h.clip_name;
+          device_name = h.device_name;
+          quality = h.quality;
+          fps = float_of_int h.fps_milli /. 1000.;
+          total_frames = h.total_frames;
+          records;
+          corrupt_records = tally Corrupt;
+          missing_records = tally Lost;
+        },
+      List.rev !problems )
+  | _ ->
+    (* A header is unusable only once a header rule broke. *)
+    let problems = List.rev !problems in
+    (Error (List.hd problems).message, problems)
+
+let decode_partial ?byte_ok data = fst (judge ?byte_ok data)
+
+let decode data =
+  match judge data with
+  | Error msg, _ -> Error msg
+  | Ok _, p :: _ -> Error p.message
+  | Ok p, [] ->
+    (* Breaking no rule, every record is intact and they tile the
+       clip: this is a valid track without [Track.make]'s re-check. *)
+    Ok
+      {
+        Track.clip_name = p.clip_name;
+        device_name = p.device_name;
+        quality = p.quality;
+        fps = p.fps;
+        total_frames = p.total_frames;
+        entries =
+          Array.of_list
+            (List.filter_map
+               (function Intact e -> Some e | Lost | Corrupt -> None)
+               (Array.to_list p.records));
+      }
+
 (* --- writing ---------------------------------------------------------- *)
 
 (* Fixed-width fields reject out-of-range values by name instead of
@@ -55,192 +297,11 @@ let encode track =
       Wire.Binary.put_u32 record (Wire.Binary.crc32 (Buffer.contents record));
       Buffer.add_buffer buf record)
     track.Track.entries;
-  Buffer.contents buf
+  let data = Buffer.contents buf in
+  (* The writer obeys the readers' rule: a stream [decode] would refuse
+     is never written. *)
+  match judge data with
+  | _, [] -> data
+  | _, p :: _ -> invalid_arg ("Encoding.encode: " ^ p.message)
 
 let encoded_size track = String.length (encode track)
-
-(* --- reading ---------------------------------------------------------- *)
-
-(* One walk of the layout, shared by [decode], [decode_partial] and the
-   offline verifier (Check.Artifact): the readers return raw fields and
-   CRC verdicts, and each caller decides what a problem means. *)
-
-type field = Quality_permille | Fps_milli | Total_frames
-
-type header = {
-  quality_permille : int;
-  fps_milli : int;
-  total_frames : int;
-  clip_name : string;
-  device_name : string;
-  count : int;
-  crc_ok : bool;
-  fits : bool;
-}
-
-type header_error = Bad_magic | Bad_version of int | Malformed of Wire.Binary.error
-
-let read_header ?(on_field = fun _ _ -> ()) ?max_name (c : Wire.Binary.cursor) =
-  let module B = Wire.Binary in
-  if not (String.starts_with ~prefix:magic c.data) then Error Bad_magic
-  else begin
-    c.pos <- String.length magic;
-    try
-      let v = B.get_u8 c "version" in
-      if v <> version then Error (Bad_version v)
-      else begin
-        let field what f =
-          let n = B.get_varint c what in
-          on_field f n;
-          n
-        in
-        let quality_permille = field "quality" Quality_permille in
-        let fps_milli = field "fps" Fps_milli in
-        let total_frames = field "total_frames" Total_frames in
-        let clip_name = B.get_string ?max:max_name c "clip name" in
-        let device_name = B.get_string ?max:max_name c "device name" in
-        let count = B.get_varint c "record count" in
-        let covered = c.pos in
-        let crc_ok = B.get_u32 c "header CRC" = B.crc32_sub c.data ~pos:0 ~len:covered in
-        (* Division keeps the comparison overflow-safe for adversarial
-           counts, so nothing walks (or allocates for) records that a
-           tampered header merely claims. *)
-        let rest = c.limit - c.pos in
-        let fits = rest mod record_size = 0 && count = rest / record_size in
-        Ok { quality_permille; fps_milli; total_frames; clip_name; device_name; count; crc_ok; fits }
-      end
-    with B.Error e -> Error (Malformed e)
-  end
-
-let read_record (c : Wire.Binary.cursor) =
-  let module B = Wire.Binary in
-  let pos = c.pos in
-  let first_frame = B.get_u24 c "first_frame" in
-  let frame_count = B.get_u24 c "frame_count" in
-  let register = B.get_u8 c "register" in
-  let compensation = float_of_int (B.get_u24 c "compensation") /. gain_fixed_point in
-  let effective_max = B.get_u8 c "effective max" in
-  if B.get_u32 c "record CRC" <> B.crc32_sub c.data ~pos ~len:(record_size - 4)
-  then None
-  else Some { Track.first_frame; frame_count; register; compensation; effective_max }
-
-let quality_of_permille p =
-  match p with
-  | 0 -> Quality_level.Lossless
-  | 50 -> Quality_level.Loss_5
-  | 100 -> Quality_level.Loss_10
-  | 150 -> Quality_level.Loss_15
-  | 200 -> Quality_level.Loss_20
-  | p -> Quality_level.Custom (float_of_int p /. 1000.)
-
-exception Parse_error of string
-
-let fail msg = raise (Parse_error msg)
-
-let span_ok byte_ok ~pos ~len =
-  match byte_ok with
-  | None -> true
-  | Some ok ->
-    let good = ref true in
-    for i = pos to pos + len - 1 do
-      if not ok.(i) then good := false
-    done;
-    !good
-
-(* The header both decoders trust — read, CRC-checked, arrived, and
-   followed by exactly its records — with the decoders' messages. *)
-let trusted_header ?byte_ok c =
-  match read_header c with
-  | Error Bad_magic ->
-    fail
-      (if String.length c.Wire.Binary.data < String.length magic then
-         "truncated input"
-       else "bad magic")
-  | Error (Bad_version v) -> fail (Printf.sprintf "unsupported version %d" v)
-  | Error (Malformed e) -> fail (Wire.Binary.message e)
-  | Ok h when not h.crc_ok -> fail "header CRC mismatch"
-  | Ok _ when not (span_ok byte_ok ~pos:0 ~len:c.pos) ->
-    fail "header bytes lost in transit"
-  | Ok h when not h.fits -> fail "record section length mismatch"
-  | Ok h when h.quality_permille > 1000 ->
-    fail (Printf.sprintf "quality %d permille exceeds 1000" h.quality_permille)
-  | Ok h -> h
-
-let decode data =
-  let c = Wire.Binary.cursor data in
-  try
-    let h = trusted_header c in
-    let entries =
-      Array.init h.count (fun _ ->
-          match read_record c with
-          | Some e -> e
-          | None -> fail "record CRC mismatch")
-    in
-    try
-      Ok
-        (Track.make ~clip_name:h.clip_name ~device_name:h.device_name
-           ~quality:(quality_of_permille h.quality_permille)
-           ~fps:(float_of_int h.fps_milli /. 1000.)
-           ~total_frames:h.total_frames entries)
-    with Invalid_argument msg -> Error msg
-  with Parse_error msg -> Error msg
-
-(* --- partial decode --------------------------------------------------- *)
-
-type record = Intact of Track.entry | Lost | Corrupt
-
-type partial = {
-  clip_name : string;
-  device_name : string;
-  quality : Quality_level.t;
-  fps : float;
-  total_frames : int;
-  records : record array;
-  corrupt_records : int;
-  missing_records : int;
-}
-
-let decode_partial ?byte_ok data =
-  (match byte_ok with
-  | Some ok when Array.length ok <> String.length data ->
-    invalid_arg "Encoding.decode_partial: byte_ok length mismatch"
-  | _ -> ());
-  let c = Wire.Binary.cursor data in
-  try
-    let h = trusted_header ?byte_ok c in
-    let corrupt = ref 0 and missing = ref 0 in
-    let next = ref 0 in
-    let records =
-      Array.init h.count (fun _ ->
-          let pos = c.pos in
-          if not (span_ok byte_ok ~pos ~len:record_size) then begin
-            c.pos <- pos + record_size;
-            incr missing;
-            Lost
-          end
-          else
-            match read_record c with
-            | Some e
-              when e.Track.frame_count > 0
-                   && e.Track.compensation >= 1.
-                   && e.Track.first_frame >= !next
-                   && e.Track.first_frame + e.Track.frame_count
-                      <= h.total_frames ->
-              next := e.Track.first_frame + e.Track.frame_count;
-              Intact e
-            | Some _ | None ->
-              incr corrupt;
-              Corrupt)
-    in
-    Ok
-      {
-        clip_name = h.clip_name;
-        device_name = h.device_name;
-        quality = quality_of_permille h.quality_permille;
-        fps = float_of_int h.fps_milli /. 1000.;
-        total_frames = h.total_frames;
-        records;
-        corrupt_records = !corrupt;
-        missing_records = !missing;
-      }
-  with Parse_error msg -> Error msg

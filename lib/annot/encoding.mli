@@ -10,9 +10,9 @@
     magic   "ANPW"            4 bytes
     version u8                2; any other version is rejected
     quality varint            allowed loss in permille, at most 1000
-    fps     varint            fps * 1000
-    frames  varint            total frame count
-    names   2 x (len varint, bytes)   clip name, device name
+    fps     varint            fps * 1000, in 1..1000000
+    frames  varint            total frame count, at most 2^24 - 1
+    names   2 x (len varint, bytes)   clip name, device name (<= 4096 bytes)
     count   varint            entry count (after run merging)
     hcrc    u32               CRC32 over every byte above
     records count x 15 bytes:
@@ -27,28 +27,28 @@
     {!decode_partial}.
 
     The byte layer (CRC32, varints, u24/u32, strings) is
-    {!Wire.Binary}; this module owns the layout. {!read_header} and
-    {!read_record} are its one walk: {!decode}, {!decode_partial} and
-    the offline verifier ({!Check.Artifact.check_annotation}) all read
-    through them and differ only in what they make of a problem. *)
+    {!Wire.Binary}; this module owns the layout and the rules a stream
+    must satisfy. {!judge} is the one walk: {!decode}, {!decode_partial},
+    {!encode} and the offline verifier
+    ({!Check.Artifact.check_annotation}) all use its verdict and differ
+    only in what they make of a problem. *)
 
 val encode : Track.t -> string
-(** [encode track] serialises after {!Track.merge_runs}. Raises [Invalid_argument] naming the field when a
-    value does not fit its fixed-width slot — [first_frame] /
-    [frame_count] past 2^24 - 1 frames (a ~16.7M-frame clip) or a
-    compensation gain overflowing the 12.12 fixed point — rather than
-    wrapping into bytes that would still CRC as valid. *)
+(** [encode track] serialises after {!Track.merge_runs}. Raises
+    [Invalid_argument] naming the field rather than write a stream
+    {!judge} rejects (fps above 1000, a name over 4096 bytes, 2^24
+    frames, entries that do not tile the clip) or wrap a value past
+    its fixed-width slot into bytes that would still CRC as valid. *)
 
 val decode : string -> (Track.t, string) result
-(** [decode bytes] parses and re-validates; any corruption (including
-    any CRC mismatch, any version other than {!version} and a quality
-    above 1000 permille) yields [Error] with a human-readable reason,
-    never an exception. *)
+(** [decode bytes] is [Ok] exactly when {!judge} finds no problem;
+    otherwise [Error] with the first problem's message, never an
+    exception. *)
 
 type record =
   | Intact of Track.entry
   | Lost  (** the record overlaps bytes that never arrived *)
-  | Corrupt  (** its bytes arrived but failed the CRC or sanity checks *)
+  | Corrupt  (** its bytes arrived but it breaks a record rule *)
 
 type partial = {
   clip_name : string;
@@ -63,13 +63,13 @@ type partial = {
 
 val decode_partial : ?byte_ok:bool array -> string -> (partial, string) result
 (** [decode_partial ?byte_ok bytes] salvages what it can from a
-    damaged payload. [byte_ok.(i) = false] marks byte [i] as lost
-    in transit (e.g. an unrecovered FEC group zero-filled by
-    {!Streaming.Fec}); defaults to all-true. The header must survive
-    intact (else [Error]); each record is then classified
-    independently: missing when it overlaps lost bytes, corrupt when
-    its CRC or sanity checks fail (bad frame span, overlap with an
-    earlier record, compensation below 1), intact otherwise. Raises
+    damaged payload: the first component of {!judge}. [byte_ok.(i) =
+    false] marks byte [i] as lost in transit (e.g. an unrecovered FEC
+    group zero-filled by {!Streaming.Fec}); defaults to all-true. An
+    [Ok] has a header that arrived and broke no rule, and records
+    [Lost] where they overlap lost bytes, [Corrupt] where they break a
+    record rule, and [Intact] otherwise — so the lost and corrupt
+    slots alone can be filled into a valid track. Raises
     [Invalid_argument] when [byte_ok] does not match [bytes] in
     length. *)
 
@@ -82,41 +82,44 @@ val record_size : int
 
 val version : int
 
-(** {1 The walk}
+(** {1 The judgement}
 
-    The readers hand back raw fields and CRC verdicts, not errors, so
-    the strict decoder, the salvage decoder and the verifier judge the
-    same reading. *)
+    Every rule a stream must satisfy, checked in one walk.
 
-type field = Quality_permille | Fps_milli | Total_frames
+    Header rules: the magic, {!version}, a header that is not cut and
+    whose CRC matches; quality through {!Quality_level.of_permille};
+    0 < fps <= 1000; [total_frames] <= 2^24 - 1; names at most 4096
+    bytes; the bytes after the header are exactly the declared
+    records; a header declaring no records declares no frames. A header
+    that breaks one is unusable, and no record is judged.
 
-type header = {
-  quality_permille : int;
-  fps_milli : int;
-  total_frames : int;
-  clip_name : string;
-  device_name : string;
-  count : int;  (** declared record count *)
-  crc_ok : bool;
-  fits : bool;  (** the bytes after the header are exactly [count] records *)
-}
+    Record rules: the record CRC matches; [frame_count] > 0;
+    compensation >= 1; a record starts where the previous record ended
+    when that one was intact, and no earlier than the last intact
+    record's end once a record was lost or corrupt; its span fits in
+    [total_frames]; an intact last record ends at [total_frames]. *)
 
-type header_error =
-  | Bad_magic  (** shorter than the magic, or not ["ANPW"] *)
-  | Bad_version of int
-  | Malformed of Wire.Binary.error
+type rule =
+  | Magic  (** not an annotation stream *)
+  | Version  (** a version other than {!version} *)
+  | Truncated  (** the bytes end inside the header, or header bytes were lost *)
+  | Header_crc
+  | Field  (** a header field out of range, or a malformed varint or name *)
+  | Record_count  (** the bytes after the header are not the declared records *)
+  | Record_crc
+  | Order  (** a record does not start where the records before it end *)
+  | Span  (** an empty record, or one running past [total_frames] *)
+  | Compensation  (** a compensation gain below 1 *)
+  | Coverage  (** the records do not end at [total_frames] *)
 
-val read_header :
-  ?on_field:(field -> int -> unit) ->
-  ?max_name:int ->
-  Wire.Binary.cursor ->
-  (header, header_error) result
-(** Reads the header from the start of the cursor's string and leaves
-    the cursor at the first record. [on_field] sees each numeric field
-    as it is read, so a caller still judges the fields before a cut. A
-    name longer than [max_name] (default unbounded) is [Malformed]. *)
+type problem = { rule : rule; message : string }
+(** A message names the record and its byte offset where there is
+    one. *)
 
-val read_record : Wire.Binary.cursor -> Track.entry option
-(** Reads one record and advances past it; [None] when its CRC fails.
-    Range and order checks are the caller's. [header.fits] guarantees
-    the bytes. *)
+val judge :
+  ?byte_ok:bool array -> string -> (partial, string) result * problem list
+(** [judge ?byte_ok bytes] is {!decode_partial}'s result and every
+    problem the walk met, in stream order. The list is empty exactly
+    when the stream is valid; lost bytes are no problem of the stream,
+    only of its delivery, unless they hit the header. Raises as
+    {!decode_partial} does. *)

@@ -12,14 +12,22 @@ let allowed_loss = function
 
 let standard_grid = [ Lossless; Loss_5; Loss_10; Loss_15; Loss_20 ]
 
-let of_percent p =
-  match p with
+let of_loss = function
   | 0. -> Lossless
-  | 5. -> Loss_5
-  | 10. -> Loss_10
-  | 15. -> Loss_15
-  | 20. -> Loss_20
-  | p -> Custom (p /. 100.)
+  | 0.05 -> Loss_5
+  | 0.10 -> Loss_10
+  | 0.15 -> Loss_15
+  | 0.20 -> Loss_20
+  | f -> Custom f
+
+let of_percent p =
+  if p >= 0. && p <= 100. then Ok (of_loss (p /. 100.))
+  else Error (Printf.sprintf "quality %g%% is outside 0-100%%" p)
+
+let of_permille p =
+  if p > 1000 then Error (Printf.sprintf "quality %d permille exceeds 1000" p)
+  else if p < 0 then Error (Printf.sprintf "quality %d permille is negative" p)
+  else Ok (of_loss (float_of_int p /. 1000.))
 
 let label t =
   match t with

@@ -17,13 +17,21 @@ type t =
 
 val allowed_loss : t -> float
 (** The clipped-pixel budget as a fraction in [0, 1]. Raises
-    [Invalid_argument] for a [Custom] value outside the range. *)
+    [Invalid_argument] for a [Custom] value outside the range, which
+    only a direct [Custom] construction can make: {!of_percent} and
+    {!of_permille} reject it. *)
 
 val standard_grid : t list
 (** The paper's five levels, in ascending-loss order. *)
 
-val of_percent : float -> t
-(** [of_percent 10.] is [Loss_10]; non-grid values become [Custom]. *)
+val of_percent : float -> (t, string) result
+(** [of_percent 10.] is [Ok Loss_10]; other values in [0, 100] become
+    [Custom]; a value outside [0, 100], or NaN, is [Error]. *)
+
+val of_permille : int -> (t, string) result
+(** The same for an allowed loss in permille, as the annotation stream
+    carries it ({!Encoding}): [of_permille 100] is [Ok Loss_10]; other
+    values in [0, 1000] become [Custom]; any other is [Error]. *)
 
 val label : t -> string
 (** Short label as used in figure legends, e.g. ["10%"]. *)

@@ -1,7 +1,10 @@
 (* Offline verification of annotation streams, decision journals, SLO
-   files and fault and resilience profiles. The binary formats are read
-   through their decoders' walks; nothing here runs a session, and every
-   finding is a Diagnostic rather than an exception. *)
+   files and fault and resilience profiles. The binary formats are
+   judged by their own modules — [Annotation.Encoding.judge] and the
+   [Obs.Journal] walk and clock — so the verifier accepts exactly what
+   the decoders accept; it maps each problem to a stable code. Nothing
+   here runs a session, and every finding is a Diagnostic rather than
+   an exception. *)
 
 let err ~file code message =
   Diagnostic.v ~code ~severity:Diagnostic.Error ~file message
@@ -29,152 +32,59 @@ let known_metrics () =
 
 (* --- annotation streams ------------------------------------------------ *)
 
-(* The verifier reads the stream through the decoder's own walk
-   ([Annotation.Encoding.read_header]/[read_record]), so the two cannot
-   disagree about the layout. Where the decoder stops at the first
-   problem, the verifier reports all of them, each with its offset, and
-   adds the checks no CRC can make: field ranges, scene-index
-   monotonicity and coverage, and the panel's backlight range. *)
+(* [Annotation.Encoding.judge] decides validity, as it does for both
+   decoders and the encoder; the verifier reports every problem it
+   names under the problem's code. Its own two rules read the header
+   the judgement trusts: the off-grid quality warning and the backlight
+   register against the catalogue panel. *)
 
-let canonical_permille = [ 0; 50; 100; 150; 200 ]
-let max_name_len = 4096
-let max_frames = 0xffffff (* u24 record spans cannot address more *)
-let max_fps_milli = 1_000_000
+let code : Annotation.Encoding.rule -> string = function
+  | Magic -> "V101"
+  | Version -> "V102"
+  | Truncated -> "V103"
+  | Header_crc -> "V104"
+  | Field -> "V105"
+  | Record_count -> "V107"
+  | Record_crc -> "V108"
+  | Order -> "V109"
+  | Span -> "V110"
+  | Compensation -> "V111"
+  | Coverage -> "V114"
 
-let malformed ~file data (e : Wire.Binary.error) =
-  match e.failure with
-  | Wire.Binary.Truncated n ->
-    err ~file "V103"
-      (Printf.sprintf "truncated stream: %s at byte %d needs %d byte(s), %d left"
-         e.what e.at n
-         (String.length data - e.at))
-  | Varint_too_long ->
-    err ~file "V105"
-      (Printf.sprintf "%s: varint longer than 8 bytes at byte %d" e.what e.at)
-  | Varint_overflow ->
-    err ~file "V105" (Printf.sprintf "%s: varint overflows at byte %d" e.what e.at)
-  | Too_long { len; cap } ->
-    err ~file "V105"
-      (Printf.sprintf "%s: implausible length %d (cap %d)" e.what len cap)
-
-(* Range checks on the header's numeric fields, made as each is read:
-   a stream cut later in the header still gets these findings. *)
-let check_field ~file ~add field v =
-  match (field : Annotation.Encoding.field) with
-  | Quality_permille ->
-    if v > 1000 then
-      add (err ~file "V105" (Printf.sprintf "quality %d permille exceeds 1000" v))
-    else if not (List.mem v canonical_permille) then
+let check_annotation ?(find_device = Display.Device.find) ~file data =
+  let header, problems = Annotation.Encoding.judge data in
+  let diags = ref [] in
+  let add d = diags := d :: !diags in
+  List.iter
+    (fun (p : Annotation.Encoding.problem) -> add (err ~file (code p.rule) p.message))
+    problems;
+  (match header with
+  | Error _ -> ()
+  | Ok p ->
+    (match p.quality with
+    | Annotation.Quality_level.Custom f ->
       add
         (warn ~file "V106"
            (Printf.sprintf
-              "quality %d permille is off the paper's {0,5,10,15,20}%% grid" v))
-  | Fps_milli ->
-    if v = 0 then add (err ~file "V105" "fps is zero")
-    else if v > max_fps_milli then
-      add
-        (err ~file "V105"
-           (Printf.sprintf "fps %.3f is implausible" (float_of_int v /. 1000.)))
-  | Total_frames ->
-    if v > max_frames then
-      add
-        (err ~file "V105"
-           (Printf.sprintf "total_frames %d exceeds the u24 span limit %d" v
-              max_frames))
-
-(* Per-record semantic checks. [expected] is
-   the frame the record must start at, [None] once an earlier corrupt
-   record made the running position unknowable. *)
-let check_entry ~file ~add ~levels ~total_frames ~index ~offset ~expected
-    (e : Annotation.Track.entry) =
-  let where = Printf.sprintf "record %d (byte %d)" index offset in
-  if e.frame_count = 0 then
-    add (err ~file "V110" (Printf.sprintf "%s: zero frame_count" where));
-  (match expected with
-  | Some x when e.first_frame <> x ->
-    add
-      (err ~file "V109"
-         (Printf.sprintf
-            "%s: first_frame %d breaks scene-index monotonicity (expected %d)"
-            where e.first_frame x))
-  | _ -> ());
-  if e.first_frame + e.frame_count > total_frames then
-    add
-      (err ~file "V110"
-         (Printf.sprintf "%s: span %d+%d exceeds total_frames %d" where
-            e.first_frame e.frame_count total_frames));
-  if e.compensation < 1. then
-    add
-      (err ~file "V111"
-         (Printf.sprintf "%s: compensation %.4f below 1.0" where e.compensation));
-  match levels with
-  | Some levels when e.register >= levels ->
-    add
-      (err ~file "V112"
-         (Printf.sprintf "%s: backlight register %d outside panel range 0..%d"
-            where e.register (levels - 1)))
-  | _ -> ()
-
-let check_annotation ?(find_device = Display.Device.find) ~file data =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let c = Wire.Binary.cursor data in
-  (match
-     Annotation.Encoding.read_header ~on_field:(check_field ~file ~add)
-       ~max_name:max_name_len c
-   with
-  | Error Bad_magic -> add (err ~file "V101" "bad magic: not an annotation stream")
-  | Error (Bad_version v) ->
-    add
-      (err ~file "V102"
-         (Printf.sprintf "unsupported version %d (know %d)" v
-            Annotation.Encoding.version))
-  | Error (Malformed e) -> add (malformed ~file data e)
-  | Ok h when not h.crc_ok ->
-    add
-      (err ~file "V104" "header CRC mismatch: header fields cannot be trusted")
-  | Ok h when not h.fits ->
-    add
-      (err ~file "V107"
-         (Printf.sprintf
-            "declared record count %d disagrees with %d payload byte(s) (%d \
-             byte records); refusing to walk records"
-            h.count (c.limit - c.pos) Annotation.Encoding.record_size))
-  | Ok h -> (
-    let levels =
-      Option.map
-        (fun d -> d.Display.Device.backlight_levels)
-        (find_device h.device_name)
-    in
-    (* The frame the next record must start at; [None] after a record
-       that failed its CRC. *)
-    let expected = ref (Some 0) in
-    for i = 0 to h.count - 1 do
-      let offset = c.pos in
-      match Annotation.Encoding.read_record c with
-      | None ->
-        add
-          (err ~file "V108"
-             (Printf.sprintf "record %d (byte %d): record CRC mismatch" i offset));
-        expected := None
-      | Some e ->
-        check_entry ~file ~add ~levels ~total_frames:h.total_frames ~index:i
-          ~offset ~expected:!expected e;
-        expected := Some (e.first_frame + e.frame_count)
-    done;
-    (* Coverage is judged only on an otherwise clean stream: any error,
-       a V108 among them, already makes the running position moot. *)
-    match !expected with
-    | Some covered
-      when covered <> h.total_frames
-           && List.for_all
-                (fun (d : Diagnostic.t) -> not (Diagnostic.is_error d))
-                !diags ->
-      add
-        (err ~file "V114"
-           (Printf.sprintf "records cover %d of %d frames" covered
-              h.total_frames))
-    | _ -> ()));
+              "quality %.0f permille is off the paper's {0,5,10,15,20}%% grid"
+              (f *. 1000.)))
+    | _ -> ());
+    let size = Annotation.Encoding.record_size in
+    let first = String.length data - (Array.length p.records * size) in
+    Option.iter
+      (fun (d : Display.Device.t) ->
+        Array.iteri
+          (fun i -> function
+            | Annotation.Encoding.Intact e when e.register >= d.backlight_levels ->
+              add
+                (err ~file "V112"
+                   (Printf.sprintf
+                      "record %d (byte %d): backlight register %d outside panel \
+                       range 0..%d"
+                      i (first + (i * size)) e.register (d.backlight_levels - 1)))
+            | _ -> ())
+          p.records)
+      (find_device p.device_name));
   List.sort Diagnostic.compare !diags
 
 (* --- SLO files --------------------------------------------------------- *)
@@ -399,8 +309,8 @@ let check_resilience ~file text =
 (* --- decision journals -------------------------------------------------- *)
 
 (* A fold over [Obs.Journal.walk], the walk both journal decoders use:
-   it maps each frame status and the walk's end to a V4xx code, and adds
-   the per-phase clock check (V406) that no CRC can make. *)
+   it maps each frame status, the strict decoder's clock rule
+   ([Obs.Journal.tick], V406) and the walk's end to a V4xx code. *)
 
 let journal_header_finding ~file = function
   | Obs.Journal.Bad_magic -> err ~file "V401" "bad magic: not a decision journal"
@@ -442,14 +352,7 @@ let broken_frame_finding ~file data { Obs.Journal.index; offset; error = e } =
 let check_journal ~file data =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  (* Three simulated clocks (annotate, transmit, playback) plus the
-     session markers: each pipeline stage replays its own clock, and
-     one process may run a stage several times (a quality sweep
-     annotates once per level), so timestamps are required monotone
-     within each contiguous run of same-phase events; a phase change
-     or a Session_start starts a fresh clock. The fold carries the
-     current phase and its latest timestamp. *)
-  let frame ((last_phase, last_t) as clock) ~index ~offset = function
+  let frame clock ~index ~offset = function
     | Obs.Journal.Bad_crc ->
       add
         (err ~file "V405"
@@ -458,24 +361,16 @@ let check_journal ~file data =
     | Bad_payload msg ->
       add (err ~file "V407" (Printf.sprintf "frame %d (byte %d): %s" index offset msg));
       clock
-    | Event { t_us; kind } ->
-      let last_phase =
-        match kind with
-        | Obs.Journal.Session_start _ | Fleet_shard_start _ -> -1
-        | _ -> last_phase
-      in
-      let ph = Obs.Journal.phase kind in
-      let last_t = if ph <> last_phase then -1 else last_t in
-      if t_us < last_t then
-        add
-          (err ~file "V406"
-             (Printf.sprintf
-                "frame %d (byte %d): timestamp %dus runs backwards within \
-                 phase %d (last %dus)"
-                index offset t_us ph last_t));
-      (ph, if t_us > last_t then t_us else last_t)
+    | Event e ->
+      let clock, backwards = Obs.Journal.tick clock e in
+      Option.iter
+        (fun msg ->
+          add
+            (err ~file "V406" (Printf.sprintf "frame %d (byte %d): %s" index offset msg)))
+        backwards;
+      clock
   in
-  (match Obs.Journal.walk data ~init:(-1, -1) frame with
+  (match Obs.Journal.walk data ~init:Obs.Journal.start_clock frame with
   | Error e -> add (journal_header_finding ~file e)
   | Ok (_, None) -> ()
   | Ok (_, Some b) -> add (broken_frame_finding ~file data b));

@@ -7,10 +7,10 @@
     does exactly that for the artifact kinds the pipeline ships:
 
     - encoded annotation tracks ({!Annotation.Encoding} wire format,
-      any other version is [V102]) — framing,
-      header and record CRCs, varint bounds, scene-index monotonicity
-      and coverage, backlight register against the target panel's
-      range, canonical quality grid;
+      any other version is [V102]) — framing, header and record CRCs,
+      varint and header-field bounds, scene-index order, spans and
+      coverage, backlight register against the target panel's range,
+      canonical quality grid;
     - [.slo] rule files — syntax, selectors against the known metric
       catalog, contradictory or duplicate rules;
     - [.fault] profiles — syntax, probability ranges, Gilbert-channel
@@ -21,11 +21,14 @@
     - [.resilience] profiles ({!Resilience.Profile}) — syntax,
       positive budgets, ladder rung order, breaker thresholds.
 
-    The two binary formats are read through their decoders' own walks
-    ({!Annotation.Encoding.read_header}/{!Annotation.Encoding.read_record}
-    and {!Obs.Journal.walk}): the verifier does not re-parse the bytes,
-    it reports every problem the walk meets, each with its offset, and
-    adds the checks no CRC can make.
+    The two binary formats are judged by their own modules
+    ({!Annotation.Encoding.judge}; {!Obs.Journal.walk} and
+    {!Obs.Journal.tick}): the verifier does not re-parse the bytes or
+    re-state a rule, it reports every problem they name, each with its
+    offset, under a stable code. It accepts exactly what the strict
+    decoders accept, bar the two annotation checks that need the
+    world outside the stream: the paper's quality grid and the target
+    panel's backlight range.
 
     Codes (stable, see README "Static checks"): [V001] dispatch,
     [V1xx] annotation streams, [V2xx] SLO files, [V3xx] fault
@@ -51,9 +54,14 @@ val check_annotation :
   ?find_device:(string -> Display.Device.t option) ->
   file:string -> string -> Diagnostic.t list
 (** [check_annotation ~file bytes] statically audits an encoded
-    annotation stream. [find_device] (default {!Display.Device.find})
-    resolves the header's device name for the backlight-range check;
-    an unknown device skips that check silently. [file] labels the
+    annotation stream: each {!Annotation.Encoding.judge} problem is an
+    error under its code ([V101]–[V105], [V107]–[V111], [V114]), so
+    there is none exactly when {!Annotation.Encoding.decode} is [Ok].
+    On a usable header it adds a quality off the paper's grid
+    ([V106], warning) and intact records whose register is outside the
+    panel's range ([V112]); [find_device] (default
+    {!Display.Device.find}) resolves the header's device name for that
+    check, and an unknown device skips it silently. [file] labels the
     diagnostics. A pristine {!Annotation.Encoding.encode} output yields
     []. *)
 
@@ -87,9 +95,8 @@ val check_journal : file:string -> string -> Diagnostic.t list
     ([V402]), truncation mid-header or mid-frame ([V403]), header CRC
     mismatch ([V404]), per-frame CRC mismatch ([V405], walk
     continues), timestamps running backwards within a contiguous run
-    of same-phase events ([V406] — each stage replays its own clock,
-    and a stage may run several times per process, so a phase change
-    or session start begins a fresh clock), payload schema violations
+    of same-phase events ([V406], {!Obs.Journal.tick}, the rule
+    {!Obs.Journal.decode} also applies), payload schema violations
     — unknown kind tags, malformed fields, trailing bytes ([V407]) —
     and implausible framing lengths ([V408], walk stops). A pristine
     {!Obs.Journal.write} output yields []. *)

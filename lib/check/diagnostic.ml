@@ -17,12 +17,6 @@ let severity_name = function
   | Warning -> "warning"
   | Info -> "info"
 
-let severity_of_name = function
-  | "error" -> Ok Error
-  | "warning" -> Ok Warning
-  | "info" -> Ok Info
-  | other -> Result.Error (Printf.sprintf "unknown severity %S" other)
-
 let is_error d = d.severity = Error
 
 let errors ds = List.length (List.filter is_error ds)
@@ -56,24 +50,3 @@ let to_json d =
       ("severity", Obs.Json.String (severity_name d.severity));
       ("message", Obs.Json.String d.message);
     ]
-
-let of_json json =
-  let open Obs.Json in
-  let str key =
-    match member key json with
-    | Some (String s) -> Ok s
-    | _ -> Result.Error (Printf.sprintf "diagnostic: missing string %S" key)
-  in
-  let int key =
-    match member key json with
-    | Some (Int i) -> Ok i
-    | _ -> Result.Error (Printf.sprintf "diagnostic: missing int %S" key)
-  in
-  Result.bind (str "file") (fun file ->
-      Result.bind (int "line") (fun line ->
-          Result.bind (int "col") (fun col ->
-              Result.bind (str "code") (fun code ->
-                  Result.bind (str "severity") (fun sev ->
-                      Result.bind (severity_of_name sev) (fun severity ->
-                          Result.bind (str "message") (fun message ->
-                              Ok { code; severity; file; line; col; message })))))))

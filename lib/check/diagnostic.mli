@@ -49,6 +49,3 @@ val to_json : t -> Obs.Json.t
 (** [{"file": …, "line": …, "col": …, "code": …, "severity": …,
     "message": …}] — the schema documented in README "Static
     checks". *)
-
-val of_json : Obs.Json.t -> (t, string) result
-(** Inverse of {!to_json}; [of_json (to_json d) = Ok d]. *)

@@ -530,17 +530,42 @@ let header_message = function
   | Missing_header_crc -> "truncated header CRC"
   | Bad_header_crc -> "header CRC mismatch"
 
+(* The fold carries the current run's phase and its latest stamp; a
+   phase change, a Session_start or a Fleet_shard_start starts a fresh
+   run. *)
+type clock = { run_phase : int; last_us : int }
+
+let start_clock = { run_phase = -1; last_us = -1 }
+
+let tick c { t_us; kind } =
+  let run_phase =
+    match kind with
+    | Session_start _ | Fleet_shard_start _ -> -1
+    | _ -> c.run_phase
+  in
+  let ph = phase kind in
+  let last = if ph <> run_phase then -1 else c.last_us in
+  ( { run_phase = ph; last_us = max t_us last },
+    if t_us < last then
+      Some
+        (Printf.sprintf "timestamp %dus runs backwards within phase %d (last %dus)"
+           t_us ph last)
+    else None )
+
 exception Rejected of string
 
 let decode data =
-  let frame events ~index:_ ~offset:_ = function
-    | Event e -> e :: events
+  let frame (events, clock) ~index:_ ~offset:_ = function
+    | Event e -> (
+      match tick clock e with
+      | clock, None -> (e :: events, clock)
+      | _, Some msg -> raise (Rejected msg))
     | Bad_crc -> raise (Rejected "frame CRC mismatch")
     | Bad_payload msg -> raise (Rejected msg)
   in
-  match walk data ~init:[] frame with
+  match walk data ~init:([], start_clock) frame with
   | Error e -> Error (header_message e)
-  | Ok (events, None) -> Ok (List.rev events)
+  | Ok ((events, _), None) -> Ok (List.rev events)
   | Ok (_, Some b) -> Error (Wire.Binary.message b.error)
   | exception Rejected msg -> Error msg
 

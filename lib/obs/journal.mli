@@ -30,11 +30,11 @@
     (annotate, transmit, playback each replay their own clock), per
     session, and per stage run (one process may annotate several
     times), so monotonicity is checked within each contiguous run of
-    same-phase events. CRC framing means a corrupt or truncated
-    journal still
-    yields every intact prefix event through {!decode_partial}. The
-    byte layer is {!Wire.Binary}; {!walk} is the one reading of the
-    framing that the decoders and the verifier share. *)
+    same-phase events ({!tick}). CRC framing means a corrupt or
+    truncated journal still yields every intact prefix event through
+    {!decode_partial}. The byte layer is {!Wire.Binary}; {!walk} is the
+    one reading of the framing, and {!tick} the one clock rule, that
+    the decoders and the verifier share. *)
 
 type trigger =
   | Record_lost  (** annotation record bytes never arrived *)
@@ -175,9 +175,9 @@ val version : int
 
 val phase : kind -> int
 (** Pipeline phase the kind belongs to — 0 session-start, 1 annotate,
-    2 transmit, 3 playback, 4 session-end. Timestamps are monotone
-    within each contiguous run of same-phase events, which is what the
-    offline verifier checks (V406). *)
+    2 transmit, 3 playback, 4 session-end, 5 fleet. Timestamps are
+    monotone within each contiguous run of same-phase events
+    ({!tick}). *)
 
 val encode : event list -> string
 
@@ -220,9 +220,20 @@ val walk :
     {!decode_partial} and the offline verifier
     ({!Check.Artifact.check_journal}) are folds over it. *)
 
+type clock
+(** Where the per-phase clock rule stands: the current run's phase
+    and its latest stamp. *)
+
+val start_clock : clock
+
+val tick : clock -> event -> clock * string option
+(** [tick clock e] is the clock after [e] and, when [e]'s stamp runs
+    backwards within its run, the problem. {!decode} and the offline
+    verifier (V406) apply it; {!decode_partial} does not. *)
+
 val decode : string -> (event list, string) result
-(** Strict decode: any framing, CRC or schema problem fails the whole
-    journal. *)
+(** Strict decode: any framing, CRC or schema problem, or a stamp
+    {!tick} rejects, fails the whole journal. *)
 
 type partial = {
   events : event list;  (** every frame that decoded, oldest first *)
@@ -234,4 +245,5 @@ type partial = {
 val decode_partial : string -> partial
 (** Never raises: a damaged journal yields every event whose frame
     still checks out, so [inspect] can render a partial timeline of a
-    run that crashed or a file that was corrupted at rest. *)
+    run that crashed or a file that was corrupted at rest. A salvage
+    reader, it keeps events whose stamps run backwards. *)

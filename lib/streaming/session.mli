@@ -73,8 +73,9 @@ type report = {
   retransmissions : int;
       (** annotation packets re-sent by the NACK loop, all rounds *)
   corrupt_records : int;
-      (** annotation records that arrived but failed their CRC32 (or
-          sanity checks) and were discarded *)
+      (** annotation records that arrived but broke a record rule
+          ({!Annotation.Encoding.judge}: CRC32, order, span, gain,
+          coverage) and were discarded *)
 }
 
 val patch_track :

@@ -24,11 +24,28 @@ let test_quality_grid () =
 
 let test_quality_of_percent () =
   check bool "10 maps to Loss_10" true
-    (Annotation.Quality_level.of_percent 10. = Annotation.Quality_level.Loss_10);
+    (Annotation.Quality_level.of_percent 10. = Ok Annotation.Quality_level.Loss_10);
   check bool "7 maps to custom" true
     (match Annotation.Quality_level.of_percent 7. with
-    | Annotation.Quality_level.Custom f -> abs_float (f -. 0.07) < 1e-12
-    | _ -> false)
+    | Ok (Annotation.Quality_level.Custom f) -> abs_float (f -. 0.07) < 1e-12
+    | _ -> false);
+  List.iter
+    (fun p ->
+      check bool (Printf.sprintf "%g rejected" p) true
+        (Result.is_error (Annotation.Quality_level.of_percent p)))
+    [ 150.; -5.; 100.5; Float.nan; Float.infinity ];
+  check bool "100 accepted" true
+    (Annotation.Quality_level.of_percent 100. = Ok (Annotation.Quality_level.Custom 1.))
+
+let test_quality_of_permille () =
+  let module Q = Annotation.Quality_level in
+  check bool "grid" true
+    (List.map Q.of_permille [ 0; 50; 100; 150; 200 ] = List.map Result.ok Q.standard_grid);
+  check bool "123 is custom" true (Q.of_permille 123 = Ok (Q.Custom 0.123));
+  check bool "1000 accepted" true (Q.of_permille 1000 = Ok (Q.Custom 1.));
+  Alcotest.(check (result reject string))
+    "1001" (Error "quality 1001 permille exceeds 1000") (Q.of_permille 1001);
+  check bool "negative" true (Result.is_error (Q.of_permille (-1)))
 
 let test_quality_labels () =
   Alcotest.(check (list string))
@@ -918,6 +935,7 @@ let () =
         [
           Alcotest.test_case "grid" `Quick test_quality_grid;
           Alcotest.test_case "of_percent" `Quick test_quality_of_percent;
+          Alcotest.test_case "of_permille" `Quick test_quality_of_permille;
           Alcotest.test_case "labels" `Quick test_quality_labels;
           Alcotest.test_case "custom validation" `Quick test_quality_custom_validation;
         ] );

@@ -497,6 +497,32 @@ let test_patch_neighbour_clamp () =
   check int "leading gap safe" 255 regs.(0);
   check int "trailing gap safe" 255 regs.(59)
 
+(* Hand-built CRC-valid streams, header fields and records anywhere
+   around their bounds, under random loss masks: whatever
+   [decode_partial] accepts, the ladder patches into a valid track. *)
+let prop_patch_never_raises =
+  QCheck2.Test.make ~count:3000 ~name:"patch_track never raises on a salvaged stream"
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int n = Random.State.int rng n in
+      let data = Raw_stream.random rng in
+      let n = String.length data in
+      let byte_ok =
+        match int 3 with
+        | 0 -> Array.make n true
+        | 1 -> Array.init n (fun _ -> int 20 <> 0)
+        | _ ->
+          let from = int (n + 1) and len = int 40 in
+          Array.init n (fun i -> i < from || i >= from + len)
+      in
+      match Annotation.Encoding.decode_partial ~byte_ok data with
+      | Error _ -> true
+      | Ok p -> (
+        let ladder = if int 2 = 0 then clamp_ladder () else full_ladder () in
+        match Streaming.Session.patch_track ladder p with
+        | t, _ -> t.Annotation.Track.total_frames = p.Annotation.Encoding.total_frames
+        | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)))
+
 (* Random tracks with a random subset of records lost or corrupt,
    patched under either ladder. *)
 let prop_patch_track =
@@ -833,6 +859,8 @@ let () =
           Alcotest.test_case "full backlight fill" `Quick test_patch_full_backlight;
           Alcotest.test_case "neighbour clamp" `Quick test_patch_neighbour_clamp;
           QCheck_alcotest.to_alcotest prop_patch_track;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+            prop_patch_never_raises;
         ] );
       ( "nack",
         [

@@ -113,17 +113,18 @@ let test_round_trip () =
       (events = all_kinds_events)
 
 let test_recorder_round_trip () =
-  (* The recorder path: record_in clamps seconds to microseconds. *)
+  (* The recorder path: record_in clamps seconds to microseconds. The
+     stamps run forward, as the strict decoder's clock rule asks. *)
   let j = Journal.create () in
-  Journal.record_in j ~t_s:1.5 (Journal.Scene_cut { scene = 2; frame = 12 });
   Journal.record_in j (Journal.Scene_cut { scene = 0; frame = 0 });
   Journal.record_in j ~t_s:(-3.) (Journal.Scene_cut { scene = 0; frame = 0 });
+  Journal.record_in j ~t_s:1.5 (Journal.Scene_cut { scene = 2; frame = 12 });
   match Journal.decode (Journal.to_string j) with
   | Error msg -> Alcotest.fail msg
   | Ok [ a; b; c ] ->
-    Alcotest.(check int) "seconds become microseconds" 1_500_000 a.Journal.t_us;
-    Alcotest.(check int) "default is zero" 0 b.Journal.t_us;
-    Alcotest.(check int) "negative clamps to zero" 0 c.Journal.t_us
+    Alcotest.(check int) "default is zero" 0 a.Journal.t_us;
+    Alcotest.(check int) "negative clamps to zero" 0 b.Journal.t_us;
+    Alcotest.(check int) "seconds become microseconds" 1_500_000 c.Journal.t_us
   | Ok events ->
     Alcotest.fail (Printf.sprintf "expected 3 events, got %d" (List.length events))
 
@@ -344,6 +345,41 @@ let test_degradation_triggers () =
   Alcotest.check triggers "lost header" (expected header_seed)
     (journaled_triggers header_seed)
 
+(* Hand-built CRC-valid payloads that break a rule no CRC checks,
+   injected as the prepared stream of a lossless session: the client
+   must journal the broken record (or header) and play on. *)
+let test_hostile_streams_degrade () =
+  let config = Streaming.Session.default_config ~device in
+  let prep = Streaming.Session.prepare_input config clip in
+  let frames = prep.Streaming.Session.track.Annotation.Track.total_frames in
+  List.iter
+    (fun (name, payload, trigger) ->
+      let protected = Streaming.Fec.protect ~packet_size:24 ~group_size:3 payload in
+      let prepared =
+        { prep with Streaming.Session.annotation_payload = payload; protected }
+      in
+      let j = Journal.create () in
+      Journal.install j;
+      Fun.protect ~finally:Journal.uninstall @@ fun () ->
+      let m = Streaming.Session.create ~prepared config clip in
+      while Streaming.Session.step m = `Running do () done;
+      (match Streaming.Session.result m with
+      | Some (Ok _) -> ()
+      | Some (Error e) -> Alcotest.fail (name ^ ": " ^ e)
+      | None -> Alcotest.fail (name ^ ": no result"));
+      Alcotest.(check bool)
+        (name ^ " journals its degradation") true
+        (List.exists
+           (fun e ->
+             match e.Journal.kind with
+             | Journal.Degradation d -> d.trigger = trigger
+             | _ -> false)
+           (Journal.events j)))
+    (List.map2
+       (fun (name, payload) trigger -> (name, payload, trigger))
+       (Raw_stream.hostile frames)
+       [ Journal.Record_corrupt; Journal.Record_corrupt; Journal.Header_lost ])
+
 (* --- offline verifier corpus (V4xx) -------------------------------------- *)
 
 let codes ds = List.sort_uniq compare (List.map (fun d -> d.Diagnostic.code) ds)
@@ -406,6 +442,22 @@ let test_v406_backwards_timestamp () =
   in
   check_codes "V406" [ "V406" ] (check swapped)
 
+let test_backwards_stamp_fails_decode () =
+  (* Three CRC-valid events whose second deadline miss runs backwards:
+     the strict decoder applies the verifier's clock rule, the salvage
+     decoder keeps all three. *)
+  let e t_us frame = { Journal.t_us; kind = Journal.Deadline_miss { frame; over_us = 10 } } in
+  let events = [ e 1_000 1; e 500 2; e 2_000 3 ] in
+  let data = Journal.encode events in
+  check_codes "V406" [ "V406" ] (check data);
+  Alcotest.(check (result reject string))
+    "decode"
+    (Error "timestamp 500us runs backwards within phase 3 (last 1000us)")
+    (Journal.decode data);
+  let p = Journal.decode_partial data in
+  Alcotest.(check bool) "salvage keeps them" true
+    (p.Journal.events = events && p.Journal.corrupt_frames = 0)
+
 let test_v406_allows_stage_reruns () =
   (* A quality sweep annotates several times per process: phase-1 time
      restarting after an intervening phase is legitimate. *)
@@ -434,7 +486,9 @@ let test_v406_allows_stage_reruns () =
       decision 1 750_000;
     ]
   in
-  check_codes "stage reruns are clean" [] (check (Journal.encode rerun))
+  check_codes "stage reruns are clean" [] (check (Journal.encode rerun));
+  Alcotest.(check bool) "and decode" true
+    (Journal.decode (Journal.encode rerun) = Ok rerun)
 
 let test_v407_unknown_tag () =
   (* Hand-frame a payload with kind tag 99 and a valid CRC: framing is
@@ -533,7 +587,7 @@ let prop_verifier_agrees_with_decoders =
         match Journal.decode data with
         | Error _ -> ds <> []
         | Ok events ->
-          List.for_all (fun d -> d.Diagnostic.code = "V406") ds
+          ds = []
           && p.Journal.events = events
           && p.Journal.corrupt_frames = 0
           && not p.Journal.truncated
@@ -565,6 +619,8 @@ let () =
           Alcotest.test_case "diff localises the seed change" `Quick
             test_diff_localises_fault_seed;
           Alcotest.test_case "degradation triggers" `Quick test_degradation_triggers;
+          Alcotest.test_case "hostile streams degrade" `Quick
+            test_hostile_streams_degrade;
         ] );
       ( "verifier corpus",
         [
@@ -576,6 +632,8 @@ let () =
           Alcotest.test_case "frame crc" `Quick test_v405_frame_crc;
           Alcotest.test_case "backwards timestamp" `Quick test_v406_backwards_timestamp;
           Alcotest.test_case "stage reruns allowed" `Quick test_v406_allows_stage_reruns;
+          Alcotest.test_case "backwards stamp fails decode" `Quick
+            test_backwards_stamp_fails_decode;
           Alcotest.test_case "unknown tag" `Quick test_v407_unknown_tag;
           Alcotest.test_case "implausible length" `Quick test_v408_implausible_length;
           Alcotest.test_case "varint too long at end of file" `Quick
